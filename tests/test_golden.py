@@ -1,0 +1,116 @@
+"""Golden digests: pinned trace bytes and CSV output of short runs.
+
+Each scenario is built from `key = value` text through the normal
+parser, run once, and its trace file hashed with sha256; the metrics
+row is pinned as text.  A refactor that changes the order of random
+draws, a float's rounding, a record's wording or a parsed type changes
+a digest here.  Digests were taken once and are never edited to make a
+change pass: a PR that means to change behaviour says why in CHANGES.md
+and adds new pins.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dartsim
+from dartsim.experiments import run_scenario, run_sweep
+from dartsim.metrics import format_run_row
+from dartsim.scenario import Scenario, apply_overrides, validate
+
+LINE = (("nodes", "3"), ("placement", "explicit"),
+        ("positions", "0,0; 250,0; 500,0"), ("sink", "0"),
+        ("cbr_sources", "2"), ("sim_time", "30"), ("cbr_start_s", "5"),
+        ("interval_s", "2"), ("loss", "0"), ("jitter_ms", "0"),
+        ("contention_coeff_ms", "0"), ("base_mac_delay_ms", "0.74"),
+        ("tx_delay_ms", "0.26"))
+
+# name -> (settings, sha256 of the trace file, runs-CSV row)
+GOLDEN = {
+    "default-50": (
+        (("sim_time", "30"), ("seed", "1")),
+        "289ed3d3c73a4071b6ec7ca4766133740d48665d7d91a58083ccc82f70b93b60",
+        "50,30.0,6.0,1.0,1,4.827902146685068,0.8741721854304636,0.17218543046357615,78,0"),
+    "dense-150": (
+        (("nodes", "150"), ("sim_time", "20"), ("seed", "2")),
+        "1da6a98ff4011173128253bd294aabfa0ee0bcf0cdcd924e08e495cfafa76b30",
+        "150,20.0,6.0,1.0,2,4.154926518407856,0.16831683168316833,0.8316831683168316,108,0"),
+    "grid-49": (
+        (("nodes", "49"), ("placement", "grid"), ("sim_time", "30"),
+         ("seed", "3")),
+        "afecf5af9559210eba5e5547db9cc1666d044c00cad627599e455735764c0bee",
+        "49,30.0,6.0,1.0,3,4.4551081819886,0.847682119205298,0.1986754966887417,50,0"),
+    "line-3": (
+        LINE,
+        "7854edd9ab15b11a0aebd0a0291c470b85ce7e5668191587bd60ece3bf80623b",
+        "3,30.0,6.0,2.0,0,2.0769230769239755,1.0,0.0,0,0"),
+    "lossy-retries": (
+        (("loss", "0.3"), ("max_retries", "6"), ("sim_time", "30"),
+         ("seed", "4")),
+        "c8098b8eb31d79268e140af4a636270480053538943832cd7ca9e37fddab60a1",
+        "50,30.0,6.0,1.0,4,4.620248062373727,0.5231788079470199,0.5231788079470199,124,0"),
+    "snapshots": (
+        (("snapshot_period_s", "2.5"), ("cbr_stop_s", "20"),
+         ("sim_time", "30"), ("seed", "5")),
+        "780e609e11863e71b871624067eb6ee6e6583fb8bd6d08df4da562119dddf336",
+        "50,30.0,6.0,1.0,5,4.601154425208418,0.5643564356435643,0.49504950495049505,72,0"),
+}
+
+SWEEP_BASE = (("nodes", "30"), ("sim_time", "10"), ("loss", "0.4"),
+              ("max_retries", "2"))
+SWEEP_AXES = [("deadline_ms", ["6", "8"])]
+SWEEP_SEEDS = [1, 2]
+SWEEP_RUNS_SHA = "04dda59b02346068757b12055a380cfd4d499b9cc6aa311691631fa96d32ccf2"
+SWEEP_AGGREGATE_SHA = "9593c925d1ffe271434be3bda531eb090d84f743bd5e61a89da864f2be55aa0a"
+
+
+def scenario_from(settings) -> Scenario:
+    sc = Scenario()
+    apply_overrides(sc, settings)
+    validate(sc)
+    return sc
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_digest(name, tmp_path):
+    settings, trace_sha, row = GOLDEN[name]
+    path = tmp_path / "run.trace"
+    meta, _, metrics = run_scenario(scenario_from(settings), trace_path=path)
+    assert ",".join(format_run_row(meta, metrics)) == row
+    assert sha256_of(path) == trace_sha
+
+
+def test_sweep_digest(tmp_path):
+    runs, aggregate, failures = run_sweep(scenario_from(SWEEP_BASE),
+                                          SWEEP_AXES, SWEEP_SEEDS, tmp_path,
+                                          jobs=1)
+    assert failures == []
+    assert sha256_of(runs) == SWEEP_RUNS_SHA
+    assert sha256_of(aggregate) == SWEEP_AGGREGATE_SHA
+
+
+def test_digest_holds_in_a_fresh_process_with_another_hash_seed(tmp_path):
+    """The CLI in a new interpreter, with string hashing salted
+    differently, writes the same bytes as the pinned in-process run."""
+    settings, trace_sha, row = GOLDEN["default-50"]
+    path = tmp_path / "run.trace"
+    env = dict(os.environ, PYTHONHASHSEED="4242",
+               PYTHONPATH=str(Path(dartsim.__file__).resolve().parent.parent))
+    env.pop("DART_SEED", None)
+    argv = [sys.executable, "-m", "dartsim.cli", "run", "--trace", str(path)]
+    for key, raw in settings:
+        argv += ["--set", f"{key}={raw}"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[1] == row
+    assert sha256_of(path) == trace_sha
