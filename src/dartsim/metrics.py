@@ -103,41 +103,6 @@ def _scan(records):
     return created, first_arrival, no_route, loss
 
 
-def average_end_to_end_delay(records) -> Optional[float]:
-    """Mean first-copy latency over distinct delivered events, in seconds."""
-    created, first_arrival, _, _ = _scan(records)
-    delays = [t - created[eid][0] for eid, t in first_arrival.items()
-              if eid in created]
-    if not delays:
-        return None
-    return sum(delays) / len(delays)
-
-
-def packet_delivery_ratio(records) -> Optional[float]:
-    """Distinct delivered events over generated events; duplicates countonce."""
-    created, first_arrival, _, _ = _scan(records)
-    if not created:
-        return None
-    return len(first_arrival) / len(created)
-
-
-def deadline_miss_ratio(records) -> Optional[float]:
-    """Share of generated events that never arrived or arrived late.
-
-    Lateness is judged on the first copy's actual latency against the
-    deadline granted at creation.
-    """
-    created, first_arrival, _, _ = _scan(records)
-    if not created:
-        return None
-    missed = 0
-    for eid, (created_at, t_set) in created.items():
-        arrival = first_arrival.get(eid)
-        if arrival is None or (arrival - created_at) > t_set:
-            missed += 1
-    return missed / len(created)
-
-
 def compute_run_metrics(records) -> RunMetrics:
     """All per-run metrics in one pass over the trace."""
     created, first_arrival, no_route, loss = _scan(records)
@@ -161,6 +126,13 @@ def compute_run_metrics(records) -> RunMetrics:
                       no_route_drops=no_route, loss_drops=loss)
 
 
+def _metric_values(rm: RunMetrics) -> tuple:
+    """rm's values in METRIC_COLUMNS order, with the delay in ms."""
+    avg_ms = None if rm.avg_e2e_delay is None else rm.avg_e2e_delay * 1000.0
+    return (avg_ms, rm.pdr, rm.deadline_miss_ratio, rm.no_route_drops,
+            rm.loss_drops)
+
+
 # ------------------------------------------------------------- aggregation
 
 def aggregate_runs(rows):
@@ -181,14 +153,10 @@ def aggregate_runs(rows):
     out = []
     for key in order:
         metrics = {}
-        for column, pick in (
-                ("avg_e2e_delay_ms", lambda r: None if r.avg_e2e_delay is None
-                 else r.avg_e2e_delay * 1000.0),
-                ("pdr", lambda r: r.pdr),
-                ("deadline_miss_ratio", lambda r: r.deadline_miss_ratio),
-                ("no_route_drops", lambda r: float(r.no_route_drops)),
-                ("loss_drops", lambda r: float(r.loss_drops))):
-            values = [v for v in (pick(r) for r in groups[key]) if v is not None]
+        columns = zip(*(_metric_values(rm) for rm in groups[key]))
+        for column, cells in zip(METRIC_COLUMNS, columns):
+            # float(): equal integer drop counts average to 2.0, not 2
+            values = [float(v) for v in cells if v is not None]
             mean = statistics.mean(values) if values else None
             std = statistics.stdev(values) if len(values) >= 2 else None
             metrics[column] = (mean, std)
@@ -221,19 +189,8 @@ def run_meta(scenario_like) -> dict:
 
 def format_run_row(meta: dict, rm: RunMetrics) -> list[str]:
     """One runs-CSV row; meta keys missing (e.g. empty trace) yield blanks."""
-    avg_ms = None if rm.avg_e2e_delay is None else rm.avg_e2e_delay * 1000.0
-    return [
-        _cell(meta.get("nodes")),
-        _cell(meta.get("sim_time")),
-        _cell(meta.get("deadline_ms")),
-        _cell(meta.get("interval_s")),
-        _cell(meta.get("seed")),
-        _cell(avg_ms),
-        _cell(rm.pdr),
-        _cell(rm.deadline_miss_ratio),
-        _cell(rm.no_route_drops),
-        _cell(rm.loss_drops),
-    ]
+    return ([_cell(meta.get(column)) for column in RUN_CSV_COLUMNS[:5]]
+            + [_cell(value) for value in _metric_values(rm)])
 
 
 def format_aggregate_row(key, metrics: dict) -> list[str]:

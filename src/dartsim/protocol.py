@@ -38,8 +38,7 @@ class NodeState:
 
     The forwarding table is keyed by neighbor id, so there is never more
     than one row per neighbor, and the node itself is never inserted.
-    rng_stream_id tags the node's stream for stochastic extensions; the
-    decision logic itself is fully deterministic.
+    The decision logic is fully deterministic.
     """
 
     my_id: NodeId
@@ -47,17 +46,7 @@ class NodeState:
     sink_id: NodeId
     sink_pos: NodePos
     residual_energy: float = 100.0
-    rng_stream_id: int = 0
     forwarding_table: dict[NodeId, ForwardingEntry] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class EchoProbe:
-    """Bookkeeping for one in-flight echo measurement."""
-
-    probe_id: int
-    neighbor_id: NodeId
-    sent_at: float
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ bit rate sources at the far side of the field.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 
 class ScenarioError(Exception):
@@ -80,9 +81,12 @@ def _parse_int(key, raw):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioError(f"{key} expects a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{key} expects a finite number, got {raw!r}")
+    return value
 
 
 def _parse_placement(key, raw):
@@ -129,42 +133,18 @@ def _parse_optional_float(key, raw):
     return _parse_float(key, raw)
 
 
+# Keys with their own grammar; every other key is a plain int or float,
+# parsed by its type in Scenario.
 _PARSERS = {
-    "nodes": _parse_int,
-    "area_width": _parse_float,
-    "area_height": _parse_float,
-    "tx_range": _parse_float,
     "placement": _parse_placement,
     "positions": _parse_positions,
-    "sink": _parse_int,
     "sink_pos": _parse_pair,
-    "sim_time": _parse_float,
-    "seed": _parse_int,
     "cbr_sources": _parse_ids,
-    "cbr_count": _parse_int,
-    "interval_s": _parse_float,
-    "deadline_ms": _parse_float,
-    "cbr_start_s": _parse_float,
     "cbr_stop_s": _parse_optional_float,
-    "loss": _parse_float,
-    "base_mac_delay_ms": _parse_float,
-    "tx_delay_ms": _parse_float,
-    "contention_coeff_ms": _parse_float,
-    "queue_service_rate": _parse_float,
-    "max_retries": _parse_int,
-    "jitter_ms": _parse_float,
-    "hello_period_s": _parse_float,
-    "echo_period_s": _parse_float,
-    "echo_alpha": _parse_float,
-    "bootstrap_rounds": _parse_int,
-    "bootstrap_spread_s": _parse_float,
-    "bootstrap_gap_s": _parse_float,
-    "ctl_window_s": _parse_float,
-    "flow_window_s": _parse_float,
-    "queue_window_s": _parse_float,
-    "initial_energy_j": _parse_float,
-    "snapshot_period_s": _parse_float,
 }
+_PARSERS.update((key, {int: _parse_int, float: _parse_float}[hint])
+                for key, hint in get_type_hints(Scenario).items()
+                if key not in _PARSERS)
 
 
 def apply_setting(scenario: Scenario, key: str, raw: str) -> None:
@@ -206,8 +186,9 @@ def validate(scenario: Scenario) -> None:
                             ("echo_period_s", sc.echo_period_s, 0.0),
                             ("bootstrap_spread_s", sc.bootstrap_spread_s, 0.0),
                             ("bootstrap_gap_s", sc.bootstrap_gap_s, 0.0)):
-        if value <= low:
-            raise ScenarioError(f"{key} must be > {low}, got {value}")
+        if not low < value < math.inf:
+            raise ScenarioError(f"{key} must be finite and > {low}, "
+                                f"got {value}")
     for key, value in (("cbr_count", sc.cbr_count),
                        ("max_retries", sc.max_retries),
                        ("cbr_start_s", sc.cbr_start_s),
@@ -219,8 +200,8 @@ def validate(scenario: Scenario) -> None:
                        ("flow_window_s", sc.flow_window_s),
                        ("queue_window_s", sc.queue_window_s),
                        ("snapshot_period_s", sc.snapshot_period_s)):
-        if value < 0:
-            raise ScenarioError(f"{key} must be >= 0, got {value}")
+        if not 0 <= value < math.inf:
+            raise ScenarioError(f"{key} must be finite and >= 0, got {value}")
     if not (0.0 <= sc.loss < 1.0):
         raise ScenarioError(f"loss must be in [0, 1), got {sc.loss}")
     if not (0.0 < sc.echo_alpha <= 1.0):
@@ -228,8 +209,10 @@ def validate(scenario: Scenario) -> None:
     if sc.bootstrap_rounds < 1:
         raise ScenarioError(f"bootstrap_rounds must be >= 1, "
                             f"got {sc.bootstrap_rounds}")
-    if sc.cbr_stop_s is not None and sc.cbr_stop_s < sc.cbr_start_s:
-        raise ScenarioError("cbr_stop_s must be >= cbr_start_s")
+    stop = sc.cbr_stop_s
+    if stop is not None and not sc.cbr_start_s <= stop < math.inf:
+        raise ScenarioError(f"cbr_stop_s must be finite and >= cbr_start_s, "
+                            f"got {stop}")
 
 
 def load_scenario(path, overrides=None, base=None) -> Scenario:
@@ -265,14 +248,6 @@ def apply_overrides(scenario: Scenario, pairs) -> None:
             apply_setting(scenario, key, raw)
         except ScenarioError as exc:
             raise ScenarioError(f"--set {key}={raw}: {exc}") from None
-
-
-def default_scenario(overrides=None) -> Scenario:
-    """The built-in defaults with optional overrides, validated."""
-    scenario = Scenario()
-    apply_overrides(scenario, overrides or [])
-    validate(scenario)
-    return scenario
 
 
 def describe(scenario: Scenario) -> str:

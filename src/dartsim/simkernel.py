@@ -2,6 +2,8 @@
 
 Event loop design: one heap event per node round (hello or echo), with
 the per-neighbor exchanges processed inline so the heap stays small.
+Heap entries are (fire_at, seq, kind, payload) tuples; seq is unique,
+so ties fire in scheduling order and payloads are never compared.
 All randomness comes from a single random.Random(seed) stream, and
 neighbors are always visited in ascending id order, so a scenario
 replays byte-identically.
@@ -30,29 +32,11 @@ from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
-from .protocol import (EchoProbe, NodeState, decide_forward, make_hello,
-                       on_ack, on_data_arrival_update, on_hello,
-                       record_echo_rtt, synthesize_one_way_delay)
+from .protocol import (NodeState, decide_forward, make_hello, on_ack,
+                       on_data_arrival_update, on_hello, record_echo_rtt,
+                       synthesize_one_way_delay)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(slots=True)
-class SimEvent:
-    """A scheduled occurrence; ordering is (fire_at, seq) so ties are FIFO."""
-    fire_at: float
-    seq: int
-    kind: str
-    payload: object = None
-
-    def __lt__(self, other):
-        return (self.fire_at, self.seq) < (other.fire_at, other.seq)
-
-
-@dataclass(slots=True)
-class RadioModel:
-    tx_range: float = 250.0
-    loss_probability: float = 0.05
 
 
 @dataclass(slots=True)
@@ -79,6 +63,14 @@ def sample_tx_count(loss_probability: float, max_retries: int, rng) -> tuple:
     return max_retries + 1, False
 
 
+def sample_mac_delay(mac: MacDelayModel, local_load: float, rng) -> float:
+    """Channel access delay: base plus contention, plus exponential jitter."""
+    mac_delay = mac.base_mac_delay + mac.contention_coeff * local_load
+    if mac.jitter_mean > 0.0:
+        mac_delay += rng.expovariate(1.0 / mac.jitter_mean)
+    return mac_delay
+
+
 def sample_link_delay(mac: MacDelayModel, loss_probability: float,
                       local_load: float, queue_occupancy: int, rng) -> tuple:
     """Draw one hop's delay components under the current load.
@@ -87,9 +79,7 @@ def sample_link_delay(mac: MacDelayModel, loss_probability: float,
     reported even when delivery fails, since the channel time was spent
     either way.
     """
-    mac_delay = mac.base_mac_delay + mac.contention_coeff * local_load
-    if mac.jitter_mean > 0.0:
-        mac_delay += rng.expovariate(1.0 / mac.jitter_mean)
+    mac_delay = sample_mac_delay(mac, local_load, rng)
     queue_delay = queue_occupancy / mac.queue_service_rate
     attempts, delivered = sample_tx_count(loss_probability, mac.max_retries, rng)
     comps = LinkDelayComponents(mac_delay=mac_delay, queue_delay=queue_delay,
@@ -167,7 +157,7 @@ class _SimNode:
     round_times: deque = field(default_factory=deque)
     own_tx_times: deque = field(default_factory=deque)
     data_tx_times: deque = field(default_factory=deque)
-    probes: dict = field(default_factory=dict)
+    probes: set = field(default_factory=set)  # neighbors with an echo pending
 
 
 class Simulation:
@@ -177,8 +167,6 @@ class Simulation:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.topology = build_topology(scenario, self.rng)
-        self.radio = RadioModel(tx_range=scenario.tx_range,
-                                loss_probability=scenario.loss)
         self.mac = MacDelayModel(
             base_mac_delay=scenario.base_mac_delay_ms / 1000.0,
             queue_service_rate=scenario.queue_service_rate,
@@ -192,8 +180,7 @@ class Simulation:
         for i in range(scenario.nodes):
             state = NodeState(my_id=i, my_pos=self.topology.positions[i],
                               sink_id=self.sink_id, sink_pos=sink_pos,
-                              residual_energy=scenario.initial_energy_j,
-                              rng_stream_id=i)
+                              residual_energy=scenario.initial_energy_j)
             nbrs = self.topology.adjacency[i]
             self.nodes.append(_SimNode(state=state, neighbors=nbrs,
                                        nbhd=[i] + list(nbrs)))
@@ -219,7 +206,7 @@ class Simulation:
 
     def _schedule(self, fire_at, kind, payload=None):
         self.seq += 1
-        heapq.heappush(self.heap, SimEvent(fire_at, self.seq, kind, payload))
+        heapq.heappush(self.heap, (fire_at, self.seq, kind, payload))
 
     def _schedule_all(self):
         sc = self.scenario
@@ -297,7 +284,7 @@ class Simulation:
         node.round_times.append(now)
         node.own_tx_times.append(now)
         hello = make_hello(st)
-        p = self.radio.loss_probability
+        p = self.scenario.loss
         acks = 0
         for j in node.neighbors:
             if self.rng.random() < p:
@@ -323,17 +310,13 @@ class Simulation:
         node.round_times.append(now)
         node.own_tx_times.append(now)
         # probe broadcast: one attempt, no retries
-        mac_delay = self.mac.base_mac_delay + self.mac.contention_coeff * load
-        if self.mac.jitter_mean > 0.0:
-            mac_delay += self.rng.expovariate(1.0 / self.mac.jitter_mean)
-        probe_delay = mac_delay + occ / self.mac.queue_service_rate \
-            + self.mac.tx_delay
-        p = self.radio.loss_probability
+        probe_delay = (sample_mac_delay(self.mac, load, self.rng)
+                       + occ / self.mac.queue_service_rate + self.mac.tx_delay)
+        p = self.scenario.loss
         measurements = []
         max_rtt = 0.0
         for j in node.neighbors:
-            node.probes[j] = EchoProbe(probe_id=self.seq, neighbor_id=j,
-                                       sent_at=now)
+            node.probes.add(j)
             if self.rng.random() < p:
                 continue                      # probe lost at j
             peer = self.nodes[j]
@@ -362,9 +345,9 @@ class Simulation:
         node = self.nodes[i]
         applied = 0
         for j, rtt in measurements:
-            probe = node.probes.pop(j, None)
-            if probe is None:
+            if j not in node.probes:
                 continue
+            node.probes.remove(j)
             record_echo_rtt(node.state, j, rtt, self.scenario.echo_alpha)
             applied += 1
         self._record(now, ECHO_REPLY, i, -1, f"measured={applied}")
@@ -401,7 +384,7 @@ class Simulation:
                          f"to={decision.duplicate_next_hop}")
             targets.append((decision.duplicate_next_hop,
                             replace(pkt, is_duplicate=True)))
-        p = self.radio.loss_probability
+        p = self.scenario.loss
         for j, copy in targets:
             node.own_tx_times.append(now)
             node.data_tx_times.append(now)
@@ -441,26 +424,24 @@ class Simulation:
         end = self.scenario.sim_time
         heap = self.heap
         while heap:
-            ev = heapq.heappop(heap)
-            kind = ev.kind
-            now = ev.fire_at
+            now, _, kind, payload = heapq.heappop(heap)
             if now > end and kind != PACKET_ARRIVAL:
                 # in-flight packets drain past the horizon, control stops
                 continue
             if kind == HELLO_ROUND:
-                i, steady = ev.payload
+                i, steady = payload
                 self._on_hello_round(i, now, steady)
             elif kind == ECHO_PROBE:
-                i, steady = ev.payload
+                i, steady = payload
                 self._on_echo_probe(i, now, steady)
             elif kind == ECHO_REPLY:
-                i, measurements = ev.payload
+                i, measurements = payload
                 self._on_echo_reply(i, now, measurements)
             elif kind == CBR_EMIT:
-                nid, t_set = ev.payload
+                nid, t_set = payload
                 self._on_cbr_emit(nid, now, t_set)
             elif kind == PACKET_ARRIVAL:
-                j, pkt, link_delay = ev.payload
+                j, pkt, link_delay = payload
                 self._on_packet_arrival(j, pkt, link_delay, now)
             elif kind == METRIC_SNAPSHOT:
                 self._record(now, METRIC_SNAPSHOT, -1, -1,

@@ -63,6 +63,25 @@ def test_unknown_set_key_fails_with_code_1(line_file, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("setting", ["sim_time=nan", "sim_time=inf",
+                                     "deadline_ms=nan", "tx_range=nan",
+                                     "interval_s=inf"])
+def test_validate_rejects_non_finite_numbers(setting, capsys):
+    code, out, err = run_cli(capsys, "validate", "--set", setting)
+    assert code == 1
+    assert out == ""
+    assert f"{setting.partition('=')[0]} expects a finite number" in err
+
+
+def test_run_rejects_nan_deadline_instead_of_running(capsys):
+    # sim_time=inf is not tried here: unchecked, that run never ends
+    code, out, err = run_cli(capsys, "run", "--set", "deadline_ms=nan",
+                             "--set", "sim_time=20")
+    assert code == 1
+    assert out == ""
+    assert "deadline_ms" in err
+
+
 def test_bad_scenario_file_names_the_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("nodes = 5\nloss = lots\n")

@@ -13,11 +13,9 @@ from dartsim.metrics import (
     TraceError,
     TraceRecord,
     aggregate_runs,
-    average_end_to_end_delay,
     compute_run_metrics,
-    deadline_miss_ratio,
+    format_aggregate_row,
     format_run_row,
-    packet_delivery_ratio,
     read_trace,
     write_trace,
 )
@@ -38,28 +36,30 @@ def drop(t, eid, reason, dup=0):
 def test_average_delay_over_unique_events():
     trace = [emit(0.0, 1), emit(1.0, 2),
              arrive(0.002, 1), arrive(1.004, 2)]
-    assert average_end_to_end_delay(trace) == pytest.approx(0.003, rel=1e-12)
+    assert compute_run_metrics(trace).avg_e2e_delay == pytest.approx(
+        0.003, rel=1e-12)
 
 
 def test_average_delay_uses_first_copy_only():
     trace = [emit(0.0, 1), arrive(0.002, 1), arrive(0.010, 1, dup=1)]
-    assert average_end_to_end_delay(trace) == pytest.approx(0.002, rel=1e-12)
+    assert compute_run_metrics(trace).avg_e2e_delay == pytest.approx(
+        0.002, rel=1e-12)
 
 
 def test_average_delay_undefined_when_nothing_received():
     trace = [emit(0.0, 1), drop(0.001, 1, "no_route")]
-    assert average_end_to_end_delay(trace) is None
+    assert compute_run_metrics(trace).avg_e2e_delay is None
 
 
 def test_pdr_counts_unique_events_both_sides():
     trace = [emit(float(i), i) for i in range(10)]
     trace += [arrive(float(i) + 0.002, i) for i in range(8)]
     trace += [arrive(float(i) + 0.003, i, dup=1) for i in range(8)]
-    assert packet_delivery_ratio(trace) == pytest.approx(0.8, rel=1e-12)
+    assert compute_run_metrics(trace).pdr == pytest.approx(0.8, rel=1e-12)
 
 
 def test_pdr_undefined_with_zero_sent():
-    assert packet_delivery_ratio([]) is None
+    assert compute_run_metrics([]).pdr is None
 
 
 def test_miss_ratio_counts_late_and_lost():
@@ -68,20 +68,21 @@ def test_miss_ratio_counts_late_and_lost():
              arrive(1.009, 2),            # late: 9 ms > 6 ms
              arrive(3.006, 4)]            # exactly at the deadline: on time
     # event 3 never arrives
-    assert deadline_miss_ratio(trace) == pytest.approx(0.5, rel=1e-12)
+    assert compute_run_metrics(trace).deadline_miss_ratio == pytest.approx(
+        0.5, rel=1e-12)
 
 
 def test_miss_ratio_at_least_loss_share():
     trace = [emit(0.0, 1), emit(1.0, 2), arrive(1.002, 2)]
-    miss = deadline_miss_ratio(trace)
-    pdr = packet_delivery_ratio(trace)
-    assert miss >= 1.0 - pdr
+    rm = compute_run_metrics(trace)
+    assert rm.deadline_miss_ratio >= 1.0 - rm.pdr
 
 
 def test_late_packet_still_counts_for_delivery():
     trace = [emit(0.0, 1), arrive(0.05, 1)]
-    assert packet_delivery_ratio(trace) == 1.0
-    assert deadline_miss_ratio(trace) == 1.0
+    rm = compute_run_metrics(trace)
+    assert rm.pdr == 1.0
+    assert rm.deadline_miss_ratio == 1.0
 
 
 def test_compute_run_metrics_counts_drop_reasons():
@@ -121,6 +122,10 @@ def test_aggregate_mean_and_sample_std():
     assert mean == pytest.approx(0.30000000000000004, rel=1e-15)
     assert std == pytest.approx(0.14142135623730953, rel=1e-12)
     assert metrics["avg_e2e_delay_ms"] == (None, None)
+    # integer drop counts aggregate as floats: 2.0, not 2
+    assert metrics["no_route_drops"][0] == 2.0
+    row = format_aggregate_row(key, metrics)
+    assert row[-4:] == ["2.0", repr(2.0 ** 0.5), "0.0", "0.0"]
 
 
 def test_aggregate_single_run_has_no_std():

@@ -1,5 +1,7 @@
 """Scenario defaults, file grammar, and validation diagnostics."""
 
+import math
+
 import pytest
 
 from dartsim.scenario import (Scenario, ScenarioError, apply_overrides,
@@ -130,6 +132,35 @@ def test_numeric_range_checks():
     sc = Scenario()
     sc.interval_s = 0.0
     with pytest.raises(ScenarioError, match="interval_s"):
+        validate(sc)
+
+
+NON_FINITE = [("sim_time", "nan"), ("sim_time", "inf"), ("deadline_ms", "nan"),
+              ("tx_range", "nan"), ("interval_s", "inf"), ("loss", "-inf"),
+              ("area_width", "1e999"), ("cbr_stop_s", "NaN"),
+              ("sink_pos", "nan,0"), ("positions", "0,0; 10,Infinity")]
+
+
+@pytest.mark.parametrize("key,raw", NON_FINITE)
+def test_non_finite_numbers_are_rejected_by_name(key, raw):
+    with pytest.raises(ScenarioError, match=f"--set {key}=.*{key} expects "
+                                            f"a finite number"):
+        apply_overrides(Scenario(), [(key, raw)])
+
+
+def test_non_finite_number_in_a_file_names_key_and_line(tmp_path):
+    path = write(tmp_path, "nodes = 10\ndeadline_ms = nan\n")
+    with pytest.raises(ScenarioError, match=r":2: deadline_ms"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("key", ["sim_time", "interval_s", "deadline_ms",
+                                 "tx_range", "jitter_ms", "cbr_stop_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_rejects_non_finite_values_set_in_code(key, value):
+    sc = Scenario()
+    setattr(sc, key, value)
+    with pytest.raises(ScenarioError, match=f"{key} must be finite"):
         validate(sc)
 
 
