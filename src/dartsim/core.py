@@ -1,13 +1,15 @@
 """Shared value types: positions, packets, and forwarding table rows.
 
-Everything here is a plain immutable value.  Distances are meters, times
-are seconds, speeds are meters per second.
+Everything here is a plain immutable value, except ForwardingEntry: a
+node updates its table rows in place.  Distances are meters, times are
+seconds, speeds are meters per second.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 NodeId = int
 
@@ -25,8 +27,7 @@ def distance(a: NodePos, b: NodePos) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-@dataclass(frozen=True)
-class HelloPacket:
+class HelloPacket(NamedTuple):
     """Neighbor discovery beacon; dist_to_sink is the sender's own distance."""
 
     source_id: NodeId
@@ -34,8 +35,7 @@ class HelloPacket:
     dist_to_sink: float
 
 
-@dataclass(frozen=True)
-class AckPacket:
+class AckPacket(NamedTuple):
     """Reply to a HelloPacket carrying the responder's advertised state."""
 
     neighbor_id: NodeId
@@ -44,8 +44,7 @@ class AckPacket:
     residual_energy: float
 
 
-@dataclass(frozen=True)
-class LinkDelayComponents:
+class LinkDelayComponents(NamedTuple):
     """One-way delay breakdown for a single link traversal.
 
     The total one-way delay is (mac_delay + queue_delay + tx_delay)
@@ -77,9 +76,9 @@ class DataPacket:
     is_duplicate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ForwardingEntry:
-    """One neighbor row in a node's forwarding table.
+    """One neighbor row in a node's forwarding table, updated in place.
 
     link_delay of 0.0 means the link has not been measured yet; such
     neighbors are never chosen as next hops.

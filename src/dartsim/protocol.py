@@ -78,34 +78,33 @@ def make_ack(state: NodeState) -> AckPacket:
                      residual_energy=state.residual_energy)
 
 
-def on_hello(state: NodeState, hello: HelloPacket) -> AckPacket:
-    """Learn or refresh the HELLO sender, then answer with our own ACK.
+def on_hello(state: NodeState, hello: HelloPacket) -> None:
+    """Learn or refresh the HELLO sender; the reply is make_ack(state).
 
-    Position and advertised distance are refreshed; an existing link
-    delay estimate and energy reading survive the refresh.  The sender
-    must not be the node itself.
+    Position and advertised distance are refreshed in place; an existing
+    link delay estimate and energy reading survive the refresh.  The
+    sender must not be the node itself.
     """
-    old = state.forwarding_table.get(hello.source_id)
-    state.forwarding_table[hello.source_id] = ForwardingEntry(
-        neighbor_id=hello.source_id,
-        neighbor_pos=hello.source_pos,
-        dist_to_sink=hello.dist_to_sink,
-        link_delay=old.link_delay if old else 0.0,
-        residual_energy=old.residual_energy if old else 0.0,
-    )
-    return make_ack(state)
+    entry = state.forwarding_table.get(hello.source_id)
+    if entry is None:
+        state.forwarding_table[hello.source_id] = ForwardingEntry(
+            hello.source_id, hello.source_pos, hello.dist_to_sink)
+    else:
+        entry.neighbor_pos = hello.source_pos
+        entry.dist_to_sink = hello.dist_to_sink
 
 
 def on_ack(state: NodeState, ack: AckPacket) -> None:
     """Fold an ACK into the table; the link delay estimate is untouched."""
-    old = state.forwarding_table.get(ack.neighbor_id)
-    state.forwarding_table[ack.neighbor_id] = ForwardingEntry(
-        neighbor_id=ack.neighbor_id,
-        neighbor_pos=ack.neighbor_pos,
-        dist_to_sink=ack.dist_to_sink,
-        link_delay=old.link_delay if old else 0.0,
-        residual_energy=ack.residual_energy,
-    )
+    entry = state.forwarding_table.get(ack.neighbor_id)
+    if entry is None:
+        state.forwarding_table[ack.neighbor_id] = ForwardingEntry(
+            ack.neighbor_id, ack.neighbor_pos, ack.dist_to_sink,
+            0.0, ack.residual_energy)
+    else:
+        entry.neighbor_pos = ack.neighbor_pos
+        entry.dist_to_sink = ack.dist_to_sink
+        entry.residual_energy = ack.residual_energy
 
 
 def estimate_link_delay(rtt: float) -> float:
@@ -129,7 +128,7 @@ def record_echo_rtt(state: NodeState, neighbor_id: NodeId, rtt: float,
     sample = estimate_link_delay(rtt)
     if entry.link_delay > 0.0:
         sample = alpha * sample + (1.0 - alpha) * entry.link_delay
-    state.forwarding_table[neighbor_id] = replace(entry, link_delay=sample)
+    entry.link_delay = sample
 
 
 def synthesize_one_way_delay(c) -> float:

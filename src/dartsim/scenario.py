@@ -199,7 +199,8 @@ def validate(scenario: Scenario) -> None:
                        ("ctl_window_s", sc.ctl_window_s),
                        ("flow_window_s", sc.flow_window_s),
                        ("queue_window_s", sc.queue_window_s),
-                       ("snapshot_period_s", sc.snapshot_period_s)):
+                       ("snapshot_period_s", sc.snapshot_period_s),
+                       ("initial_energy_j", sc.initial_energy_j)):
         if not 0 <= value < math.inf:
             raise ScenarioError(f"{key} must be finite and >= 0, got {value}")
     if not (0.0 <= sc.loss < 1.0):

@@ -32,9 +32,9 @@ from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
-from .protocol import (NodeState, decide_forward, make_hello, on_ack,
-                       on_data_arrival_update, on_hello, record_echo_rtt,
-                       synthesize_one_way_delay)
+from .protocol import (NodeState, decide_forward, make_ack, make_hello,
+                       on_ack, on_data_arrival_update, on_hello,
+                       record_echo_rtt, synthesize_one_way_delay)
 
 log = logging.getLogger(__name__)
 
@@ -118,11 +118,15 @@ def build_topology(scenario, rng=None) -> Topology:
     else:
         positions = [NodePos(x, y) for x, y in scenario.positions]
 
+    # distance()'s float expression, on local coordinate lists
+    xs, ys = [p.x for p in positions], [p.y for p in positions]
+    hypot, tx_range = math.hypot, scenario.tx_range
     adjacency = [[] for _ in range(n)]
     for i in range(n):
+        xi, yi, near = xs[i], ys[i], adjacency[i]
         for j in range(i + 1, n):
-            if distance(positions[i], positions[j]) <= scenario.tx_range:
-                adjacency[i].append(j)
+            if hypot(xi - xs[j], yi - ys[j]) <= tx_range:
+                near.append(j)
                 adjacency[j].append(i)
     return Topology(positions=positions, adjacency=adjacency)
 
@@ -154,6 +158,8 @@ class _SimNode:
     state: NodeState
     neighbors: list
     nbhd: list                           # [own id] + neighbors
+    hello: object                        # constant: nodes never move
+    ack: object                          # constant: energy never changes
     round_times: deque = field(default_factory=deque)
     own_tx_times: deque = field(default_factory=deque)
     data_tx_times: deque = field(default_factory=deque)
@@ -183,7 +189,9 @@ class Simulation:
                               residual_energy=scenario.initial_energy_j)
             nbrs = self.topology.adjacency[i]
             self.nodes.append(_SimNode(state=state, neighbors=nbrs,
-                                       nbhd=[i] + list(nbrs)))
+                                       nbhd=[i] + list(nbrs),
+                                       hello=make_hello(state),
+                                       ack=make_ack(state)))
         self.sources = select_sources(scenario, self.topology.positions)
         self.warnings = []
         reachable = _reachable_from(self.topology.adjacency, self.sink_id)
@@ -239,9 +247,12 @@ class Simulation:
             if first <= stop:
                 self._schedule(first, CBR_EMIT, (s, t_set))
         if sc.snapshot_period_s > 0:
+            # run() chains each snapshot to seq + 1: reserve the seq block
             t = sc.snapshot_period_s
+            if t <= end:
+                heapq.heappush(self.heap, (t, self.seq + 1, METRIC_SNAPSHOT, None))
             while t <= end:
-                self._schedule(t, METRIC_SNAPSHOT)
+                self.seq += 1
                 t += sc.snapshot_period_s
 
     # -- load accounting ----------------------------------------------
@@ -283,18 +294,17 @@ class Simulation:
         st = node.state
         node.round_times.append(now)
         node.own_tx_times.append(now)
-        hello = make_hello(st)
         p = self.scenario.loss
         acks = 0
         for j in node.neighbors:
             if self.rng.random() < p:
                 continue                      # broadcast lost at j
             peer = self.nodes[j]
-            ack = on_hello(peer.state, hello)
+            on_hello(peer.state, node.hello)
             peer.own_tx_times.append(now)     # the ACK transmission
             _, delivered = sample_tx_count(p, self.mac.max_retries, self.rng)
             if delivered:
-                on_ack(st, ack)
+                on_ack(st, peer.ack)
                 acks += 1
         self._record(now, HELLO_ROUND, i, -1,
                      f"acks={acks} energy={st.residual_energy!r}")
@@ -424,7 +434,7 @@ class Simulation:
         end = self.scenario.sim_time
         heap = self.heap
         while heap:
-            now, _, kind, payload = heapq.heappop(heap)
+            now, seq, kind, payload = heapq.heappop(heap)
             if now > end and kind != PACKET_ARRIVAL:
                 # in-flight packets drain past the horizon, control stops
                 continue
@@ -447,6 +457,9 @@ class Simulation:
                 self._record(now, METRIC_SNAPSHOT, -1, -1,
                              f"emitted={self.emitted} arrived={self.arrived} "
                              f"dropped={self.dropped}")
+                nxt = now + self.scenario.snapshot_period_s
+                if nxt <= end:
+                    heapq.heappush(heap, (nxt, seq + 1, METRIC_SNAPSHOT, None))
             elif kind == RUN_END:
                 self._record(now, RUN_END, -1, -1, "-")
         return self.records, compute_run_metrics(self.records)

@@ -9,18 +9,17 @@ minutes on one core.
 import math
 import random
 import statistics
-from collections import defaultdict
 
 from dartsim.core import (DataPacket, ForwardingEntry, LinkDelayComponents,
                           NodePos, distance)
 from dartsim.experiments import run_scenario
-from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, FORWARD,
-                             PACKET_ARRIVAL, detail_fields, format_run_row)
+from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
 from dartsim.protocol import (NodeState, decide_forward, estimate_link_delay,
                               provided_speed, required_speed,
                               synthesize_one_way_delay)
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import Simulation
+from trace_invariants import criterion_8_violations
 
 NODE_COUNTS = (50, 100, 150)
 SEEDS = (11, 12, 13, 14, 15)
@@ -218,44 +217,10 @@ def test_criterion_08_trace_invariants():
     sc.seed = 11
     validate(sc)
     records, _ = Simulation(sc).run()
-    emitted_by = {}
-    duplicates = defaultdict(int)
-    arrivals = defaultdict(int)
-    drops = defaultdict(int)
-    chains = defaultdict(list)          # (event, dup flag) -> forward rows
-    violations = []
-    for rec in records:
-        if rec.kind == CBR_EMIT:
-            emitted_by[rec.event_id] = rec.node
-        elif rec.kind == DUPLICATE:
-            duplicates[rec.event_id] += 1
-            if rec.node != emitted_by.get(rec.event_id):
-                violations.append(f"duplicate away from source: {rec}")
-        elif rec.kind == PACKET_ARRIVAL:
-            arrivals[rec.event_id] += 1
-        elif rec.kind == DROP:
-            drops[rec.event_id] += 1
-        elif rec.kind == FORWARD:
-            f = detail_fields(rec.detail)
-            chains[(rec.event_id, f["dup"])].append(
-                (float(f["d"]), float(f["tl"])))
-    for eid in emitted_by:
-        copies = 1 + duplicates[eid]
-        if copies > 2:
-            violations.append(f"event {eid}: {copies} copies")
-        if arrivals[eid] + drops[eid] != copies:
-            violations.append(f"event {eid}: {arrivals[eid]} arrivals + "
-                              f"{drops[eid]} drops != {copies} copies")
-    for key, hops in chains.items():
-        dists = [d for d, _ in hops]
-        budgets = [tl for _, tl in hops]
-        if any(b >= a for a, b in zip(dists, dists[1:])):
-            violations.append(f"copy {key}: distance not strictly falling")
-        if any(b > a for a, b in zip(budgets, budgets[1:])):
-            violations.append(f"copy {key}: budget increased")
-    check(not violations and len(emitted_by) > 400,
+    emitted, violations = criterion_8_violations(records)
+    check(not violations and emitted > 400,
           f"criterion 8: loop freedom, budget decay, copy bound and "
-          f"conservation over {len(emitted_by)} events "
+          f"conservation over {emitted} events "
           f"({len(violations)} violations)")
 
 

@@ -73,6 +73,13 @@ def test_validate_rejects_non_finite_numbers(setting, capsys):
     assert f"{setting.partition('=')[0]} expects a finite number" in err
 
 
+def test_validate_rejects_negative_initial_energy(capsys):
+    code, out, err = run_cli(capsys, "validate", "--set", "initial_energy_j=-5")
+    assert code == 1
+    assert out == ""
+    assert "initial_energy_j" in err
+
+
 def test_run_rejects_nan_deadline_instead_of_running(capsys):
     # sim_time=inf is not tried here: unchecked, that run never ends
     code, out, err = run_cli(capsys, "run", "--set", "deadline_ms=nan",

@@ -99,7 +99,8 @@ def test_hello_inserts_unknown_neighbor_and_acks():
     state = make_state()
     hello = HelloPacket(source_id=2, source_pos=NodePos(100.0, 0.0),
                         dist_to_sink=100.0)
-    ack = on_hello(state, hello)
+    on_hello(state, hello)
+    ack = make_ack(state)
     assert set(state.forwarding_table) == {2}
     entry = state.forwarding_table[2]
     assert entry.neighbor_pos == NodePos(100.0, 0.0)
@@ -144,8 +145,8 @@ def test_ack_updates_energy_but_not_link_delay():
 def test_hello_ack_handshake_populates_both_sides():
     a = make_state(my_id=1, my_pos=NodePos(300.0, 0.0))
     b = make_state(my_id=2, my_pos=NodePos(100.0, 0.0), energy=10.0)
-    ack = on_hello(b, make_hello(a))
-    on_ack(a, ack)
+    on_hello(b, make_hello(a))
+    on_ack(a, make_ack(b))
     assert a.forwarding_table[2].residual_energy == 10.0
     assert b.forwarding_table[1].dist_to_sink == 300.0
 

@@ -1,5 +1,6 @@
 """Simulator kernel tests: delay sampling, topology, and whole small runs."""
 
+import hashlib
 import math
 import random
 from collections import Counter, defaultdict
@@ -8,7 +9,8 @@ import pytest
 
 from dartsim.core import DataPacket, NodePos
 from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, FORWARD, HELLO_ROUND,
-                             PACKET_ARRIVAL, RUN_END, detail_fields)
+                             METRIC_SNAPSHOT, PACKET_ARRIVAL, RUN_END,
+                             detail_fields, run_meta, write_trace)
 from dartsim.protocol import synthesize_one_way_delay
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import (MacDelayModel, Simulation, build_topology,
@@ -320,3 +322,31 @@ def test_copy_conservation_on_a_busy_run():
         assert arrivals[eid] + drops[eid] == copies
     assert metrics.sent_events == len(emitted_by)
     assert sum(duplicates.values()) > 0    # the mechanism actually fires
+
+
+# Trace sha256 pinned from the run that pushed every snapshot up front.
+@pytest.mark.parametrize("area, trace_sha", [
+    (None, "2f514d8477534713d25e1ae2e1ae7e2624b2bea638fcc0eb0287f99c775b79e2"),
+    (400.0, "34bc03b738f34eb599ef17d37f31a12c8662d0e92d19703185fced442cbd4660"),
+], ids=["default-area", "400m-area"])
+def test_fine_snapshots_are_chained_not_prescheduled(area, trace_sha,
+                                                      tmp_path):
+    kw = dict(nodes=10, sim_time=100.0, snapshot_period_s=0.01)
+    if area is not None:                 # small enough that packets flow
+        kw.update(area_width=area, area_height=area)
+    sc = make_scenario(**kw)
+    sim = Simulation(sc)
+    schedule_all = sim._schedule_all
+    heap_at_start = []
+
+    def spy():
+        schedule_all()
+        heap_at_start.append(len(sim.heap))
+    sim._schedule_all = spy
+    records, _ = sim.run()
+    assert heap_at_start[0] < 100
+    # 10,000 steps of 0.01 accumulate past 100.0, so the last is not taken
+    assert sum(rec.kind == METRIC_SNAPSHOT for rec in records) == 9999
+    path = tmp_path / "run.trace"
+    write_trace(path, run_meta(sc), records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
