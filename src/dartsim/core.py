@@ -68,7 +68,6 @@ class DataPacket:
 
     event_id: int
     source_id: NodeId
-    sink_id: NodeId
     t_set: float
     t_l: float
     created_at: float

@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-# record kinds; the first block doubles as simulator event kinds
+# record kinds
 HELLO_ROUND = "HELLO_ROUND"
 ECHO_PROBE = "ECHO_PROBE"
 ECHO_REPLY = "ECHO_REPLY"
@@ -20,7 +20,7 @@ PACKET_ARRIVAL = "PACKET_ARRIVAL"
 CBR_EMIT = "CBR_EMIT"
 METRIC_SNAPSHOT = "METRIC_SNAPSHOT"
 RUN_END = "RUN_END"
-# trace-only kinds emitted while forwarding
+# kinds recorded while forwarding
 FORWARD = "FORWARD"
 DUPLICATE = "DUPLICATE"
 DROP = "DROP"

@@ -43,7 +43,6 @@ class NodeState:
 
     my_id: NodeId
     my_pos: NodePos
-    sink_id: NodeId
     sink_pos: NodePos
     residual_energy: float = 100.0
     forwarding_table: dict[NodeId, ForwardingEntry] = field(default_factory=dict)

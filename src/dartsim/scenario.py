@@ -16,6 +16,10 @@ from dataclasses import dataclass, fields
 from typing import Optional, get_type_hints
 
 
+# most events one periodic chain may schedule in a run
+MAX_PERIODS = 1_000_000
+
+
 class ScenarioError(Exception):
     """A scenario key, value or combination is invalid."""
 
@@ -203,6 +207,14 @@ def validate(scenario: Scenario) -> None:
                        ("initial_energy_j", sc.initial_energy_j)):
         if not 0 <= value < math.inf:
             raise ScenarioError(f"{key} must be finite and >= 0, got {value}")
+    # each period is a chain of sim_time / period events, run one by one
+    for key, period in (("interval_s", sc.interval_s),
+                        ("hello_period_s", sc.hello_period_s),
+                        ("echo_period_s", sc.echo_period_s),
+                        ("snapshot_period_s", sc.snapshot_period_s)):
+        if period > 0 and sc.sim_time / period > MAX_PERIODS:
+            raise ScenarioError(f"{key} must be >= sim_time / {MAX_PERIODS}, "
+                                f"got {period}")
     if not (0.0 <= sc.loss < 1.0):
         raise ScenarioError(f"loss must be in [0, 1), got {sc.loss}")
     if not (0.0 < sc.echo_alpha <= 1.0):

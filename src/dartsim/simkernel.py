@@ -2,8 +2,9 @@
 
 Event loop design: one heap event per node round (hello or echo), with
 the per-neighbor exchanges processed inline so the heap stays small.
-Heap entries are (fire_at, seq, kind, payload) tuples; seq is unique,
-so ties fire in scheduling order and payloads are never compared.
+Heap entries are (fire_at, seq, handler, args) tuples and run() calls
+handler(now, *args).  Pending entries never share a seq, so ties fire
+in scheduling order.  Only packet arrivals are scheduled past sim_time.
 All randomness comes from a single random.Random(seed) stream, and
 neighbors are always visited in ascending id order, so a scenario
 replays byte-identically.
@@ -185,7 +186,7 @@ class Simulation:
         self.nodes = []
         for i in range(scenario.nodes):
             state = NodeState(my_id=i, my_pos=self.topology.positions[i],
-                              sink_id=self.sink_id, sink_pos=sink_pos,
+                              sink_pos=sink_pos,
                               residual_energy=scenario.initial_energy_j)
             nbrs = self.topology.adjacency[i]
             self.nodes.append(_SimNode(state=state, neighbors=nbrs,
@@ -205,21 +206,20 @@ class Simulation:
         self.heap = []
         self.seq = 0
         self.next_event_id = 0
-        self.emitted = 0
         self.arrived = 0
         self.dropped = 0
         self._ran = False
 
     # -- scheduling ---------------------------------------------------
 
-    def _schedule(self, fire_at, kind, payload=None):
+    def _schedule(self, fire_at, handler, args=()):
         self.seq += 1
-        heapq.heappush(self.heap, (fire_at, self.seq, kind, payload))
+        heapq.heappush(self.heap, (fire_at, self.seq, handler, args))
 
     def _schedule_all(self):
         sc = self.scenario
         end = sc.sim_time
-        self._schedule(end, RUN_END)
+        self._schedule(end, self._on_run_end)
         n = sc.nodes
         for i in range(n):
             # dense bootstrap rounds fill tables quickly after power-on
@@ -227,33 +227,30 @@ class Simulation:
             for k in range(sc.bootstrap_rounds):
                 t_hello = offset + k * sc.bootstrap_gap_s
                 if t_hello <= end:
-                    self._schedule(t_hello, HELLO_ROUND, (i, False))
+                    self._schedule(t_hello, self._on_hello_round, (i, False))
                 t_echo = offset + sc.bootstrap_spread_s + k * sc.bootstrap_gap_s
                 if t_echo <= end:
-                    self._schedule(t_echo, ECHO_PROBE, (i, False))
+                    self._schedule(t_echo, self._on_echo_probe, (i, False))
             # steady refresh rounds, staggered so nodes never align
             stagger = (i + 0.5) / n
             t_hello = sc.hello_period_s * (1.0 + stagger)
             if t_hello <= end:
-                self._schedule(t_hello, HELLO_ROUND, (i, True))
+                self._schedule(t_hello, self._on_hello_round, (i, True))
             t_echo = sc.echo_period_s * (0.5 + stagger)
             if t_echo <= end:
-                self._schedule(t_echo, ECHO_PROBE, (i, True))
+                self._schedule(t_echo, self._on_echo_probe, (i, True))
         t_set = sc.t_set()
         stop = min(sc.cbr_stop(), end)
         for idx, s in enumerate(self.sources):
             # sources interleave their emissions across the interval
             first = sc.cbr_start_s + idx / len(self.sources) * sc.interval_s
             if first <= stop:
-                self._schedule(first, CBR_EMIT, (s, t_set))
-        if sc.snapshot_period_s > 0:
-            # run() chains each snapshot to seq + 1: reserve the seq block
-            t = sc.snapshot_period_s
-            if t <= end:
-                heapq.heappush(self.heap, (t, self.seq + 1, METRIC_SNAPSHOT, None))
-            while t <= end:
-                self.seq += 1
-                t += sc.snapshot_period_s
+                self._schedule(first, self._on_cbr_emit, (s, t_set))
+        if 0 < sc.snapshot_period_s <= end:
+            # every snapshot keeps the next seq, so each sorts after set-up
+            # events and before run-time events that fire at its time
+            self._schedule(sc.snapshot_period_s, self._on_snapshot,
+                           (self.seq + 1,))
 
     # -- load accounting ----------------------------------------------
 
@@ -289,7 +286,7 @@ class Simulation:
 
     # -- handlers -------------------------------------------------------
 
-    def _on_hello_round(self, i, now, steady):
+    def _on_hello_round(self, now, i, steady):
         node = self.nodes[i]
         st = node.state
         node.round_times.append(now)
@@ -311,9 +308,9 @@ class Simulation:
         if steady:
             nxt = now + self.scenario.hello_period_s
             if nxt <= self.scenario.sim_time:
-                self._schedule(nxt, HELLO_ROUND, (i, True))
+                self._schedule(nxt, self._on_hello_round, (i, True))
 
-    def _on_echo_probe(self, i, now, steady):
+    def _on_echo_probe(self, now, i, steady):
         node = self.nodes[i]
         load = self._neighborhood_load(i, now)
         occ = self._occupancy(i, now)
@@ -344,14 +341,15 @@ class Simulation:
                 max_rtt = rtt
         self._record(now, ECHO_PROBE, i, -1,
                      f"neighbors={len(node.neighbors)} replies={len(measurements)}")
-        if measurements:
-            self._schedule(now + max_rtt, ECHO_REPLY, (i, measurements))
+        reply_at = now + max_rtt
+        if measurements and reply_at <= self.scenario.sim_time:
+            self._schedule(reply_at, self._on_echo_reply, (i, measurements))
         if steady:
             nxt = now + self.scenario.echo_period_s
             if nxt <= self.scenario.sim_time:
-                self._schedule(nxt, ECHO_PROBE, (i, True))
+                self._schedule(nxt, self._on_echo_probe, (i, True))
 
-    def _on_echo_reply(self, i, now, measurements):
+    def _on_echo_reply(self, now, i, measurements):
         node = self.nodes[i]
         applied = 0
         for j, rtt in measurements:
@@ -362,18 +360,17 @@ class Simulation:
             applied += 1
         self._record(now, ECHO_REPLY, i, -1, f"measured={applied}")
 
-    def _on_cbr_emit(self, nid, now, t_set):
+    def _on_cbr_emit(self, now, nid, t_set):
         eid = self.next_event_id
         self.next_event_id += 1
-        pkt = DataPacket(event_id=eid, source_id=nid, sink_id=self.sink_id,
-                         t_set=t_set, t_l=t_set, created_at=now)
-        self.emitted += 1
+        pkt = DataPacket(event_id=eid, source_id=nid, t_set=t_set, t_l=t_set,
+                         created_at=now)
         self._record(now, CBR_EMIT, nid, eid, f"tset={t_set!r}")
         self._forward_from(nid, pkt, now)
         sc = self.scenario
         nxt = now + sc.interval_s
         if nxt <= min(sc.cbr_stop(), sc.sim_time):
-            self._schedule(nxt, CBR_EMIT, (nid, t_set))
+            self._schedule(nxt, self._on_cbr_emit, (nid, t_set))
 
     def _forward_from(self, i, pkt, now):
         node = self.nodes[i]
@@ -409,9 +406,10 @@ class Simulation:
             self._record(now, FORWARD, i, copy.event_id,
                          f"to={j} dup={int(copy.is_duplicate)} "
                          f"d={d_here!r} tl={copy.t_l!r}")
-            self._schedule(now + delay, PACKET_ARRIVAL, (j, copy, delay))
+            self._schedule(now + delay, self._on_packet_arrival,
+                           (j, copy, delay))
 
-    def _on_packet_arrival(self, j, pkt, link_delay, now):
+    def _on_packet_arrival(self, now, j, pkt, link_delay):
         updated = on_data_arrival_update(pkt, link_delay)
         if j == self.sink_id:
             self.arrived += 1
@@ -423,6 +421,18 @@ class Simulation:
         else:
             self._forward_from(j, updated, now)
 
+    def _on_snapshot(self, now, seq):
+        self._record(now, METRIC_SNAPSHOT, -1, -1,
+                     f"emitted={self.next_event_id} arrived={self.arrived} "
+                     f"dropped={self.dropped}")
+        nxt = now + self.scenario.snapshot_period_s
+        if nxt <= self.scenario.sim_time:
+            # only one snapshot is ever pending, so its seq stays unique
+            heapq.heappush(self.heap, (nxt, seq, self._on_snapshot, (seq,)))
+
+    def _on_run_end(self, now):
+        self._record(now, RUN_END, -1, -1, "-")
+
     # -- main loop ------------------------------------------------------
 
     def run(self):
@@ -430,36 +440,10 @@ class Simulation:
         if self._ran:
             raise RuntimeError("a Simulation can only run once")
         self._ran = True
+        # handlers bind here so wrappers set on the instance see every event
         self._schedule_all()
-        end = self.scenario.sim_time
         heap = self.heap
         while heap:
-            now, seq, kind, payload = heapq.heappop(heap)
-            if now > end and kind != PACKET_ARRIVAL:
-                # in-flight packets drain past the horizon, control stops
-                continue
-            if kind == HELLO_ROUND:
-                i, steady = payload
-                self._on_hello_round(i, now, steady)
-            elif kind == ECHO_PROBE:
-                i, steady = payload
-                self._on_echo_probe(i, now, steady)
-            elif kind == ECHO_REPLY:
-                i, measurements = payload
-                self._on_echo_reply(i, now, measurements)
-            elif kind == CBR_EMIT:
-                nid, t_set = payload
-                self._on_cbr_emit(nid, now, t_set)
-            elif kind == PACKET_ARRIVAL:
-                j, pkt, link_delay = payload
-                self._on_packet_arrival(j, pkt, link_delay, now)
-            elif kind == METRIC_SNAPSHOT:
-                self._record(now, METRIC_SNAPSHOT, -1, -1,
-                             f"emitted={self.emitted} arrived={self.arrived} "
-                             f"dropped={self.dropped}")
-                nxt = now + self.scenario.snapshot_period_s
-                if nxt <= end:
-                    heapq.heappush(heap, (nxt, seq + 1, METRIC_SNAPSHOT, None))
-            elif kind == RUN_END:
-                self._record(now, RUN_END, -1, -1, "-")
+            now, _, handler, args = heapq.heappop(heap)
+            handler(now, *args)
         return self.records, compute_run_metrics(self.records)

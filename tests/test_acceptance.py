@@ -186,17 +186,17 @@ def test_criterion_07_forwarding_matches_brute_force():
             table[nid] = ForwardingEntry(
                 neighbor_id=nid, neighbor_pos=pos,
                 dist_to_sink=distance(pos, sink), link_delay=link)
-        state = NodeState(my_id=my_id, my_pos=my_pos, sink_id=-1,
+        state = NodeState(my_id=my_id, my_pos=my_pos,
                           sink_pos=sink, forwarding_table=table)
         src = my_id if rng.random() < 0.5 else 1
-        pkt = DataPacket(event_id=trial, source_id=src, sink_id=-1,
+        pkt = DataPacket(event_id=trial, source_id=src,
                          t_set=0.006, t_l=rng.choice([0.0, rng.uniform(5e-4, 2e-2)]),
                          created_at=0.0, is_duplicate=rng.random() < 0.2)
         want_primary, want_dup, want_set = _brute_force(state, pkt)
         got = decide_forward(state, pkt)
         got_set = set()
         for nid, entry in table.items():
-            solo = NodeState(my_id=my_id, my_pos=my_pos, sink_id=-1,
+            solo = NodeState(my_id=my_id, my_pos=my_pos,
                              sink_pos=sink, forwarding_table={nid: entry})
             if decide_forward(solo, pkt).primary_next_hop is not None:
                 got_set.add(nid)

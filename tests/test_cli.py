@@ -89,6 +89,19 @@ def test_run_rejects_nan_deadline_instead_of_running(capsys):
     assert "deadline_ms" in err
 
 
+@pytest.mark.parametrize("setting", ["snapshot_period_s=1e-9",
+                                     "interval_s=1e-9",
+                                     "hello_period_s=1e-9",
+                                     "echo_period_s=1e-9"])
+def test_run_rejects_a_period_too_short_for_the_horizon(setting, capsys):
+    # unchecked, the run would handle 1e11 events of one chain in a row
+    code, out, err = run_cli(capsys, "run", "--set", setting,
+                             "--set", "nodes=5")
+    assert code == 1
+    assert out == ""
+    assert f"{setting.partition('=')[0]} must be >= sim_time /" in err
+
+
 def test_bad_scenario_file_names_the_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("nodes = 5\nloss = lots\n")

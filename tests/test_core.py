@@ -54,7 +54,7 @@ def test_positions_are_hashable_values():
 
 
 def test_data_packet_defaults():
-    pkt = DataPacket(event_id=7, source_id=3, sink_id=0, t_set=0.006,
+    pkt = DataPacket(event_id=7, source_id=3, t_set=0.006,
                      t_l=0.006, created_at=12.5)
     assert pkt.hop_count == 0
     assert not pkt.is_duplicate

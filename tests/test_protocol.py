@@ -36,7 +36,7 @@ SINK = NodePos(0.0, 0.0)
 
 
 def make_state(my_id=1, my_pos=NodePos(300.0, 0.0), energy=100.0):
-    return NodeState(my_id=my_id, my_pos=my_pos, sink_id=0, sink_pos=SINK,
+    return NodeState(my_id=my_id, my_pos=my_pos, sink_pos=SINK,
                      residual_energy=energy)
 
 
@@ -48,7 +48,7 @@ def add_neighbor(state, nid, dist_to_sink, link_delay):
 
 
 def make_packet(source_id=1, t_set=0.006, t_l=None, is_duplicate=False):
-    return DataPacket(event_id=1, source_id=source_id, sink_id=0, t_set=t_set,
+    return DataPacket(event_id=1, source_id=source_id, t_set=t_set,
                       t_l=t_set if t_l is None else t_l, created_at=0.0,
                       is_duplicate=is_duplicate)
 

@@ -1,8 +1,9 @@
 """Property test over whole simulated runs on randomized scenarios.
 
 Every generated run must keep the trace invariants of acceptance
-criterion 8 and per-copy conservation, replay from its trace file to the
-same CSV row, and write the same bytes when run again.
+criterion 8 and per-copy conservation, record no control event past
+sim_time, replay from its trace file to the same CSV row, and write the
+same bytes when run again.
 """
 
 from __future__ import annotations
@@ -14,11 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dartsim.experiments import replay_trace, run_scenario
-from dartsim.metrics import format_run_row, run_meta, write_trace
+from dartsim.metrics import (CBR_EMIT, ECHO_PROBE, ECHO_REPLY, HELLO_ROUND,
+                             METRIC_SNAPSHOT, format_run_row, run_meta,
+                             write_trace)
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import Simulation
 from trace_invariants import (copy_conservation_violations,
                               criterion_8_violations)
+
+
+# record kinds that the simulator never handles after sim_time
+HORIZON_KINDS = (HELLO_ROUND, ECHO_PROBE, ECHO_REPLY, CBR_EMIT, METRIC_SNAPSHOT)
 
 
 def _floats(low, high):
@@ -51,6 +58,7 @@ def scenarios(draw):
     sc.queue_window_s = draw(_floats(0.0, 0.1))
     sc.hello_period_s = draw(_floats(1.0, 15.0))
     sc.echo_period_s = draw(_floats(1.0, 15.0))
+    sc.snapshot_period_s = draw(st.just(0.0) | _floats(0.2, 5.0))
     validate(sc)
     return sc
 
@@ -63,6 +71,8 @@ def test_random_whole_runs_keep_invariants_replay_and_repeat(sc):
     _, violations = criterion_8_violations(records)
     assert violations == []
     assert copy_conservation_violations(records, sc.sink) == []
+    assert [rec for rec in records if rec.time > sc.sim_time
+            and rec.kind in HORIZON_KINDS] == []
 
     # rows are updated in place, so no two tables may hold the same one
     rows = [entry for node in sim.nodes

@@ -8,9 +8,10 @@ from collections import Counter, defaultdict
 import pytest
 
 from dartsim.core import DataPacket, NodePos
-from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, FORWARD, HELLO_ROUND,
-                             METRIC_SNAPSHOT, PACKET_ARRIVAL, RUN_END,
-                             detail_fields, run_meta, write_trace)
+from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
+                             FORWARD, HELLO_ROUND, METRIC_SNAPSHOT,
+                             PACKET_ARRIVAL, RUN_END, detail_fields, run_meta,
+                             write_trace)
 from dartsim.protocol import synthesize_one_way_delay
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import (MacDelayModel, Simulation, build_topology,
@@ -233,7 +234,7 @@ def test_line_with_hopeless_deadline_drops_at_source():
 def test_forwarding_with_spent_budget_is_a_no_budget_drop():
     sim = Simulation(line_scenario())
     sim.run()
-    pkt = DataPacket(event_id=999, source_id=2, sink_id=0, t_set=0.006,
+    pkt = DataPacket(event_id=999, source_id=2, t_set=0.006,
                      t_l=0.0, created_at=7.0, hop_count=3)
     sim._forward_from(2, pkt, 7.5)
     drop = sim.records[-1]
@@ -277,6 +278,27 @@ def test_echo_rounds_measure_the_configured_link_delay():
         pytest.approx(expected, abs=1e-12)
     assert sim.nodes[0].state.forwarding_table[1].link_delay == \
         pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("after_probe, reply_recorded", [
+    (0.0005, False),        # the reply would land 1.12 ms after the probe
+    (0.002, True),
+])
+def test_echo_reply_past_the_horizon_is_not_recorded(after_probe,
+                                                     reply_recorded):
+    # node 0 probes once, at 1/3 + 1 s; node 1's first probe is at 5/3 s
+    kw = dict(nodes=2, placement="explicit", cbr_count=0,
+              positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.0, jitter_ms=0.0,
+              contention_coeff_ms=0.0)
+    probe_at = 1.0 / 3.0 + 1.0
+    records, _ = Simulation(make_scenario(
+        sim_time=probe_at + after_probe, **kw)).run()
+    kinds = by_kind(records)
+    [probe] = kinds[ECHO_PROBE]
+    assert (probe.node, probe.time) == (0, probe_at)
+    assert detail_fields(probe.detail)["replies"] == "1"
+    assert len(kinds[ECHO_REPLY]) == int(reply_recorded)
+    assert records[-1].kind == RUN_END
 
 
 def test_trace_times_are_sorted():
