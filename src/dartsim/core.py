@@ -1,8 +1,10 @@
 """Shared value types: positions, packets, and forwarding table rows.
 
 Everything here is a plain immutable value, except ForwardingEntry: a
-node updates its table rows in place.  Distances are meters, times are
-seconds, speeds are meters per second.
+node updates its table rows in place.  Packets and delay breakdowns are
+NamedTuples, cheap to build on every hop; a changed copy of a packet is
+made with _replace.  Distances are meters, times are seconds, speeds
+are meters per second.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ class LinkDelayComponents(NamedTuple):
     tx_count: int
 
 
-@dataclass(frozen=True)
-class DataPacket:
+class DataPacket(NamedTuple):
     """An application packet with its end-to-end deadline bookkeeping.
 
     t_set is the deadline granted at creation and never changes; t_l is

@@ -11,8 +11,8 @@ At the packet's source a second copy goes to the runner-up neighbor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .core import (
     AckPacket,
@@ -48,8 +48,7 @@ class NodeState:
     forwarding_table: dict[NodeId, ForwardingEntry] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ForwardDecision:
+class ForwardDecision(NamedTuple):
     """Outcome of one forwarding decision.
 
     updated_t_l is the budget the packet will carry after traversing the
@@ -189,6 +188,5 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
 
 def on_data_arrival_update(pkt: DataPacket, traversed_link_delay: float) -> DataPacket:
     """Charge a traversed link against the packet's budget, count the hop."""
-    return replace(pkt,
-                   t_l=max(0.0, pkt.t_l - traversed_link_delay),
-                   hop_count=pkt.hop_count + 1)
+    return pkt._replace(t_l=max(0.0, pkt.t_l - traversed_link_delay),
+                        hop_count=pkt.hop_count + 1)

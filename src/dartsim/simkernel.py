@@ -9,14 +9,17 @@ All randomness comes from a single random.Random(seed) stream, and
 neighbors are always visited in ascending id order, so a scenario
 replays byte-identically.
 
-Load model: each node keeps short deques of recent transmissions.
-Contention at a node is the count of control rounds started in its
-closed neighborhood within ctl_window_s, plus the count of data packet
-transmissions there within flow_window_s, so data contention scales
-with the packet rate.  Queue wait is the node's own transmissions
-within queue_window_s divided by the service rate.  Load and occupancy
-are always snapshotted before the current transmission is recorded, so
-a packet never waits on itself.
+Load model: contention at a node is the count of control rounds
+started in its closed neighborhood within ctl_window_s, plus the count
+of data packet transmissions there within flow_window_s, so data
+contention scales with the packet rate.  Rounds and data transmissions
+go to two simulation-wide (time, node) logs, and recent[node] counts
+the node's entries still in them; since time never runs backwards, a
+load query expires old entries from the log fronts and sums the counts
+of the neighborhood, whatever its size.  Queue wait is the node's own
+transmissions within queue_window_s divided by the service rate.  Load
+and occupancy are always snapshotted before the current transmission is
+recorded, so a packet never waits on itself.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import logging
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, field
 
 from .core import DataPacket, LinkDelayComponents, NodePos, distance
 from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
@@ -83,8 +86,9 @@ def sample_link_delay(mac: MacDelayModel, loss_probability: float,
     mac_delay = sample_mac_delay(mac, local_load, rng)
     queue_delay = queue_occupancy / mac.queue_service_rate
     attempts, delivered = sample_tx_count(loss_probability, mac.max_retries, rng)
-    comps = LinkDelayComponents(mac_delay=mac_delay, queue_delay=queue_delay,
-                                tx_delay=mac.tx_delay, tx_count=attempts)
+    # positional: a NamedTuple builds slower from keywords
+    comps = LinkDelayComponents(mac_delay, queue_delay, mac.tx_delay,
+                                attempts)
     return comps, delivered
 
 
@@ -161,9 +165,7 @@ class _SimNode:
     nbhd: list                           # [own id] + neighbors
     hello: object                        # constant: nodes never move
     ack: object                          # constant: energy never changes
-    round_times: deque = field(default_factory=deque)
     own_tx_times: deque = field(default_factory=deque)
-    data_tx_times: deque = field(default_factory=deque)
     probes: set = field(default_factory=set)  # neighbors with an echo pending
 
 
@@ -202,6 +204,9 @@ class Simulation:
                        f"its packets will all be dropped")
                 self.warnings.append(msg)
                 log.warning(msg)
+        self.recent = [0] * scenario.nodes  # each node's entries in the logs
+        self.round_log = deque()            # (time, node) per control round
+        self.data_log = deque()             # (time, node) per data packet sent
         self.records = []
         self.heap = []
         self.seq = 0
@@ -226,8 +231,10 @@ class Simulation:
             offset = (i + 1) / (n + 1) * sc.bootstrap_spread_s
             for k in range(sc.bootstrap_rounds):
                 t_hello = offset + k * sc.bootstrap_gap_s
-                if t_hello <= end:
-                    self._schedule(t_hello, self._on_hello_round, (i, False))
+                if t_hello > end:
+                    # no later round fits: t_echo >= t_hello, both grow with k
+                    break
+                self._schedule(t_hello, self._on_hello_round, (i, False))
                 t_echo = offset + sc.bootstrap_spread_s + k * sc.bootstrap_gap_s
                 if t_echo <= end:
                     self._schedule(t_echo, self._on_echo_probe, (i, False))
@@ -257,21 +264,12 @@ class Simulation:
     def _neighborhood_load(self, i, now) -> float:
         """Recent control rounds + data transmissions near node i."""
         sc = self.scenario
-        ctl_cut = now - sc.ctl_window_s
-        flow_cut = now - sc.flow_window_s
-        rounds = 0
-        data = 0
-        for m in self.nodes[i].nbhd:
-            other = self.nodes[m]
-            rt = other.round_times
-            while rt and rt[0] <= ctl_cut:
-                rt.popleft()
-            rounds += len(rt)
-            dt = other.data_tx_times
-            while dt and dt[0] <= flow_cut:
-                dt.popleft()
-            data += len(dt)
-        return float(rounds + data)
+        recent = self.recent
+        for entries, cut in ((self.round_log, now - sc.ctl_window_s),
+                             (self.data_log, now - sc.flow_window_s)):
+            while entries and entries[0][0] <= cut:
+                recent[entries.popleft()[1]] -= 1
+        return float(sum(map(recent.__getitem__, self.nodes[i].nbhd)))
 
     def _occupancy(self, i, now) -> int:
         """Node i's own transmissions still inside the queue window."""
@@ -289,7 +287,8 @@ class Simulation:
     def _on_hello_round(self, now, i, steady):
         node = self.nodes[i]
         st = node.state
-        node.round_times.append(now)
+        self.round_log.append((now, i))
+        self.recent[i] += 1
         node.own_tx_times.append(now)
         p = self.scenario.loss
         acks = 0
@@ -314,7 +313,8 @@ class Simulation:
         node = self.nodes[i]
         load = self._neighborhood_load(i, now)
         occ = self._occupancy(i, now)
-        node.round_times.append(now)
+        self.round_log.append((now, i))
+        self.recent[i] += 1
         node.own_tx_times.append(now)
         # probe broadcast: one attempt, no retries
         probe_delay = (sample_mac_delay(self.mac, load, self.rng)
@@ -390,11 +390,12 @@ class Simulation:
             self._record(now, DUPLICATE, i, pkt.event_id,
                          f"to={decision.duplicate_next_hop}")
             targets.append((decision.duplicate_next_hop,
-                            replace(pkt, is_duplicate=True)))
+                            pkt._replace(is_duplicate=True)))
         p = self.scenario.loss
         for j, copy in targets:
             node.own_tx_times.append(now)
-            node.data_tx_times.append(now)
+            self.data_log.append((now, i))
+            self.recent[i] += 1
             comps, delivered = sample_link_delay(self.mac, p, load, occ,
                                                  self.rng)
             if not delivered:

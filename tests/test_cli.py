@@ -1,7 +1,13 @@
 """Command line interface tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dartsim
 from dartsim.cli import main
 from dartsim.metrics import RUN_CSV_COLUMNS
 
@@ -100,6 +106,20 @@ def test_run_rejects_a_period_too_short_for_the_horizon(setting, capsys):
     assert code == 1
     assert out == ""
     assert f"{setting.partition('=')[0]} must be >= sim_time /" in err
+
+
+def test_bootstrap_rounds_past_the_horizon_are_not_looped_over():
+    # about 5 rounds per node fit in 10 s; the other 1e9 must cost nothing
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dartsim.__file__).resolve().parent.parent))
+    env.pop("DART_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "dartsim.cli", "run",
+         "--set", "bootstrap_rounds=1000000000", "--set", "nodes=5",
+         "--set", "sim_time=10"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].startswith("5,10.0,")
 
 
 def test_bad_scenario_file_names_the_line(tmp_path, capsys):

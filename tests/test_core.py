@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -58,6 +59,15 @@ def test_data_packet_defaults():
                      t_l=0.006, created_at=12.5)
     assert pkt.hop_count == 0
     assert not pkt.is_duplicate
+
+
+@pytest.mark.parametrize("name", ["event_id", "source_id", "t_set", "t_l",
+                                  "created_at", "hop_count", "is_duplicate"])
+def test_data_packet_fields_cannot_be_assigned(name):
+    pkt = DataPacket(event_id=7, source_id=3, t_set=0.006,
+                     t_l=0.006, created_at=12.5)
+    with pytest.raises(AttributeError):
+        setattr(pkt, name, 0)
 
 
 def test_forwarding_entry_starts_unmeasured():

@@ -311,6 +311,28 @@ def test_arrival_update_clamps_at_zero():
     assert out.t_l == 0.0
 
 
+def test_arrival_update_leaves_its_input_unchanged_and_carries_the_rest():
+    def packet():
+        return DataPacket(event_id=9, source_id=4, t_set=0.006, t_l=0.004,
+                          created_at=3.25, hop_count=2, is_duplicate=True)
+    pkt = packet()
+    out = on_data_arrival_update(pkt, 0.001)
+    assert pkt == packet()
+    assert (out.event_id, out.source_id, out.t_set, out.created_at,
+            out.is_duplicate) == (9, 4, 0.006, 3.25, True)
+    assert (out.t_l, out.hop_count) == (0.004 - 0.001, 3)
+
+
+@pytest.mark.parametrize("name", ["primary_next_hop", "duplicate_next_hop",
+                                  "v_req", "updated_t_l"])
+def test_forward_decision_fields_cannot_be_assigned(name):
+    state = make_state()
+    add_neighbor(state, 2, 200.0, 0.001)
+    d = decide_forward(state, make_packet())
+    with pytest.raises(AttributeError):
+        setattr(d, name, 0)
+
+
 # -------------------------------------------------- brute-force decision oracle
 
 def oracle_decide(state, pkt):

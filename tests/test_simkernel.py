@@ -372,3 +372,44 @@ def test_fine_snapshots_are_chained_not_prescheduled(area, trace_sha,
     path = tmp_path / "run.trace"
     write_trace(path, run_meta(sc), records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
+
+
+@pytest.mark.parametrize("kw", [
+    dict(nodes=30, sim_time=10.0, seed=2),
+    dict(nodes=40, cbr_count=6, interval_s=0.1, deadline_ms=50.0, loss=0.2,
+         max_retries=3, sim_time=5.0, seed=6),
+    dict(nodes=30, ctl_window_s=1.0, flow_window_s=0.05, interval_s=0.2,
+         sim_time=10.0, seed=3),
+], ids=["default", "lossy-fast-cbr", "wide-ctl-narrow-flow"])
+def test_neighborhood_load_matches_a_recount_of_the_trace(kw):
+    """Each load query equals the rounds and data transmissions in the
+    neighborhood, counted afresh from the records written so far."""
+    sc = make_scenario(**kw)
+    sim = Simulation(sc)
+    load = sim._neighborhood_load
+    seen = []
+
+    def recount(i, now):
+        nbhd = set(sim.nodes[i].nbhd)
+        ctl_cut = now - sc.ctl_window_s
+        flow_cut = now - sc.flow_window_s
+        rounds = data = 0
+        for rec in reversed(sim.records):      # records are time-sorted
+            if rec.time <= min(ctl_cut, flow_cut):
+                break
+            if rec.node not in nbhd:
+                continue
+            if rec.kind in (HELLO_ROUND, ECHO_PROBE):
+                rounds += rec.time > ctl_cut
+            elif rec.kind == FORWARD or (
+                    rec.kind == DROP
+                    and detail_fields(rec.detail)["reason"] == "loss"):
+                data += rec.time > flow_cut
+        got = load(i, now)
+        assert got == float(rounds + data), (i, now, rounds, data)
+        seen.append(data)
+        return got
+    sim._neighborhood_load = recount
+    sim.run()
+    assert len(seen) > 200
+    assert sum(d > 0 for d in seen) > 50    # data load is exercised too
