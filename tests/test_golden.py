@@ -60,14 +60,14 @@ GOLDEN = {
          ("sim_time", "30"), ("seed", "5")),
         "780e609e11863e71b871624067eb6ee6e6583fb8bd6d08df4da562119dddf336",
         "50,30.0,6.0,1.0,5,4.601154425208418,0.5643564356435643,0.49504950495049505,72,0"),
-    # fast lossy CBR: the data-transmission window is never empty
+    # fast lossy CBR: the data-transmission window stays busy
     "data-heavy-100": (
         (("nodes", "100"), ("cbr_count", "10"), ("interval_s", "0.1"),
          ("deadline_ms", "50"), ("loss", "0.2"), ("max_retries", "3"),
          ("sim_time", "5"), ("seed", "6")),
         "9968581abd7891262a0fa9c1381f7b1bcf002c52e1dab88eb0c8b4faf850d939",
         "100,5.0,50.0,0.1,6,48.68692203178766,0.35528942115768464,0.844311377245509,574,2"),
-    # zero-width load windows: every earlier transmission has expired
+    # zero-width load windows: the contention load is always 0
     "zero-windows": (
         (("ctl_window_s", "0"), ("flow_window_s", "0"), ("sim_time", "30"),
          ("seed", "7")),
