@@ -1,10 +1,9 @@
 """Deadline-driven geographic routing for sensor networks, plus a simulator."""
 
 from .core import (
-    AckPacket,
+    Beacon,
     DataPacket,
     ForwardingEntry,
-    HelloPacket,
     LinkDelayComponents,
     NodeId,
     NodePos,
@@ -18,9 +17,9 @@ from .protocol import (
     NodeState,
     decide_forward,
     estimate_link_delay,
-    on_ack,
+    learn_neighbor,
+    make_beacon,
     on_data_arrival_update,
-    on_hello,
     provided_speed,
     required_speed,
     synthesize_one_way_delay,
@@ -29,11 +28,10 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .simkernel import Simulation, build_topology
 
 __all__ = [
-    "AckPacket",
+    "Beacon",
     "DataPacket",
     "ForwardDecision",
     "ForwardingEntry",
-    "HelloPacket",
     "LinkDelayComponents",
     "NoBudget",
     "NodeId",
@@ -50,10 +48,10 @@ __all__ = [
     "decide_forward",
     "distance",
     "estimate_link_delay",
+    "learn_neighbor",
     "load_scenario",
-    "on_ack",
+    "make_beacon",
     "on_data_arrival_update",
-    "on_hello",
     "provided_speed",
     "replay_trace",
     "required_speed",

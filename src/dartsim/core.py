@@ -29,21 +29,15 @@ def distance(a: NodePos, b: NodePos) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-class HelloPacket(NamedTuple):
-    """Neighbor discovery beacon; dist_to_sink is the sender's own distance."""
+class Beacon(NamedTuple):
+    """What a node advertises to its neighbors: its id and sink distance.
 
-    source_id: NodeId
-    source_pos: NodePos
+    Nodes never move, so each node's beacon is a constant; it serves as
+    both the HELLO broadcast and the ACK that answers one.
+    """
+
+    node_id: NodeId
     dist_to_sink: float
-
-
-class AckPacket(NamedTuple):
-    """Reply to a HelloPacket carrying the responder's advertised state."""
-
-    neighbor_id: NodeId
-    neighbor_pos: NodePos
-    dist_to_sink: float
-    residual_energy: float
 
 
 class LinkDelayComponents(NamedTuple):
@@ -85,7 +79,5 @@ class ForwardingEntry:
     """
 
     neighbor_id: NodeId
-    neighbor_pos: NodePos
     dist_to_sink: float
     link_delay: float = 0.0
-    residual_energy: float = 0.0

@@ -1,9 +1,10 @@
 """Node-local routing state and the deadline-driven forwarding rule.
 
-Each node learns its neighbors through HELLO/ACK exchanges and keeps a
-per-neighbor link delay estimate refreshed by periodic echo probes.  A
-data packet carries a shrinking time budget; it is handed to the
-neighbor that is closer to the sink and offers the highest progress
+Each node learns its neighbors from the beacons exchanged in HELLO
+rounds (a node's HELLO and its ACKs carry the same constant beacon) and
+keeps a per-neighbor link delay estimate refreshed by periodic echo
+probes.  A data packet carries a shrinking time budget; it is handed to
+the neighbor that is closer to the sink and offers the highest progress
 speed, provided that speed covers what the remaining budget demands.
 At the packet's source a second copy goes to the runner-up neighbor.
 """
@@ -14,15 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .core import (
-    AckPacket,
-    DataPacket,
-    ForwardingEntry,
-    HelloPacket,
-    NodeId,
-    NodePos,
-    distance,
-)
+from .core import (Beacon, DataPacket, ForwardingEntry, NodeId, NodePos,
+                   distance)
 
 # weight of the newest RTT sample when smoothing link delay estimates
 ECHO_ALPHA = 0.5
@@ -38,14 +32,18 @@ class NodeState:
 
     The forwarding table is keyed by neighbor id, so there is never more
     than one row per neighbor, and the node itself is never inserted.
+    Nodes never move, so dist_to_sink is computed once, at construction.
     The decision logic is fully deterministic.
     """
 
     my_id: NodeId
     my_pos: NodePos
     sink_pos: NodePos
-    residual_energy: float = 100.0
+    dist_to_sink: float = field(init=False)
     forwarding_table: dict[NodeId, ForwardingEntry] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.dist_to_sink = distance(self.my_pos, self.sink_pos)
 
 
 class ForwardDecision(NamedTuple):
@@ -63,46 +61,22 @@ class ForwardDecision(NamedTuple):
     updated_t_l: float
 
 
-def make_hello(state: NodeState) -> HelloPacket:
-    """Build this node's discovery beacon."""
-    return HelloPacket(source_id=state.my_id, source_pos=state.my_pos,
-                       dist_to_sink=distance(state.my_pos, state.sink_pos))
+def make_beacon(state: NodeState) -> Beacon:
+    """Build this node's beacon, sent as its HELLO and as its ACKs."""
+    return Beacon(state.my_id, state.dist_to_sink)
 
 
-def make_ack(state: NodeState) -> AckPacket:
-    """Build this node's reply to a received HELLO."""
-    return AckPacket(neighbor_id=state.my_id, neighbor_pos=state.my_pos,
-                     dist_to_sink=distance(state.my_pos, state.sink_pos),
-                     residual_energy=state.residual_energy)
+def learn_neighbor(state: NodeState, beacon: Beacon) -> None:
+    """Insert an unknown sender as an unmeasured row; a known row is kept.
 
-
-def on_hello(state: NodeState, hello: HelloPacket) -> None:
-    """Learn or refresh the HELLO sender; the reply is make_ack(state).
-
-    Position and advertised distance are refreshed in place; an existing
-    link delay estimate and energy reading survive the refresh.  The
-    sender must not be the node itself.
+    A beacon never changes, so a row already holds what a repeat would
+    carry, and its link delay estimate is left alone.  The sender must
+    not be the node itself.
     """
-    entry = state.forwarding_table.get(hello.source_id)
-    if entry is None:
-        state.forwarding_table[hello.source_id] = ForwardingEntry(
-            hello.source_id, hello.source_pos, hello.dist_to_sink)
-    else:
-        entry.neighbor_pos = hello.source_pos
-        entry.dist_to_sink = hello.dist_to_sink
-
-
-def on_ack(state: NodeState, ack: AckPacket) -> None:
-    """Fold an ACK into the table; the link delay estimate is untouched."""
-    entry = state.forwarding_table.get(ack.neighbor_id)
-    if entry is None:
-        state.forwarding_table[ack.neighbor_id] = ForwardingEntry(
-            ack.neighbor_id, ack.neighbor_pos, ack.dist_to_sink,
-            0.0, ack.residual_energy)
-    else:
-        entry.neighbor_pos = ack.neighbor_pos
-        entry.dist_to_sink = ack.dist_to_sink
-        entry.residual_energy = ack.residual_energy
+    table = state.forwarding_table
+    if beacon.node_id not in table:
+        table[beacon.node_id] = ForwardingEntry(beacon.node_id,
+                                                beacon.dist_to_sink)
 
 
 def estimate_link_delay(rtt: float) -> float:
@@ -158,7 +132,7 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
     ties going to the lower id.  Only the original copy at its source
     node fans out a duplicate, and only when a runner-up exists.
     """
-    d_here = distance(state.my_pos, state.sink_pos)
+    d_here = state.dist_to_sink
     try:
         v_req = required_speed(d_here, pkt.t_l)
     except NoBudget:

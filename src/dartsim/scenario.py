@@ -65,7 +65,7 @@ class Scenario:
     flow_window_s: float = 0.5
     queue_window_s: float = 0.05
     # misc
-    initial_energy_j: float = 100.0
+    initial_energy_j: float = 100.0     # reported in HELLO_ROUND records only
     snapshot_period_s: float = 0.0      # 0 disables periodic snapshots
 
     def t_set(self) -> float:
@@ -222,6 +222,10 @@ def validate(scenario: Scenario) -> None:
     if sc.bootstrap_rounds < 1:
         raise ScenarioError(f"bootstrap_rounds must be >= 1, "
                             f"got {sc.bootstrap_rounds}")
+    # every bootstrap round that fits in sim_time is scheduled up front
+    if min(sc.bootstrap_rounds, sc.sim_time / sc.bootstrap_gap_s) > MAX_PERIODS:
+        raise ScenarioError(f"bootstrap_rounds must fit at most {MAX_PERIODS} "
+                            f"rounds in sim_time, got {sc.bootstrap_rounds}")
     stop = sc.cbr_stop_s
     if stop is not None and not sc.cbr_start_s <= stop < math.inf:
         raise ScenarioError(f"cbr_stop_s must be finite and >= cbr_start_s, "

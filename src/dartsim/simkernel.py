@@ -36,9 +36,9 @@ from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
-from .protocol import (NodeState, decide_forward, make_ack, make_hello,
-                       on_ack, on_data_arrival_update, on_hello,
-                       record_echo_rtt, synthesize_one_way_delay)
+from .protocol import (NodeState, decide_forward, learn_neighbor,
+                       make_beacon, on_data_arrival_update, record_echo_rtt,
+                       synthesize_one_way_delay)
 
 log = logging.getLogger(__name__)
 
@@ -163,8 +163,7 @@ class _SimNode:
     state: NodeState
     neighbors: list
     nbhd: list                           # [own id] + neighbors
-    hello: object                        # constant: nodes never move
-    ack: object                          # constant: energy never changes
+    beacon: object                       # HELLO and ACK: nodes never move
     own_tx_times: deque = field(default_factory=deque)
     probes: set = field(default_factory=set)  # neighbors with an echo pending
 
@@ -188,13 +187,11 @@ class Simulation:
         self.nodes = []
         for i in range(scenario.nodes):
             state = NodeState(my_id=i, my_pos=self.topology.positions[i],
-                              sink_pos=sink_pos,
-                              residual_energy=scenario.initial_energy_j)
+                              sink_pos=sink_pos)
             nbrs = self.topology.adjacency[i]
             self.nodes.append(_SimNode(state=state, neighbors=nbrs,
                                        nbhd=[i] + list(nbrs),
-                                       hello=make_hello(state),
-                                       ack=make_ack(state)))
+                                       beacon=make_beacon(state)))
         self.sources = select_sources(scenario, self.topology.positions)
         self.warnings = []
         reachable = _reachable_from(self.topology.adjacency, self.sink_id)
@@ -296,14 +293,14 @@ class Simulation:
             if self.rng.random() < p:
                 continue                      # broadcast lost at j
             peer = self.nodes[j]
-            on_hello(peer.state, node.hello)
+            learn_neighbor(peer.state, node.beacon)
             peer.own_tx_times.append(now)     # the ACK transmission
             _, delivered = sample_tx_count(p, self.mac.max_retries, self.rng)
             if delivered:
-                on_ack(st, peer.ack)
+                learn_neighbor(st, peer.beacon)
                 acks += 1
         self._record(now, HELLO_ROUND, i, -1,
-                     f"acks={acks} energy={st.residual_energy!r}")
+                     f"acks={acks} energy={self.scenario.initial_energy_j!r}")
         if steady:
             nxt = now + self.scenario.hello_period_s
             if nxt <= self.scenario.sim_time:
@@ -384,7 +381,7 @@ class Simulation:
             return
         load = self._neighborhood_load(i, now)
         occ = self._occupancy(i, now)
-        d_here = distance(st.my_pos, st.sink_pos)
+        d_here = st.dist_to_sink
         targets = [(decision.primary_next_hop, pkt)]
         if decision.duplicate_next_hop is not None:
             self._record(now, DUPLICATE, i, pkt.event_id,

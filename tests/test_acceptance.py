@@ -148,7 +148,8 @@ def test_criterion_06_equation_oracles():
 
 # -- criterion 7: forwarding decision vs brute force ---------------------
 
-def _brute_force(state, pkt):
+def _brute_force(state, pkt, positions):
+    # every distance from a position kept here, none from the table
     d_here = distance(state.my_pos, state.sink_pos)
     if pkt.t_l <= 0.0:
         return None, None, set()
@@ -157,7 +158,7 @@ def _brute_force(state, pkt):
     for nid, entry in state.forwarding_table.items():
         if entry.link_delay <= 0.0:
             continue
-        d_n = distance(entry.neighbor_pos, state.sink_pos)
+        d_n = distance(positions[nid], state.sink_pos)
         if d_n >= d_here:
             continue
         v_prov = (d_here - d_n) / entry.link_delay
@@ -180,19 +181,21 @@ def test_criterion_07_forwarding_matches_brute_force():
         my_pos = NodePos(rng.uniform(50, 600), rng.uniform(50, 400))
         my_id = 1000
         table = {}
+        positions = {}
         for nid in range(rng.randint(0, 8)):
-            pos = NodePos(rng.uniform(0, 650), rng.uniform(0, 450))
+            pos = positions[nid] = NodePos(rng.uniform(0, 650),
+                                           rng.uniform(0, 450))
             link = rng.choice([0.0, rng.uniform(1e-5, 5e-3)])
             table[nid] = ForwardingEntry(
-                neighbor_id=nid, neighbor_pos=pos,
-                dist_to_sink=distance(pos, sink), link_delay=link)
+                neighbor_id=nid, dist_to_sink=distance(pos, sink),
+                link_delay=link)
         state = NodeState(my_id=my_id, my_pos=my_pos,
                           sink_pos=sink, forwarding_table=table)
         src = my_id if rng.random() < 0.5 else 1
         pkt = DataPacket(event_id=trial, source_id=src,
                          t_set=0.006, t_l=rng.choice([0.0, rng.uniform(5e-4, 2e-2)]),
                          created_at=0.0, is_duplicate=rng.random() < 0.2)
-        want_primary, want_dup, want_set = _brute_force(state, pkt)
+        want_primary, want_dup, want_set = _brute_force(state, pkt, positions)
         got = decide_forward(state, pkt)
         got_set = set()
         for nid, entry in table.items():

@@ -122,6 +122,22 @@ def test_bootstrap_rounds_past_the_horizon_are_not_looped_over():
     assert done.stdout.splitlines()[1].startswith("5,10.0,")
 
 
+@pytest.mark.parametrize("rounds, code", [("2000000", 1), ("1000000", 0)])
+def test_validate_bounds_the_bootstrap_rounds_within_sim_time(rounds, code,
+                                                              capsys):
+    # 1e7 rounds of 1 us would fit in 10 s; the run schedules each up front
+    got, out, err = run_cli(capsys, "validate",
+                            "--set", f"bootstrap_rounds={rounds}",
+                            "--set", "bootstrap_gap_s=1e-6",
+                            "--set", "sim_time=10")
+    assert got == code
+    if code:
+        assert out == ""
+        assert "bootstrap_rounds must fit at most 1000000 rounds" in err
+    else:
+        assert f"bootstrap_rounds = {rounds}" in out
+
+
 def test_bad_scenario_file_names_the_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("nodes = 5\nloss = lots\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dartsim
 from dartsim.core import (
     DataPacket,
     ForwardingEntry,
@@ -71,10 +72,8 @@ def test_data_packet_fields_cannot_be_assigned(name):
 
 
 def test_forwarding_entry_starts_unmeasured():
-    e = ForwardingEntry(neighbor_id=4, neighbor_pos=NodePos(10.0, 0.0),
-                        dist_to_sink=10.0)
+    e = ForwardingEntry(neighbor_id=4, dist_to_sink=10.0)
     assert e.link_delay == 0.0
-    assert e.residual_energy == 0.0
 
 
 def test_link_delay_components_fields():
@@ -82,3 +81,9 @@ def test_link_delay_components_fields():
                             tx_delay=0.003, tx_count=2)
     assert c.tx_count >= 1
     assert math.isclose(c.mac_delay + c.queue_delay + c.tx_delay, 0.006)
+
+
+def test_public_names_resolve_and_are_sorted():
+    assert dartsim.__all__ == sorted(dartsim.__all__)
+    for name in dartsim.__all__:
+        assert getattr(dartsim, name) is not None

@@ -15,13 +15,16 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dartsim
+from dartsim import protocol, simkernel
+from dartsim.core import distance
 from dartsim.experiments import run_scenario, run_sweep
-from dartsim.metrics import format_run_row
+from dartsim.metrics import format_run_row, run_meta
 from dartsim.scenario import Scenario, apply_overrides, validate
 
 LINE = (("nodes", "3"), ("placement", "explicit"),
@@ -127,3 +130,20 @@ def test_digest_holds_in_a_fresh_process_with_another_hash_seed(tmp_path):
                          check=True).stdout
     assert out.splitlines()[1] == row
     assert sha256_of(path) == trace_sha
+
+
+def test_the_data_path_computes_no_distance(monkeypatch):
+    """Nodes never move, so every distance is worked out while the
+    Simulation is built; running the busiest golden run calls none."""
+    settings, _, row = GOLDEN["data-heavy-100"]
+    scenario = scenario_from(settings)
+    sim = simkernel.Simulation(scenario)
+    calls = Counter()
+    for module in (protocol, simkernel):
+        def counted(a, b, name=module.__name__):
+            calls[name] += 1
+            return distance(a, b)
+        monkeypatch.setattr(module, "distance", counted)
+    _, metrics = sim.run()
+    assert ",".join(format_run_row(run_meta(scenario), metrics)) == row
+    assert calls == Counter()

@@ -8,10 +8,9 @@ import random
 import pytest
 
 from dartsim.core import (
-    AckPacket,
+    Beacon,
     DataPacket,
     ForwardingEntry,
-    HelloPacket,
     LinkDelayComponents,
     NodePos,
     distance,
@@ -21,11 +20,9 @@ from dartsim.protocol import (
     NodeState,
     decide_forward,
     estimate_link_delay,
-    make_ack,
-    make_hello,
-    on_ack,
+    learn_neighbor,
+    make_beacon,
     on_data_arrival_update,
-    on_hello,
     provided_speed,
     record_echo_rtt,
     required_speed,
@@ -35,16 +32,13 @@ from dartsim.protocol import (
 SINK = NodePos(0.0, 0.0)
 
 
-def make_state(my_id=1, my_pos=NodePos(300.0, 0.0), energy=100.0):
-    return NodeState(my_id=my_id, my_pos=my_pos, sink_pos=SINK,
-                     residual_energy=energy)
+def make_state(my_id=1, my_pos=NodePos(300.0, 0.0)):
+    return NodeState(my_id=my_id, my_pos=my_pos, sink_pos=SINK)
 
 
 def add_neighbor(state, nid, dist_to_sink, link_delay):
-    # position chosen on the x axis so the advertised distance is consistent
     state.forwarding_table[nid] = ForwardingEntry(
-        neighbor_id=nid, neighbor_pos=NodePos(dist_to_sink, 0.0),
-        dist_to_sink=dist_to_sink, link_delay=link_delay)
+        neighbor_id=nid, dist_to_sink=dist_to_sink, link_delay=link_delay)
 
 
 def make_packet(source_id=1, t_set=0.006, t_l=None, is_duplicate=False):
@@ -97,76 +91,58 @@ def test_provided_speed_rejects_unmeasured_link():
 
 def test_hello_inserts_unknown_neighbor_and_acks():
     state = make_state()
-    hello = HelloPacket(source_id=2, source_pos=NodePos(100.0, 0.0),
-                        dist_to_sink=100.0)
-    on_hello(state, hello)
-    ack = make_ack(state)
+    learn_neighbor(state, Beacon(node_id=2, dist_to_sink=100.0))
+    ack = make_beacon(state)
     assert set(state.forwarding_table) == {2}
     entry = state.forwarding_table[2]
-    assert entry.neighbor_pos == NodePos(100.0, 0.0)
+    assert entry.neighbor_id == 2
     assert entry.dist_to_sink == 100.0
     assert entry.link_delay == 0.0
     # the ack advertises the receiving node itself
-    assert ack.neighbor_id == 1
-    assert ack.dist_to_sink == 300.0
-    assert ack.residual_energy == 100.0
+    assert ack == Beacon(node_id=1, dist_to_sink=300.0)
 
 
 def test_repeated_hello_is_idempotent():
     state = make_state()
-    hello = HelloPacket(source_id=2, source_pos=NodePos(100.0, 0.0),
-                        dist_to_sink=100.0)
-    on_hello(state, hello)
-    on_hello(state, hello)
+    beacon = Beacon(node_id=2, dist_to_sink=100.0)
+    learn_neighbor(state, beacon)
+    learn_neighbor(state, beacon)
     assert len(state.forwarding_table) == 1
 
 
 def test_hello_refresh_keeps_link_delay():
+    # a repeat leaves the known row itself alone, even if it differed
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.003)
-    on_hello(state, HelloPacket(source_id=2, source_pos=NodePos(90.0, 0.0),
-                                dist_to_sink=90.0))
     entry = state.forwarding_table[2]
-    assert entry.dist_to_sink == 90.0
-    assert entry.link_delay == 0.003
-
-
-def test_ack_updates_energy_but_not_link_delay():
-    state = make_state()
-    add_neighbor(state, 2, 100.0, 0.003)
-    on_ack(state, AckPacket(neighbor_id=2, neighbor_pos=NodePos(110.0, 0.0),
-                            dist_to_sink=110.0, residual_energy=10.0))
-    entry = state.forwarding_table[2]
-    assert entry.dist_to_sink == 110.0
-    assert entry.residual_energy == 10.0
+    learn_neighbor(state, Beacon(node_id=2, dist_to_sink=90.0))
+    assert state.forwarding_table[2] is entry
+    assert entry.dist_to_sink == 100.0
     assert entry.link_delay == 0.003
 
 
 def test_hello_ack_handshake_populates_both_sides():
     a = make_state(my_id=1, my_pos=NodePos(300.0, 0.0))
-    b = make_state(my_id=2, my_pos=NodePos(100.0, 0.0), energy=10.0)
-    on_hello(b, make_hello(a))
-    on_ack(a, make_ack(b))
-    assert a.forwarding_table[2].residual_energy == 10.0
+    b = make_state(my_id=2, my_pos=NodePos(100.0, 0.0))
+    learn_neighbor(b, make_beacon(a))
+    learn_neighbor(a, make_beacon(b))
+    assert a.forwarding_table[2].dist_to_sink == 100.0
     assert b.forwarding_table[1].dist_to_sink == 300.0
 
 
-def test_make_hello_distance_is_consistent():
-    state = make_state(my_pos=NodePos(600.0, 400.0))
-    hello = make_hello(state)
-    assert abs(hello.dist_to_sink - distance(hello.source_pos, SINK)) <= 1e-9
-
-
-def test_make_ack_distance_is_consistent():
-    state = make_state(my_pos=NodePos(123.0, 45.0))
-    ack = make_ack(state)
-    assert abs(ack.dist_to_sink - distance(ack.neighbor_pos, SINK)) <= 1e-9
+def test_make_beacon_distance_is_consistent():
+    for pos in (NodePos(600.0, 400.0), NodePos(123.0, 45.0)):
+        state = make_state(my_id=7, my_pos=pos)
+        assert state.dist_to_sink == distance(pos, SINK)
+        assert make_beacon(state) == Beacon(7, distance(pos, SINK))
+    # the node's own distance is derived, never passed in
+    with pytest.raises(TypeError):
+        NodeState(my_id=7, my_pos=SINK, sink_pos=SINK, dist_to_sink=1.0)
 
 
 def test_table_never_contains_self():
     state = make_state(my_id=1)
-    on_hello(state, HelloPacket(source_id=2, source_pos=NodePos(1.0, 0.0),
-                                dist_to_sink=1.0))
+    learn_neighbor(state, Beacon(node_id=2, dist_to_sink=1.0))
     assert 1 not in state.forwarding_table
 
 
@@ -368,8 +344,8 @@ def test_decide_forward_matches_oracle_on_random_tables():
             pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
             delay = rng.choice([0.0, rng.uniform(1e-4, 5e-3)])
             state.forwarding_table[nid] = ForwardingEntry(
-                neighbor_id=nid, neighbor_pos=pos,
-                dist_to_sink=distance(pos, SINK), link_delay=delay)
+                neighbor_id=nid, dist_to_sink=distance(pos, SINK),
+                link_delay=delay)
         source_id = rng.choice([100, 55])
         pkt = make_packet(source_id=source_id,
                           t_set=rng.uniform(0.001, 0.02),

@@ -18,8 +18,7 @@ def line_state(my_id, x, table_entries):
                       sink_pos=SINK)
     for nid, nx, delay in table_entries:
         state.forwarding_table[nid] = ForwardingEntry(
-            neighbor_id=nid, neighbor_pos=NodePos(nx, 0.0),
-            dist_to_sink=nx, link_delay=delay)
+            neighbor_id=nid, dist_to_sink=nx, link_delay=delay)
     return state
 
 
@@ -92,7 +91,7 @@ def test_duplication_happens_only_at_the_source(seed, at_source, dup_copy):
     for nid in range(rng.randint(0, 8)):
         x = rng.uniform(0.0, 700.0)
         state.forwarding_table[nid] = ForwardingEntry(
-            neighbor_id=nid, neighbor_pos=NodePos(x, 0.0), dist_to_sink=x,
+            neighbor_id=nid, dist_to_sink=x,
             link_delay=rng.uniform(1e-4, 5e-3))
     pkt = DataPacket(event_id=1, source_id=my_id if at_source else 7,
                      t_set=0.01, t_l=0.01, created_at=0.0,

@@ -78,6 +78,11 @@ def test_random_whole_runs_keep_invariants_replay_and_repeat(sc):
     rows = [entry for node in sim.nodes
             for entry in node.state.forwarding_table.values()]
     assert len({id(entry) for entry in rows}) == len(rows)
+    # each row holds what its radio neighbour's beacon advertised
+    for node in sim.nodes:
+        for nid, entry in node.state.forwarding_table.items():
+            assert nid == entry.neighbor_id and nid in node.neighbors
+            assert entry.dist_to_sink == sim.nodes[nid].state.dist_to_sink
 
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.trace"), Path(tmp, "b.trace")
