@@ -56,14 +56,13 @@ class LinkDelayComponents(NamedTuple):
 class DataPacket(NamedTuple):
     """An application packet with its end-to-end deadline bookkeeping.
 
-    t_set is the deadline granted at creation and never changes; t_l is
-    the remaining budget, reduced by each traversed link's delay.  A
-    duplicate copy shares the event_id of the original.
+    t_l is the remaining budget: the deadline granted at creation,
+    reduced by each traversed link's delay.  A duplicate copy shares the
+    event_id of the original.
     """
 
     event_id: int
     source_id: NodeId
-    t_set: float
     t_l: float
     created_at: float
     hop_count: int = 0
@@ -74,10 +73,10 @@ class DataPacket(NamedTuple):
 class ForwardingEntry:
     """One neighbor row in a node's forwarding table, updated in place.
 
-    link_delay of 0.0 means the link has not been measured yet; such
-    neighbors are never chosen as next hops.
+    The table's key is the neighbor id.  link_delay of 0.0 means the link
+    has not been measured yet; such neighbors are never chosen as next
+    hops.
     """
 
-    neighbor_id: NodeId
     dist_to_sink: float
     link_delay: float = 0.0

@@ -32,14 +32,17 @@ REASON_LOSS = "loss"
 
 TRACE_HEADER = "time,kind,node,event_id,detail"
 
+# the identifying scenario fields of one run, with their types: the
+# trace's meta line and the first columns of the per-run CSV
+RUN_META = {"nodes": int, "sim_time": float, "deadline_ms": float,
+            "interval_s": float, "seed": int}
 # per-run CSV schema; metric cells are empty when a metric is undefined
-RUN_CSV_COLUMNS = [
-    "nodes", "sim_time", "deadline_ms", "interval_s", "seed",
+RUN_CSV_COLUMNS = list(RUN_META) + [
     "avg_e2e_delay_ms", "pdr", "deadline_miss_ratio",
     "no_route_drops", "loss_drops",
 ]
 GROUP_KEY_COLUMNS = RUN_CSV_COLUMNS[:4]
-METRIC_COLUMNS = RUN_CSV_COLUMNS[5:]
+METRIC_COLUMNS = RUN_CSV_COLUMNS[len(RUN_META):]
 AGGREGATE_CSV_COLUMNS = GROUP_KEY_COLUMNS + [
     f"{m}_{suffix}" for m in METRIC_COLUMNS for suffix in ("mean", "std")
 ]
@@ -88,8 +91,12 @@ def _scan(records):
     loss = 0
     for rec in records:
         if rec.kind == CBR_EMIT:
-            created[rec.event_id] = (rec.time,
-                                     float(detail_fields(rec.detail)["tset"]))
+            try:
+                t_set = float(detail_fields(rec.detail)["tset"])
+            except (KeyError, ValueError):
+                raise TraceError(f"CBR_EMIT of event {rec.event_id} has no "
+                                 f"numeric tset in {rec.detail!r}") from None
+            created[rec.event_id] = (rec.time, t_set)
         elif rec.kind == PACKET_ARRIVAL:
             if rec.event_id not in first_arrival:
                 first_arrival[rec.event_id] = rec.time
@@ -178,18 +185,13 @@ def _cell(value) -> str:
 
 def run_meta(scenario_like) -> dict:
     """The identifying columns of one run, from any scenario-shaped object."""
-    return {
-        "nodes": scenario_like.nodes,
-        "sim_time": float(scenario_like.sim_time),
-        "deadline_ms": float(scenario_like.deadline_ms),
-        "interval_s": float(scenario_like.interval_s),
-        "seed": scenario_like.seed,
-    }
+    return {key: kind(getattr(scenario_like, key))
+            for key, kind in RUN_META.items()}
 
 
 def format_run_row(meta: dict, rm: RunMetrics) -> list[str]:
     """One runs-CSV row; meta keys missing (e.g. empty trace) yield blanks."""
-    return ([_cell(meta.get(column)) for column in RUN_CSV_COLUMNS[:5]]
+    return ([_cell(meta.get(key)) for key in RUN_META]
             + [_cell(value) for value in _metric_values(rm)])
 
 
@@ -204,14 +206,6 @@ def format_aggregate_row(key, metrics: dict) -> list[str]:
 
 # -------------------------------------------------------------- trace I/O
 
-_META_INT_KEYS = {"nodes", "seed"}
-_META_FLOAT_KEYS = {"sim_time", "deadline_ms", "interval_s"}
-
-
-def format_trace_line(rec: TraceRecord) -> str:
-    return f"{rec.time!r},{rec.kind},{rec.node},{rec.event_id},{rec.detail}"
-
-
 def write_trace(path, meta: dict, records) -> None:
     """Write a run trace: a meta comment, the header, then one row per record."""
     with open(path, "w") as fh:
@@ -219,7 +213,8 @@ def write_trace(path, meta: dict, records) -> None:
                  + "\n")
         fh.write(TRACE_HEADER + "\n")
         for rec in records:
-            fh.write(format_trace_line(rec) + "\n")
+            fh.write(f"{rec.time!r},{rec.kind},{rec.node},{rec.event_id},"
+                     f"{rec.detail}\n")
 
 
 def read_trace(path):
@@ -241,12 +236,7 @@ def read_trace(path):
                 for part in line[len("# meta "):].split():
                     key, _, value = part.partition("=")
                     try:
-                        if key in _META_INT_KEYS:
-                            meta[key] = int(value)
-                        elif key in _META_FLOAT_KEYS:
-                            meta[key] = float(value)
-                        else:
-                            meta[key] = value
+                        meta[key] = RUN_META.get(key, str)(value)
                     except ValueError:
                         raise TraceError(
                             f"{path}:{lineno}: bad meta value {part!r}") from None

@@ -18,9 +18,6 @@ from typing import NamedTuple, Optional
 from .core import (Beacon, DataPacket, ForwardingEntry, NodeId, NodePos,
                    distance)
 
-# weight of the newest RTT sample when smoothing link delay estimates
-ECHO_ALPHA = 0.5
-
 
 class NoBudget(Exception):
     """The packet's remaining time budget is already spent."""
@@ -49,16 +46,12 @@ class NodeState:
 class ForwardDecision(NamedTuple):
     """Outcome of one forwarding decision.
 
-    updated_t_l is the budget the packet will carry after traversing the
-    primary link, predicted from that link's measured delay; it equals
-    the packet's current budget when no next hop exists.  v_req is
-    infinite when the budget was already spent.
+    v_req is infinite when the budget was already spent.
     """
 
     primary_next_hop: Optional[NodeId]
     duplicate_next_hop: Optional[NodeId]
     v_req: float
-    updated_t_l: float
 
 
 def make_beacon(state: NodeState) -> Beacon:
@@ -75,8 +68,7 @@ def learn_neighbor(state: NodeState, beacon: Beacon) -> None:
     """
     table = state.forwarding_table
     if beacon.node_id not in table:
-        table[beacon.node_id] = ForwardingEntry(beacon.node_id,
-                                                beacon.dist_to_sink)
+        table[beacon.node_id] = ForwardingEntry(beacon.dist_to_sink)
 
 
 def estimate_link_delay(rtt: float) -> float:
@@ -87,7 +79,7 @@ def estimate_link_delay(rtt: float) -> float:
 
 
 def record_echo_rtt(state: NodeState, neighbor_id: NodeId, rtt: float,
-                    alpha: float = ECHO_ALPHA) -> None:
+                    alpha: float) -> None:
     """Fold one echo RTT sample into a neighbor's link delay estimate.
 
     Non-positive samples and unknown neighbors are ignored, keeping the
@@ -136,19 +128,19 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
     try:
         v_req = required_speed(d_here, pkt.t_l)
     except NoBudget:
-        return ForwardDecision(None, None, math.inf, pkt.t_l)
+        return ForwardDecision(None, None, math.inf)
 
     ranked = []
-    for entry in state.forwarding_table.values():
+    for nid, entry in state.forwarding_table.items():
         if entry.link_delay <= 0.0:
             continue  # not measured yet
         if entry.dist_to_sink >= d_here:
             continue
         v_prov = provided_speed(d_here, entry.dist_to_sink, entry.link_delay)
         if v_prov >= v_req:
-            ranked.append((-v_prov, entry.neighbor_id))
+            ranked.append((-v_prov, nid))
     if not ranked:
-        return ForwardDecision(None, None, v_req, pkt.t_l)
+        return ForwardDecision(None, None, v_req)
 
     ranked.sort()
     primary = ranked[0][1]
@@ -156,8 +148,7 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
     if (state.my_id == pkt.source_id and not pkt.is_duplicate
             and len(ranked) >= 2):
         duplicate = ranked[1][1]
-    updated_t_l = pkt.t_l - state.forwarding_table[primary].link_delay
-    return ForwardDecision(primary, duplicate, v_req, updated_t_l)
+    return ForwardDecision(primary, duplicate, v_req)
 
 
 def on_data_arrival_update(pkt: DataPacket, traversed_link_delay: float) -> DataPacket:

@@ -179,6 +179,8 @@ def validate(scenario: Scenario) -> None:
                 raise ScenarioError(f"cbr_sources id {nid} out of range")
             if nid == sc.sink:
                 raise ScenarioError("cbr_sources must not include the sink")
+        if len(set(sc.cbr_sources)) < len(sc.cbr_sources):
+            raise ScenarioError("cbr_sources lists a node id more than once")
     for key, value, low in (("area_width", sc.area_width, 0.0),
                             ("area_height", sc.area_height, 0.0),
                             ("tx_range", sc.tx_range, 0.0),

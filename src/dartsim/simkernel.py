@@ -45,13 +45,13 @@ log = logging.getLogger(__name__)
 
 @dataclass(slots=True)
 class MacDelayModel:
-    """Per-hop delay knobs, all in seconds."""
-    base_mac_delay: float = 0.0003
-    queue_service_rate: float = 4000.0
-    tx_delay: float = 0.00026
-    contention_coeff: float = 0.0001
-    max_retries: int = 4
-    jitter_mean: float = 0.00005
+    """Per-hop delay knobs, all in seconds; Scenario holds the defaults."""
+    base_mac_delay: float
+    queue_service_rate: float
+    tx_delay: float
+    contention_coeff: float
+    max_retries: int
+    jitter_mean: float
 
 
 def sample_tx_count(loss_probability: float, max_retries: int, rng) -> tuple:
@@ -92,18 +92,14 @@ def sample_link_delay(mac: MacDelayModel, loss_probability: float,
     return comps, delivered
 
 
-@dataclass
-class Topology:
-    positions: list            # NodePos per node id
-    adjacency: list            # sorted neighbor id list per node id
-
-
-def build_topology(scenario, rng=None) -> Topology:
+def build_topology(scenario, rng=None) -> tuple:
     """Place nodes and compute the radio adjacency.
 
-    uniform: independent draws in the area, with the sink pinned to
-    sink_pos.  grid: near-square lattice filling the area, node 0 at the
-    origin.  explicit: positions taken verbatim from the scenario.
+    Returns (positions, adjacency): a NodePos per node id, and a sorted
+    neighbor id list per node id.  uniform: independent draws in the
+    area, with the sink pinned to sink_pos.  grid: near-square lattice
+    filling the area, node 0 at the origin.  explicit: positions taken
+    verbatim from the scenario.
     """
     n = scenario.nodes
     if scenario.placement == "uniform":
@@ -133,7 +129,7 @@ def build_topology(scenario, rng=None) -> Topology:
             if hypot(xi - xs[j], yi - ys[j]) <= tx_range:
                 near.append(j)
                 adjacency[j].append(i)
-    return Topology(positions=positions, adjacency=adjacency)
+    return positions, adjacency
 
 
 def select_sources(scenario, positions) -> list:
@@ -174,7 +170,7 @@ class Simulation:
     def __init__(self, scenario):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
-        self.topology = build_topology(scenario, self.rng)
+        positions, adjacency = build_topology(scenario, self.rng)
         self.mac = MacDelayModel(
             base_mac_delay=scenario.base_mac_delay_ms / 1000.0,
             queue_service_rate=scenario.queue_service_rate,
@@ -182,22 +178,21 @@ class Simulation:
             contention_coeff=scenario.contention_coeff_ms / 1000.0,
             max_retries=scenario.max_retries,
             jitter_mean=scenario.jitter_ms / 1000.0)
-        self.sink_id = scenario.sink
-        sink_pos = self.topology.positions[self.sink_id]
+        sink = scenario.sink
+        sink_pos = positions[sink]
         self.nodes = []
         for i in range(scenario.nodes):
-            state = NodeState(my_id=i, my_pos=self.topology.positions[i],
-                              sink_pos=sink_pos)
-            nbrs = self.topology.adjacency[i]
+            state = NodeState(my_id=i, my_pos=positions[i], sink_pos=sink_pos)
+            nbrs = adjacency[i]
             self.nodes.append(_SimNode(state=state, neighbors=nbrs,
                                        nbhd=[i] + list(nbrs),
                                        beacon=make_beacon(state)))
-        self.sources = select_sources(scenario, self.topology.positions)
+        self.sources = select_sources(scenario, positions)
         self.warnings = []
-        reachable = _reachable_from(self.topology.adjacency, self.sink_id)
+        reachable = _reachable_from(adjacency, sink)
         for s in self.sources:
             if s not in reachable:
-                msg = (f"source {s} has no path to sink {self.sink_id}; "
+                msg = (f"source {s} has no path to sink {sink}; "
                        f"its packets will all be dropped")
                 self.warnings.append(msg)
                 log.warning(msg)
@@ -360,7 +355,7 @@ class Simulation:
     def _on_cbr_emit(self, now, nid, t_set):
         eid = self.next_event_id
         self.next_event_id += 1
-        pkt = DataPacket(event_id=eid, source_id=nid, t_set=t_set, t_l=t_set,
+        pkt = DataPacket(event_id=eid, source_id=nid, t_l=t_set,
                          created_at=now)
         self._record(now, CBR_EMIT, nid, eid, f"tset={t_set!r}")
         self._forward_from(nid, pkt, now)
@@ -409,7 +404,7 @@ class Simulation:
 
     def _on_packet_arrival(self, now, j, pkt, link_delay):
         updated = on_data_arrival_update(pkt, link_delay)
-        if j == self.sink_id:
+        if j == self.scenario.sink:
             self.arrived += 1
             e2e = now - updated.created_at
             self._record(now, PACKET_ARRIVAL, j, updated.event_id,

@@ -86,6 +86,15 @@ def test_validate_rejects_negative_initial_energy(capsys):
     assert "initial_energy_j" in err
 
 
+def test_run_rejects_a_repeated_cbr_source(capsys):
+    # unchecked, node 3 would emit two packet streams
+    code, out, err = run_cli(capsys, "run", "--set", "nodes=10",
+                             "--set", "cbr_sources=3,3", "--set", "sim_time=5")
+    assert code == 1
+    assert out == ""
+    assert "cbr_sources" in err
+
+
 def test_run_rejects_nan_deadline_instead_of_running(capsys):
     # sim_time=inf is not tried here: unchecked, that run never ends
     code, out, err = run_cli(capsys, "run", "--set", "deadline_ms=nan",
@@ -174,6 +183,18 @@ def test_replay_malformed_trace_fails_with_code_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "replay", str(path))
     assert code == 1
     assert "garbage.csv:2" in err
+
+
+@pytest.mark.parametrize("detail", ["-", "tset=abc"])
+def test_replay_cbr_emit_without_numeric_tset_fails_with_code_1(
+        detail, tmp_path, capsys):
+    path = tmp_path / "bad_emit.csv"
+    path.write_text("time,kind,node,event_id,detail\n"
+                    f"0.5,CBR_EMIT,2,17,{detail}\n")
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert code == 1
+    assert out == ""
+    assert "CBR_EMIT" in err and "17" in err
 
 
 def test_validate_prints_normalized_settings(line_file, capsys):

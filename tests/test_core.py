@@ -56,23 +56,21 @@ def test_positions_are_hashable_values():
 
 
 def test_data_packet_defaults():
-    pkt = DataPacket(event_id=7, source_id=3, t_set=0.006,
-                     t_l=0.006, created_at=12.5)
+    pkt = DataPacket(event_id=7, source_id=3, t_l=0.006, created_at=12.5)
     assert pkt.hop_count == 0
     assert not pkt.is_duplicate
 
 
-@pytest.mark.parametrize("name", ["event_id", "source_id", "t_set", "t_l",
+@pytest.mark.parametrize("name", ["event_id", "source_id", "t_l",
                                   "created_at", "hop_count", "is_duplicate"])
 def test_data_packet_fields_cannot_be_assigned(name):
-    pkt = DataPacket(event_id=7, source_id=3, t_set=0.006,
-                     t_l=0.006, created_at=12.5)
+    pkt = DataPacket(event_id=7, source_id=3, t_l=0.006, created_at=12.5)
     with pytest.raises(AttributeError):
         setattr(pkt, name, 0)
 
 
 def test_forwarding_entry_starts_unmeasured():
-    e = ForwardingEntry(neighbor_id=4, dist_to_sink=10.0)
+    e = ForwardingEntry(dist_to_sink=10.0)
     assert e.link_delay == 0.0
 
 

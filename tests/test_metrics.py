@@ -17,8 +17,10 @@ from dartsim.metrics import (
     format_aggregate_row,
     format_run_row,
     read_trace,
+    run_meta,
     write_trace,
 )
+from dartsim.scenario import Scenario
 
 
 def emit(t, eid, tset=0.006, node=5):
@@ -180,6 +182,32 @@ def test_malformed_trace_line_reports_line_number(tmp_path):
                     "0.0,CBR_EMIT,5,1,tset=0.006\nnot a record\n")
     with pytest.raises(TraceError, match=r":4:"):
         read_trace(path)
+
+
+def test_bad_meta_value_reports_line_number(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# meta nodes=abc\ntime,kind,node,event_id,detail\n")
+    with pytest.raises(TraceError, match=r":1: bad meta value 'nodes=abc'"):
+        read_trace(path)
+
+
+def test_unknown_meta_key_is_read_back_as_text(tmp_path):
+    path = tmp_path / "trace.txt"
+    write_trace(path, {"nodes": 4, "note": "7"}, [])
+    meta, _ = read_trace(path)
+    assert meta == {"nodes": 4, "note": "7"}
+
+
+def test_run_meta_keeps_its_types_through_a_trace(tmp_path):
+    path = tmp_path / "trace.txt"
+    meta = run_meta(Scenario(nodes=20, sim_time=30, deadline_ms=7,
+                             interval_s=2, seed=5))
+    write_trace(path, meta, [])
+    meta2, _ = read_trace(path)
+    assert meta2 == meta
+    assert {k: type(v) for k, v in meta2.items()} == {
+        "nodes": int, "sim_time": float, "deadline_ms": float,
+        "interval_s": float, "seed": int}
 
 
 def test_bad_header_reports_line_number(tmp_path):

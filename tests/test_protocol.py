@@ -38,13 +38,12 @@ def make_state(my_id=1, my_pos=NodePos(300.0, 0.0)):
 
 def add_neighbor(state, nid, dist_to_sink, link_delay):
     state.forwarding_table[nid] = ForwardingEntry(
-        neighbor_id=nid, dist_to_sink=dist_to_sink, link_delay=link_delay)
+        dist_to_sink=dist_to_sink, link_delay=link_delay)
 
 
-def make_packet(source_id=1, t_set=0.006, t_l=None, is_duplicate=False):
-    return DataPacket(event_id=1, source_id=source_id, t_set=t_set,
-                      t_l=t_set if t_l is None else t_l, created_at=0.0,
-                      is_duplicate=is_duplicate)
+def make_packet(source_id=1, t_l=0.006, is_duplicate=False):
+    return DataPacket(event_id=1, source_id=source_id, t_l=t_l,
+                      created_at=0.0, is_duplicate=is_duplicate)
 
 
 # ---------------------------------------------------------------- equations
@@ -95,7 +94,6 @@ def test_hello_inserts_unknown_neighbor_and_acks():
     ack = make_beacon(state)
     assert set(state.forwarding_table) == {2}
     entry = state.forwarding_table[2]
-    assert entry.neighbor_id == 2
     assert entry.dist_to_sink == 100.0
     assert entry.link_delay == 0.0
     # the ack advertises the receiving node itself
@@ -151,15 +149,15 @@ def test_table_never_contains_self():
 def test_first_echo_sample_is_stored_directly():
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
-    record_echo_rtt(state, 2, 0.004)
+    record_echo_rtt(state, 2, 0.004, alpha=0.5)
     assert state.forwarding_table[2].link_delay == 0.002
 
 
 def test_second_echo_sample_is_smoothed():
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
-    record_echo_rtt(state, 2, 0.004)
-    record_echo_rtt(state, 2, 0.008)
+    record_echo_rtt(state, 2, 0.004, alpha=0.5)
+    record_echo_rtt(state, 2, 0.008, alpha=0.5)
     # 0.5 * 0.004 + 0.5 * 0.002
     assert state.forwarding_table[2].link_delay == pytest.approx(0.003, rel=1e-12)
 
@@ -167,15 +165,15 @@ def test_second_echo_sample_is_smoothed():
 def test_bad_rtt_keeps_previous_estimate():
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
-    record_echo_rtt(state, 2, 0.004)
-    record_echo_rtt(state, 2, 0.0)
-    record_echo_rtt(state, 2, -1.0)
+    record_echo_rtt(state, 2, 0.004, alpha=0.5)
+    record_echo_rtt(state, 2, 0.0, alpha=0.5)
+    record_echo_rtt(state, 2, -1.0, alpha=0.5)
     assert state.forwarding_table[2].link_delay == 0.002
 
 
 def test_echo_for_unknown_neighbor_is_ignored():
     state = make_state()
-    record_echo_rtt(state, 9, 0.004)
+    record_echo_rtt(state, 9, 0.004, alpha=0.5)
     assert state.forwarding_table == {}
 
 
@@ -263,44 +261,35 @@ def test_decide_forward_spent_budget_reports_infinite_requirement():
     assert math.isinf(d.v_req)
 
 
-def test_decide_forward_updated_budget_uses_primary_link():
-    state = make_state()
-    add_neighbor(state, 2, 200.0, 0.001)
-    d = decide_forward(state, make_packet(t_set=0.006))
-    assert d.primary_next_hop == 2
-    assert d.updated_t_l == pytest.approx(0.005, abs=1e-15)
-
-
 # -------------------------------------------------------- arrival updates
 
 def test_arrival_update_decrements_budget_and_counts_hop():
-    pkt = make_packet(t_set=0.006)
+    pkt = make_packet(t_l=0.006)
     out = on_data_arrival_update(pkt, 0.001)
     assert out.t_l == pytest.approx(0.005, abs=1e-15)
     assert out.hop_count == 1
-    assert out.t_set == 0.006  # deadline itself never changes
 
 
 def test_arrival_update_clamps_at_zero():
-    pkt = make_packet(t_set=0.006, t_l=0.0005)
+    pkt = make_packet(t_l=0.0005)
     out = on_data_arrival_update(pkt, 0.001)
     assert out.t_l == 0.0
 
 
 def test_arrival_update_leaves_its_input_unchanged_and_carries_the_rest():
     def packet():
-        return DataPacket(event_id=9, source_id=4, t_set=0.006, t_l=0.004,
+        return DataPacket(event_id=9, source_id=4, t_l=0.004,
                           created_at=3.25, hop_count=2, is_duplicate=True)
     pkt = packet()
     out = on_data_arrival_update(pkt, 0.001)
     assert pkt == packet()
-    assert (out.event_id, out.source_id, out.t_set, out.created_at,
-            out.is_duplicate) == (9, 4, 0.006, 3.25, True)
+    assert (out.event_id, out.source_id, out.created_at,
+            out.is_duplicate) == (9, 4, 3.25, True)
     assert (out.t_l, out.hop_count) == (0.004 - 0.001, 3)
 
 
 @pytest.mark.parametrize("name", ["primary_next_hop", "duplicate_next_hop",
-                                  "v_req", "updated_t_l"])
+                                  "v_req"])
 def test_forward_decision_fields_cannot_be_assigned(name):
     state = make_state()
     add_neighbor(state, 2, 200.0, 0.001)
@@ -344,11 +333,10 @@ def test_decide_forward_matches_oracle_on_random_tables():
             pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
             delay = rng.choice([0.0, rng.uniform(1e-4, 5e-3)])
             state.forwarding_table[nid] = ForwardingEntry(
-                neighbor_id=nid, dist_to_sink=distance(pos, SINK),
-                link_delay=delay)
+                dist_to_sink=distance(pos, SINK), link_delay=delay)
         source_id = rng.choice([100, 55])
         pkt = make_packet(source_id=source_id,
-                          t_set=rng.uniform(0.001, 0.02),
+                          t_l=rng.uniform(0.001, 0.02),
                           is_duplicate=rng.random() < 0.3)
         got = decide_forward(state, pkt)
         want_primary, want_duplicate = oracle_decide(state, pkt)

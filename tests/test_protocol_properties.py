@@ -18,7 +18,7 @@ def line_state(my_id, x, table_entries):
                       sink_pos=SINK)
     for nid, nx, delay in table_entries:
         state.forwarding_table[nid] = ForwardingEntry(
-            neighbor_id=nid, dist_to_sink=nx, link_delay=delay)
+            dist_to_sink=nx, link_delay=delay)
     return state
 
 
@@ -44,8 +44,7 @@ def test_eligible_chain_respects_budget_and_distance(topo):
     xs, delays, t_set = topo
     # node ids: sink is 0, then 1..n from the sink outward; source is node n
     n = len(xs)
-    pkt = DataPacket(event_id=1, source_id=n, t_set=t_set,
-                     t_l=t_set, created_at=0.0)
+    pkt = DataPacket(event_id=1, source_id=n, t_l=t_set, created_at=0.0)
     spent = 0.0
     raw_t_l = t_set
     prev_dist = float("inf")
@@ -75,8 +74,7 @@ def test_eligible_chain_respects_budget_and_distance(topo):
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
        st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_arrival_update_never_increases_budget(t_l, delay):
-    pkt = DataPacket(event_id=1, source_id=1, t_set=1.0, t_l=t_l,
-                     created_at=0.0)
+    pkt = DataPacket(event_id=1, source_id=1, t_l=t_l, created_at=0.0)
     out = on_data_arrival_update(pkt, delay)
     assert 0.0 <= out.t_l <= t_l
 
@@ -91,10 +89,9 @@ def test_duplication_happens_only_at_the_source(seed, at_source, dup_copy):
     for nid in range(rng.randint(0, 8)):
         x = rng.uniform(0.0, 700.0)
         state.forwarding_table[nid] = ForwardingEntry(
-            neighbor_id=nid, dist_to_sink=x,
-            link_delay=rng.uniform(1e-4, 5e-3))
+            dist_to_sink=x, link_delay=rng.uniform(1e-4, 5e-3))
     pkt = DataPacket(event_id=1, source_id=my_id if at_source else 7,
-                     t_set=0.01, t_l=0.01, created_at=0.0,
+                     t_l=0.01, created_at=0.0,
                      is_duplicate=dup_copy)
     decision = decide_forward(state, pkt)
     if decision.duplicate_next_hop is not None:

@@ -124,59 +124,59 @@ def test_link_delay_mean_matches_analytic_value():
 
 def test_uniform_topology_is_seeded_and_in_bounds():
     sc = make_scenario(nodes=12, seed=5)
-    a = build_topology(sc)
-    b = build_topology(sc)
-    assert a.positions == b.positions
-    assert a.adjacency == b.adjacency
-    assert a.positions[0] == NodePos(0.0, 0.0)      # sink pinned
-    for pos in a.positions[1:]:
+    positions, adjacency = build_topology(sc)
+    positions_b, adjacency_b = build_topology(sc)
+    assert positions == positions_b
+    assert adjacency == adjacency_b
+    assert positions[0] == NodePos(0.0, 0.0)      # sink pinned
+    for pos in positions[1:]:
         assert 0.0 <= pos.x <= sc.area_width
         assert 0.0 <= pos.y <= sc.area_height
 
 
 def test_adjacency_matches_pairwise_distances():
     sc = make_scenario(nodes=12, seed=5)
-    topo = build_topology(sc)
+    positions, adjacency = build_topology(sc)
     for i in range(sc.nodes):
-        assert topo.adjacency[i] == sorted(topo.adjacency[i])
-        assert i not in topo.adjacency[i]
+        assert adjacency[i] == sorted(adjacency[i])
+        assert i not in adjacency[i]
         for j in range(sc.nodes):
             if i == j:
                 continue
-            d = math.hypot(topo.positions[i].x - topo.positions[j].x,
-                           topo.positions[i].y - topo.positions[j].y)
-            assert (j in topo.adjacency[i]) == (d <= sc.tx_range)
-            assert (j in topo.adjacency[i]) == (i in topo.adjacency[j])
+            d = math.hypot(positions[i].x - positions[j].x,
+                           positions[i].y - positions[j].y)
+            assert (j in adjacency[i]) == (d <= sc.tx_range)
+            assert (j in adjacency[i]) == (i in adjacency[j])
 
 
 def test_grid_topology_fills_the_area():
     sc = make_scenario(nodes=6, placement="grid", area_width=100.0,
                        area_height=100.0)
-    topo = build_topology(sc)
-    assert topo.positions[0] == NodePos(0.0, 0.0)
-    assert topo.positions[2] == NodePos(100.0, 0.0)
-    assert topo.positions[5] == NodePos(100.0, 100.0)
+    positions, _ = build_topology(sc)
+    assert positions[0] == NodePos(0.0, 0.0)
+    assert positions[2] == NodePos(100.0, 0.0)
+    assert positions[5] == NodePos(100.0, 100.0)
 
 
 def test_explicit_positions_pass_through():
     pts = [(1.0, 2.0), (3.0, 4.0)]
     sc = make_scenario(nodes=2, placement="explicit", positions=pts)
-    topo = build_topology(sc)
-    assert topo.positions == [NodePos(1.0, 2.0), NodePos(3.0, 4.0)]
+    positions, _ = build_topology(sc)
+    assert positions == [NodePos(1.0, 2.0), NodePos(3.0, 4.0)]
 
 
 def test_auto_sources_are_the_farthest_nodes():
     pts = [(0.0, 0.0), (10.0, 0.0), (40.0, 0.0), (40.0, 0.0), (5.0, 0.0)]
     sc = make_scenario(nodes=5, placement="explicit", positions=pts,
                        cbr_count=2, tx_range=100.0)
-    topo = build_topology(sc)
-    assert select_sources(sc, topo.positions) == [2, 3]
+    positions, _ = build_topology(sc)
+    assert select_sources(sc, positions) == [2, 3]
 
 
 def test_explicit_sources_pass_through():
     sc = line_scenario()
-    topo = build_topology(sc)
-    assert select_sources(sc, topo.positions) == [2]
+    positions, _ = build_topology(sc)
+    assert select_sources(sc, positions) == [2]
 
 
 # -- whole small runs ---------------------------------------------------
@@ -234,8 +234,8 @@ def test_line_with_hopeless_deadline_drops_at_source():
 def test_forwarding_with_spent_budget_is_a_no_budget_drop():
     sim = Simulation(line_scenario())
     sim.run()
-    pkt = DataPacket(event_id=999, source_id=2, t_set=0.006,
-                     t_l=0.0, created_at=7.0, hop_count=3)
+    pkt = DataPacket(event_id=999, source_id=2, t_l=0.0, created_at=7.0,
+                     hop_count=3)
     sim._forward_from(2, pkt, 7.5)
     drop = sim.records[-1]
     assert drop.kind == DROP
