@@ -75,6 +75,8 @@ def _cmd_sweep(args):
         if not values:
             raise ScenarioError(f"--axis {key} has no values")
     seeds = _parse_seeds(args.seeds)
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     runs_path, agg_path, failures = run_sweep(scenario, axes, seeds,
                                               args.out, jobs=args.jobs)
     print(f"wrote {runs_path}")

@@ -3,7 +3,9 @@
 A sweep is the cartesian product of axis value lists applied to a base
 scenario, each point run once per seed.  Results land in two CSV files:
 runs.csv with one row per (point, seed) and aggregate.csv with the
-per-point mean and standard deviation across seeds.  If any run fails,
+per-point mean and standard deviation across seeds.  Each swept key
+that the run meta does not name gets a column of its own in both files,
+right after the meta columns, so its points stay apart.  If any run fails,
 the completed rows are still written, a trailing `# incomplete` marker
 is appended, and the failures are reported to the caller.
 """
@@ -15,9 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import (AGGREGATE_CSV_COLUMNS, GROUP_KEY_COLUMNS,
-                      RUN_CSV_COLUMNS, aggregate_runs, compute_run_metrics,
-                      format_aggregate_row, format_run_row, read_trace,
-                      run_meta, write_trace)
+                      RUN_CSV_COLUMNS, RUN_META, _cell, aggregate_runs,
+                      compute_run_metrics, format_aggregate_row,
+                      format_run_row, read_trace, run_meta, write_trace)
 from .scenario import apply_setting, validate
 from .simkernel import Simulation
 
@@ -69,6 +71,12 @@ def expand_sweep(base, axes, seeds):
     return out
 
 
+def _swept_cell(value) -> str:
+    """A swept setting as one CSV cell, quoted when it holds a comma."""
+    text = _cell(value)
+    return f'"{text}"' if "," in text else text
+
+
 def run_sweep(base, axes, seeds, out_dir, jobs=1):
     """Run a sweep and write runs.csv and aggregate.csv under out_dir.
 
@@ -79,7 +87,7 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     results = [None] * len(points)
     failures = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             futures = [pool.submit(_run_point, p) for p in points]
             for idx, fut in enumerate(futures):
                 try:
@@ -99,21 +107,28 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     agg_path = out / "aggregate.csv"
     marker = f"# incomplete: {len(failures)} of {len(points)} runs failed"
 
+    swept = [key for key in dict.fromkeys(key for key, _ in axes)
+             if key not in RUN_META]
+    cut, group_cut = len(RUN_META), len(GROUP_KEY_COLUMNS)
     grouped = []
     with open(runs_path, "w") as fh:
-        fh.write(",".join(RUN_CSV_COLUMNS) + "\n")
-        for result in results:
+        fh.write(",".join(RUN_CSV_COLUMNS[:cut] + swept
+                          + RUN_CSV_COLUMNS[cut:]) + "\n")
+        for point, result in zip(points, results):
             if result is None:
                 continue
             meta, metrics = result
-            fh.write(",".join(format_run_row(meta, metrics)) + "\n")
-            key = tuple(meta[k] for k in GROUP_KEY_COLUMNS)
+            cells = [_swept_cell(getattr(point, key)) for key in swept]
+            row = format_run_row(meta, metrics)
+            fh.write(",".join(row[:cut] + cells + row[cut:]) + "\n")
+            key = tuple(meta[k] for k in GROUP_KEY_COLUMNS) + tuple(cells)
             grouped.append((key, metrics))
         if failures:
             fh.write(marker + "\n")
 
     with open(agg_path, "w") as fh:
-        fh.write(",".join(AGGREGATE_CSV_COLUMNS) + "\n")
+        fh.write(",".join(GROUP_KEY_COLUMNS + swept
+                          + AGGREGATE_CSV_COLUMNS[group_cut:]) + "\n")
         for key, metrics in aggregate_runs(grouped):
             fh.write(",".join(format_aggregate_row(key, metrics)) + "\n")
         if failures:

@@ -18,8 +18,15 @@ the node's entries still in them; since time never runs backwards, a
 load query expires old entries from the log fronts and sums the counts
 of the neighborhood, whatever its size.  Queue wait is the node's own
 transmissions within queue_window_s divided by the service rate.  Load
-and occupancy are always snapshotted before the current transmission is
+and occupancy are always taken before the current transmission is
 recorded, so a packet never waits on itself.
+
+Draws: a HELLO round, an echo probe and a forward each take one load
+snapshot and draw all their hops from one hop_draws generator, the one
+home of the MAC delay, the queue-window expiry, the attempts loop and
+the one-way delay (protocol.synthesize_one_way_delay's equation).
+Order, fixed for replay: a receiver's broadcast loss (drawn by the
+caller), the hop's jitter, its attempts.  An ACK draws attempts only.
 """
 
 from __future__ import annotations
@@ -31,14 +38,13 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import DataPacket, LinkDelayComponents, NodePos, distance
+from .core import DataPacket, NodePos, distance
 from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
 from .protocol import (NodeState, decide_forward, learn_neighbor,
-                       make_beacon, on_data_arrival_update, record_echo_rtt,
-                       synthesize_one_way_delay)
+                       make_beacon, on_data_arrival_update, record_echo_rtt)
 
 log = logging.getLogger(__name__)
 
@@ -48,48 +54,52 @@ class MacDelayModel:
     """Per-hop delay knobs, all in seconds; Scenario holds the defaults."""
     base_mac_delay: float
     queue_service_rate: float
+    queue_window: float
     tx_delay: float
     contention_coeff: float
     max_retries: int
     jitter_mean: float
 
 
-def sample_tx_count(loss_probability: float, max_retries: int, rng) -> tuple:
-    """Draw how many transmission attempts a unicast takes.
+def hop_draws(mac: MacDelayModel, loss: float, load: float, now: float,
+              rng, broadcast=None):
+    """Draw the hops sent under one load snapshot, one per send().
 
-    Returns (attempts, delivered).  Each attempt independently fails
-    with loss_probability; after 1 + max_retries failures the packet is
-    given up on, so attempts never exceeds max_retries + 1.
+    Prime with next().  send(q) draws a unicast from the node whose
+    transmission times are the deque q (the caller appends `now` after
+    the send) and returns (one_way_delay, mac_delay, queue_delay,
+    attempts, delivered), delays included when delivery fails.  send(None)
+    draws an ACK: attempts only, None for the delays.  Given a broadcast
+    deque, next() returns that node's one-attempt broadcast hop.  Each
+    attempt fails with probability loss; max_retries + 1 failures give up.
     """
-    for attempt in range(1, max_retries + 2):
-        if rng.random() >= loss_probability:
-            return attempt, True
-    return max_retries + 1, False
-
-
-def sample_mac_delay(mac: MacDelayModel, local_load: float, rng) -> float:
-    """Channel access delay: base plus contention, plus exponential jitter."""
-    mac_delay = mac.base_mac_delay + mac.contention_coeff * local_load
-    if mac.jitter_mean > 0.0:
-        mac_delay += rng.expovariate(1.0 / mac.jitter_mean)
-    return mac_delay
-
-
-def sample_link_delay(mac: MacDelayModel, loss_probability: float,
-                      local_load: float, queue_occupancy: int, rng) -> tuple:
-    """Draw one hop's delay components under the current load.
-
-    Returns (LinkDelayComponents, delivered).  The components are
-    reported even when delivery fails, since the channel time was spent
-    either way.
-    """
-    mac_delay = sample_mac_delay(mac, local_load, rng)
-    queue_delay = queue_occupancy / mac.queue_service_rate
-    attempts, delivered = sample_tx_count(loss_probability, mac.max_retries, rng)
-    # positional: a NamedTuple builds slower from keywords
-    comps = LinkDelayComponents(mac_delay, queue_delay, mac.tx_delay,
-                                attempts)
-    return comps, delivered
+    random, expovariate = rng.random, rng.expovariate
+    contention = mac.base_mac_delay + mac.contention_coeff * load
+    jitter, rate, tx_delay = mac.jitter_mean, mac.queue_service_rate, mac.tx_delay
+    tries = range(1, mac.max_retries + 2)
+    cut = now - mac.queue_window
+    broadcasting = broadcast is not None
+    q = broadcast if broadcasting else (yield None)
+    while True:
+        mac_delay = queue_delay = None
+        if q is not None:
+            while q and q[0] <= cut:
+                q.popleft()
+            queue_delay = len(q) / rate
+            mac_delay = contention
+            if jitter > 0.0:
+                mac_delay += expovariate(1.0 / jitter)
+        if broadcasting:                      # receivers draw its loss
+            attempts, delivered, broadcasting = 1, True, False
+        else:
+            delivered = False
+            for attempts in tries:
+                if random() >= loss:
+                    delivered = True
+                    break
+        one_way = (None if q is None
+                   else (mac_delay + queue_delay + tx_delay) * attempts)
+        q = yield one_way, mac_delay, queue_delay, attempts, delivered
 
 
 def build_topology(scenario, rng=None) -> tuple:
@@ -174,6 +184,7 @@ class Simulation:
         self.mac = MacDelayModel(
             base_mac_delay=scenario.base_mac_delay_ms / 1000.0,
             queue_service_rate=scenario.queue_service_rate,
+            queue_window=scenario.queue_window_s,
             tx_delay=scenario.tx_delay_ms / 1000.0,
             contention_coeff=scenario.contention_coeff_ms / 1000.0,
             max_retries=scenario.max_retries,
@@ -263,14 +274,6 @@ class Simulation:
                 recent[entries.popleft()[1]] -= 1
         return float(sum(map(recent.__getitem__, self.nodes[i].nbhd)))
 
-    def _occupancy(self, i, now) -> int:
-        """Node i's own transmissions still inside the queue window."""
-        q = self.nodes[i].own_tx_times
-        cut = now - self.scenario.queue_window_s
-        while q and q[0] <= cut:
-            q.popleft()
-        return len(q)
-
     def _record(self, time, kind, node, event_id, detail):
         self.records.append(TraceRecord(time, kind, node, event_id, detail))
 
@@ -278,21 +281,25 @@ class Simulation:
 
     def _on_hello_round(self, now, i, steady):
         node = self.nodes[i]
-        st = node.state
+        table = node.state.forwarding_table
         self.round_log.append((now, i))
         self.recent[i] += 1
         node.own_tx_times.append(now)
         p = self.scenario.loss
+        draws = hop_draws(self.mac, p, 0.0, now, self.rng)  # ACKs: no MAC draw
+        next(draws)
+        send, random, nodes = draws.send, self.rng.random, self.nodes
         acks = 0
         for j in node.neighbors:
-            if self.rng.random() < p:
+            if random() < p:
                 continue                      # broadcast lost at j
-            peer = self.nodes[j]
-            learn_neighbor(peer.state, node.beacon)
+            peer = nodes[j]
+            if i not in peer.state.forwarding_table:
+                learn_neighbor(peer.state, node.beacon)
             peer.own_tx_times.append(now)     # the ACK transmission
-            _, delivered = sample_tx_count(p, self.mac.max_retries, self.rng)
-            if delivered:
-                learn_neighbor(st, peer.beacon)
+            if send(None)[4]:
+                if j not in table:
+                    learn_neighbor(node.state, peer.beacon)
                 acks += 1
         self._record(now, HELLO_ROUND, i, -1,
                      f"acks={acks} energy={self.scenario.initial_energy_j!r}")
@@ -304,36 +311,28 @@ class Simulation:
     def _on_echo_probe(self, now, i, steady):
         node = self.nodes[i]
         load = self._neighborhood_load(i, now)
-        occ = self._occupancy(i, now)
         self.round_log.append((now, i))
         self.recent[i] += 1
-        node.own_tx_times.append(now)
-        # probe broadcast: one attempt, no retries
-        probe_delay = (sample_mac_delay(self.mac, load, self.rng)
-                       + occ / self.mac.queue_service_rate + self.mac.tx_delay)
         p = self.scenario.loss
+        # reply legs share the prober's snapshot: both ends of an echo
+        # share one contention region to first order
+        draws = hop_draws(self.mac, p, load, now, self.rng, node.own_tx_times)
+        probe_delay = next(draws)[0]
+        node.own_tx_times.append(now)
+        node.probes.update(node.neighbors)
+        send, random, nodes = draws.send, self.rng.random, self.nodes
         measurements = []
-        max_rtt = 0.0
         for j in node.neighbors:
-            node.probes.add(j)
-            if self.rng.random() < p:
+            if random() < p:
                 continue                      # probe lost at j
-            peer = self.nodes[j]
-            occ_j = self._occupancy(j, now)
-            peer.own_tx_times.append(now)     # the reply transmission
-            # reply leg reuses the prober's load snapshot: both ends of
-            # an echo share one contention region to first order
-            comps, delivered = sample_link_delay(
-                self.mac, p, load, occ_j, self.rng)
-            if not delivered:
-                continue
-            rtt = probe_delay + synthesize_one_way_delay(comps)
-            measurements.append((j, rtt))
-            if rtt > max_rtt:
-                max_rtt = rtt
+            q = nodes[j].own_tx_times
+            delay, _, _, _, delivered = send(q)
+            q.append(now)                     # the reply transmission
+            if delivered:
+                measurements.append((j, probe_delay + delay))
         self._record(now, ECHO_PROBE, i, -1,
                      f"neighbors={len(node.neighbors)} replies={len(measurements)}")
-        reply_at = now + max_rtt
+        reply_at = now + max((rtt for _, rtt in measurements), default=0.0)
         if measurements and reply_at <= self.scenario.sim_time:
             self._schedule(reply_at, self._on_echo_reply, (i, measurements))
         if steady:
@@ -375,7 +374,6 @@ class Simulation:
                          f"reason={reason} dup={int(pkt.is_duplicate)}")
             return
         load = self._neighborhood_load(i, now)
-        occ = self._occupancy(i, now)
         d_here = st.dist_to_sink
         targets = [(decision.primary_next_hop, pkt)]
         if decision.duplicate_next_hop is not None:
@@ -383,24 +381,23 @@ class Simulation:
                          f"to={decision.duplicate_next_hop}")
             targets.append((decision.duplicate_next_hop,
                             pkt._replace(is_duplicate=True)))
-        p = self.scenario.loss
+        draws = hop_draws(self.mac, self.scenario.loss, load, now, self.rng)
+        next(draws)
         for j, copy in targets:
-            node.own_tx_times.append(now)
             self.data_log.append((now, i))
             self.recent[i] += 1
-            comps, delivered = sample_link_delay(self.mac, p, load, occ,
-                                                 self.rng)
+            delay, _, _, _, delivered = draws.send(node.own_tx_times)
             if not delivered:
                 self.dropped += 1
                 self._record(now, DROP, i, copy.event_id,
                              f"reason={REASON_LOSS} dup={int(copy.is_duplicate)}")
                 continue
-            delay = synthesize_one_way_delay(comps)
             self._record(now, FORWARD, i, copy.event_id,
                          f"to={j} dup={int(copy.is_duplicate)} "
                          f"d={d_here!r} tl={copy.t_l!r}")
             self._schedule(now + delay, self._on_packet_arrival,
                            (j, copy, delay))
+        node.own_tx_times.extend([now] * len(targets))  # after both sends
 
     def _on_packet_arrival(self, now, j, pkt, link_delay):
         updated = on_data_arrival_update(pkt, link_delay)

@@ -2,17 +2,21 @@
 
 Criteria 1-5 reproduce the headline trends on fixed seed sets; 6-10 are
 exact oracles, invariants, determinism, and a hand-walked topology.
-Runs are cached across criteria, so the whole suite stays inside a few
-minutes on one core.
+Runs are cached across criteria, and each trend criterion runs its
+grid ahead on every core the process may use, so the whole suite stays
+inside a few minutes.
 """
 
 import math
+import os
 import random
 import statistics
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 from dartsim.core import (DataPacket, ForwardingEntry, LinkDelayComponents,
                           NodePos, distance)
-from dartsim.experiments import run_scenario
+from dartsim.experiments import _run_point, run_scenario
 from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
 from dartsim.protocol import (NodeState, decide_forward, estimate_link_delay,
                               provided_speed, required_speed,
@@ -32,17 +36,42 @@ SLACK = 0.02
 _CACHE = {}
 
 
-def metrics_for(**kw):
+def scenario(**kw):
     sc = Scenario()
     for k, v in kw.items():
         setattr(sc, k, v)
     validate(sc)
-    # keyed on the whole scenario, so settings spelled out at their
-    # defaults share a run with the points that leave them out
-    key = repr(sc)
-    if key not in _CACHE:
-        _CACHE[key] = Simulation(sc).run()[1]
-    return _CACHE[key]
+    return sc
+
+
+def metrics_for(**kw):
+    run_ahead([kw])
+    return _CACHE[repr(scenario(**kw))]
+
+
+def run_ahead(grid):
+    """Cache the runs of a criterion's grid, on every core available.
+
+    Runs are deterministic, so each cached metric equals a serial run's.
+    The longest runs start first, so the workers finish together.
+    """
+    todo = {}
+    for kw in grid:
+        sc = scenario(**kw)
+        # keyed on the whole scenario, so settings spelled out at their
+        # defaults share a run with the points that leave them out
+        if repr(sc) not in _CACHE:
+            todo[repr(sc)] = sc
+    points = sorted(todo.values(), key=lambda sc: -sc.nodes * sc.sim_time)
+    workers = min(len(os.sched_getaffinity(0)), len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(workers,
+                                 mp_context=get_context("spawn")) as pool:
+            results = list(pool.map(_run_point, points))
+    else:
+        results = map(_run_point, points)
+    for sc, (_, metrics) in zip(points, results):
+        _CACHE[repr(sc)] = metrics
 
 
 def mean_over_seeds(metric, seeds, **kw):
@@ -58,6 +87,8 @@ def check(ok, line):
 # -- criterion 1: miss ratio falls as the deadline grows ----------------
 
 def test_criterion_01_miss_ratio_falls_with_deadline():
+    run_ahead(dict(seed=s, nodes=n, deadline_ms=d)
+              for n in NODE_COUNTS for d in DEADLINES_MS for s in SEEDS)
     ok = True
     detail = []
     for n in NODE_COUNTS:
@@ -74,6 +105,10 @@ def test_criterion_01_miss_ratio_falls_with_deadline():
 # -- criterion 2: miss ratio falls as the packet interval grows ---------
 
 def test_criterion_02_miss_ratio_falls_with_packet_interval():
+    run_ahead(dict(seed=s, nodes=n, interval_s=iv, sim_time=150.0,
+                   cbr_start_s=10.0)
+              for n in NODE_COUNTS for iv in INTERVALS_S
+              for s in SEEDS_INTERVAL)
     ok = True
     detail = []
     for n in NODE_COUNTS:
@@ -92,6 +127,7 @@ def test_criterion_02_miss_ratio_falls_with_packet_interval():
 # -- criterion 3: more nodes, more missed deadlines ---------------------
 
 def test_criterion_03_miss_ratio_grows_with_node_count():
+    run_ahead(dict(seed=s, nodes=n) for n in (50, 150) for s in SEEDS)
     sparse = mean_over_seeds("deadline_miss_ratio", SEEDS, nodes=50)
     dense = mean_over_seeds("deadline_miss_ratio", SEEDS, nodes=150)
     check(dense > sparse,
@@ -102,6 +138,8 @@ def test_criterion_03_miss_ratio_grows_with_node_count():
 # -- criterion 4: delivery ratio grows with simulation time -------------
 
 def test_criterion_04_pdr_grows_with_simulation_time():
+    run_ahead(dict(seed=s, nodes=n, sim_time=t, deadline_ms=50.0)
+              for n in NODE_COUNTS for t in SIM_TIMES for s in SEEDS)
     ok = True
     detail = []
     for n in NODE_COUNTS:
@@ -118,6 +156,8 @@ def test_criterion_04_pdr_grows_with_simulation_time():
 # -- criterion 5: average delay falls with simulation time --------------
 
 def test_criterion_05_delay_falls_with_simulation_time():
+    run_ahead(dict(seed=s, nodes=n, sim_time=t, deadline_ms=50.0)
+              for n in NODE_COUNTS for t in (100.0, 500.0) for s in SEEDS)
     ok = True
     detail = []
     for n in NODE_COUNTS:

@@ -239,6 +239,40 @@ def test_sweep_writes_csv_files(tmp_path, capsys):
     assert "runs.csv" in out and "aggregate.csv" in out
 
 
+def test_sweep_over_a_key_outside_the_run_meta_keeps_its_points_apart(
+        tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "sweep",
+                         "--set", "nodes=10", "--set", "sim_time=20",
+                         "--axis", "loss=0.0,0.5",
+                         "--seeds", "1,2", "--out", str(out_dir))
+    assert code == 0
+    runs = [line.split(",")
+            for line in (out_dir / "runs.csv").read_text().splitlines()]
+    assert runs[0] == RUN_CSV_COLUMNS[:5] + ["loss"] + RUN_CSV_COLUMNS[5:]
+    assert [row[5] for row in runs[1:]] == ["0.0", "0.0", "0.5", "0.5"]
+    agg = [line.split(",")
+           for line in (out_dir / "aggregate.csv").read_text().splitlines()]
+    assert agg[0][:5] == ["nodes", "sim_time", "deadline_ms", "interval_s",
+                          "loss"]
+    assert [row[4] for row in agg[1:]] == ["0.0", "0.5"]
+    pdr, pdr_mean = runs[0].index("pdr"), agg[0].index("pdr_mean")
+    for row in agg[1:]:                  # each mean is over its own loss only
+        own = [float(run[pdr]) for run in runs[1:] if run[5] == row[4]]
+        assert float(row[pdr_mean]) == sum(own) / len(own)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "sweep", "--axis", "deadline_ms=6",
+                           "--seeds", "1", "--jobs", jobs, "--out",
+                           str(out_dir))
+    assert code == 1
+    assert "--jobs" in err
+    assert not out_dir.exists()
+
+
 def test_sweep_bad_axis_fails_with_code_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--axis", "bogus=1,2",
                            "--seeds", "1", "--out", str(tmp_path / "o"))

@@ -1,5 +1,8 @@
 """Experiment driver tests: sweeps, CSV outputs, and trace replay."""
 
+import csv
+from concurrent.futures import Future
+
 import pytest
 
 import dartsim.experiments as experiments
@@ -85,6 +88,47 @@ def test_sweep_parallel_results_match_serial(tmp_path):
     serial, _, _ = run_sweep(base, axes, [4, 5], tmp_path / "serial", jobs=1)
     parallel, _, _ = run_sweep(base, axes, [4, 5], tmp_path / "par", jobs=2)
     assert serial.read_text() == parallel.read_text()
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records its size and runs each task at once, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    runs_path, _, failures = run_sweep(
+        small_scenario(), [("deadline_ms", ["6"])], [4, 5], tmp_path / "out",
+        jobs=8)
+    assert started == [2] and not failures
+    assert len(runs_path.read_text().splitlines()) == 3
+
+
+def test_swept_cell_with_a_comma_is_quoted(tmp_path):
+    runs_path, agg_path, _ = run_sweep(
+        small_scenario(), [("sink_pos", ["0,0", "10,20"])], [4],
+        tmp_path / "out")
+    with open(runs_path) as fh:
+        runs = list(csv.reader(fh))
+    assert runs[0][5] == "sink_pos"
+    assert [row[5] for row in runs[1:]] == ["(0.0, 0.0)", "(10.0, 20.0)"]
+    with open(agg_path) as fh:
+        assert [row[4] for row in csv.reader(fh)] == [
+            "sink_pos", "(0.0, 0.0)", "(10.0, 20.0)"]
 
 
 def test_failed_points_leave_a_marker_and_partial_rows(tmp_path, monkeypatch):

@@ -1,13 +1,13 @@
-"""Simulator kernel tests: delay sampling, topology, and whole small runs."""
+"""Simulator kernel tests: hop draws, topology, and whole small runs."""
 
 import hashlib
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 
 import pytest
 
-from dartsim.core import DataPacket, NodePos
+from dartsim.core import DataPacket, LinkDelayComponents, NodePos
 from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              FORWARD, HELLO_ROUND, METRIC_SNAPSHOT,
                              PACKET_ARRIVAL, RUN_END, detail_fields, run_meta,
@@ -15,8 +15,7 @@ from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
 from dartsim.protocol import synthesize_one_way_delay
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import (MacDelayModel, Simulation, build_topology,
-                               sample_link_delay, sample_tx_count,
-                               select_sources)
+                               hop_draws, select_sources)
 
 
 def make_scenario(**kw):
@@ -46,21 +45,40 @@ def by_kind(records):
     return out
 
 
-# -- transmission attempt sampling -------------------------------------
+# -- hop draws -----------------------------------------------------------
+
+
+def quiet_mac(**kw):
+    base = dict(base_mac_delay=0.0003, queue_service_rate=4000.0,
+                queue_window=0.5, tx_delay=0.00026, contention_coeff=0.0001,
+                max_retries=4, jitter_mean=0.0)
+    base.update(kw)
+    return MacDelayModel(**base)
+
+
+def primed(mac, loss, load, rng, now=1.0):
+    draws = hop_draws(mac, loss, load, now, rng)
+    assert next(draws) is None
+    return draws
+
+
+def unicast(mac, loss, load, queued, rng):
+    """One unicast from a sender with `queued` transmissions in its window."""
+    return primed(mac, loss, load, rng).send(deque([1.0] * queued))
 
 
 def test_tx_count_without_loss_is_single_attempt():
-    rng = random.Random(1)
+    draws = primed(quiet_mac(), 0.0, 0.0, random.Random(1))
     for _ in range(100):
-        assert sample_tx_count(0.0, 4, rng) == (1, True)
+        assert draws.send(None) == (None, None, None, 1, True)
 
 
 def test_tx_count_support_is_capped_by_retry_budget():
-    rng = random.Random(2)
+    draws = primed(quiet_mac(max_retries=3), 0.5, 0.0, random.Random(2))
     seen = Counter()
     failures_at = set()
     for _ in range(4000):
-        attempts, delivered = sample_tx_count(0.5, 3, rng)
+        _, _, _, attempts, delivered = draws.send(None)
         seen[attempts] += 1
         if not delivered:
             failures_at.add(attempts)
@@ -69,54 +87,93 @@ def test_tx_count_support_is_capped_by_retry_budget():
 
 
 def test_tx_count_mean_matches_truncated_geometric():
-    rng = random.Random(3)
     p, retries, n = 0.3, 4, 100_000
-    total = sum(sample_tx_count(p, retries, rng)[0] for _ in range(n))
+    draws = primed(quiet_mac(max_retries=retries), p, 0.0, random.Random(3))
+    total = sum(draws.send(None)[3] for _ in range(n))
     expected = sum(p ** k for k in range(retries + 1))   # 1.4251
     assert abs(total / n - expected) < 0.02
 
 
-# -- link delay sampling ------------------------------------------------
-
-
-def quiet_mac(**kw):
-    base = dict(base_mac_delay=0.0003, queue_service_rate=4000.0,
-                tx_delay=0.00026, contention_coeff=0.0001, max_retries=4,
-                jitter_mean=0.0)
-    base.update(kw)
-    return MacDelayModel(**base)
-
-
 def test_link_delay_is_exact_when_nothing_is_random():
-    comps, delivered = sample_link_delay(quiet_mac(), 0.0, 0.0, 0,
-                                         random.Random(4))
+    mac = quiet_mac()
+    one_way, mac_delay, queue_delay, attempts, delivered = unicast(
+        mac, 0.0, 0.0, 0, random.Random(4))
     assert delivered
-    assert comps.mac_delay == 0.0003
-    assert comps.queue_delay == 0.0
-    assert comps.tx_delay == 0.00026
-    assert comps.tx_count == 1
+    assert mac_delay == 0.0003
+    assert queue_delay == 0.0
+    assert mac.tx_delay == 0.00026
+    assert attempts == 1
+    assert one_way == (0.0003 + 0.0 + 0.00026) * 1
+    comps = LinkDelayComponents(mac_delay, queue_delay, mac.tx_delay, attempts)
     assert synthesize_one_way_delay(comps) == pytest.approx(0.00056, abs=0)
 
 
 def test_link_delay_load_and_occupancy_terms():
-    comps, _ = sample_link_delay(quiet_mac(), 0.0, 3.0, 2, random.Random(5))
-    assert comps.mac_delay == pytest.approx(0.0006, rel=1e-12)
-    assert comps.queue_delay == pytest.approx(0.0005, rel=1e-12)
+    _, mac_delay, queue_delay, _, _ = unicast(quiet_mac(), 0.0, 3.0, 2,
+                                              random.Random(5))
+    assert mac_delay == pytest.approx(0.0006, rel=1e-12)
+    assert queue_delay == pytest.approx(0.0005, rel=1e-12)
 
 
 def test_link_delay_mean_matches_analytic_value():
     mac = quiet_mac(jitter_mean=0.00005)
-    rng = random.Random(6)
+    draws = primed(mac, 0.3, 3.0, random.Random(6))
     n = 100_000
     total = 0.0
     delivered_count = 0
     for _ in range(n):
-        comps, delivered = sample_link_delay(mac, 0.3, 3.0, 2, rng)
-        total += synthesize_one_way_delay(comps)
+        one_way, _, _, _, delivered = draws.send(deque([1.0, 1.0]))
+        total += one_way
         delivered_count += delivered
     # (base + coeff*load + jitter + occ/rate + tx) * sum(p^k, k=0..4)
     assert total / n == pytest.approx(0.002009391, rel=0.01)
     assert delivered_count / n == pytest.approx(1 - 0.3 ** 5, abs=0.002)
+
+
+def test_queue_window_expires_old_transmissions_and_keeps_the_rest():
+    q = deque([0.1, 0.5, 0.9, 1.0])
+    hop = primed(quiet_mac(), 0.0, 0.0, random.Random(7)).send(q)
+    assert q == deque([0.9, 1.0])      # 0.5 sits on the window's edge
+    assert hop[2] == 2 / 4000.0
+
+
+def test_each_leg_is_the_one_way_equation_of_its_parts():
+    rng = random.Random(8)
+    for _ in range(200):
+        mac = quiet_mac(base_mac_delay=rng.uniform(0.0, 0.002),
+                        queue_service_rate=rng.uniform(100.0, 8000.0),
+                        tx_delay=rng.uniform(0.0, 0.001),
+                        contention_coeff=rng.uniform(0.0, 0.0005),
+                        max_retries=rng.randint(0, 5),
+                        jitter_mean=rng.choice([0.0, rng.uniform(0.0, 0.001)]))
+        loss, load = rng.uniform(0.0, 0.9), float(rng.randint(0, 40))
+        q = deque([1.0] * rng.randint(0, 6))
+        draws = hop_draws(mac, loss, load, 1.0, rng, q)
+        legs = [next(draws)] + [draws.send(q) for _ in range(5)]
+        assert legs[0][3:] == (1, True)              # the broadcast
+        for one_way, mac_delay, queue_delay, attempts, _ in legs:
+            comps = LinkDelayComponents(mac_delay, queue_delay, mac.tx_delay,
+                                        attempts)
+            assert one_way == synthesize_one_way_delay(comps)
+
+
+def test_an_ack_draws_its_attempts_and_no_mac_jitter():
+    mac = quiet_mac(jitter_mean=0.0002, contention_coeff=0.001)
+    rng, twin = random.Random(9), random.Random(9)
+    draws = primed(mac, 0.5, 7.0, rng)
+    for _ in range(50):
+        attempts = draws.send(None)[3]
+        for _ in range(attempts):
+            twin.random()
+        assert rng.getstate() == twin.getstate()
+
+
+def test_a_broadcast_draws_its_jitter_and_no_attempts():
+    mac = quiet_mac(jitter_mean=0.0002)
+    rng, twin = random.Random(10), random.Random(10)
+    hop = next(hop_draws(mac, 0.5, 0.0, 1.0, rng, deque()))
+    assert hop[1] == 0.0003 + twin.expovariate(1.0 / 0.0002)
+    assert rng.getstate() == twin.getstate()
 
 
 # -- topology -----------------------------------------------------------
