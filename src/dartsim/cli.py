@@ -38,6 +38,8 @@ def _parse_seeds(text):
                             f"got {text!r}") from None
     if not seeds:
         raise ScenarioError("--seeds expects at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ScenarioError(f"--seeds lists a seed more than once: {text!r}")
     return seeds
 
 
@@ -71,9 +73,11 @@ def _cmd_sweep(args):
     axes = [_split_pair("--axis", text) for text in args.axis]
     axes = [(key, [v.strip() for v in raw.split(",") if v.strip()])
             for key, raw in axes]
-    for key, values in axes:
+    for n, (key, values) in enumerate(axes):
         if not values:
             raise ScenarioError(f"--axis {key} has no values")
+        if any(key == seen for seen, _ in axes[:n]):
+            raise ScenarioError(f"--axis {key} is given more than once")
     seeds = _parse_seeds(args.seeds)
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")

@@ -17,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import (AGGREGATE_CSV_COLUMNS, GROUP_KEY_COLUMNS,
-                      RUN_CSV_COLUMNS, RUN_META, _cell, aggregate_runs,
+                      RUN_CSV_COLUMNS, RUN_META, aggregate_runs,
                       compute_run_metrics, format_aggregate_row,
                       format_run_row, read_trace, run_meta, write_trace)
-from .scenario import apply_setting, validate
+from .scenario import apply_setting, format_setting, validate
 from .simkernel import Simulation
 
 
@@ -71,9 +71,9 @@ def expand_sweep(base, axes, seeds):
     return out
 
 
-def _swept_cell(value) -> str:
-    """A swept setting as one CSV cell, quoted when it holds a comma."""
-    text = _cell(value)
+def _swept_cell(point, key) -> str:
+    """A swept setting in the scenario grammar, quoted if it holds a comma."""
+    text = format_setting(key, getattr(point, key))
     return f'"{text}"' if "," in text else text
 
 
@@ -118,7 +118,7 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
             if result is None:
                 continue
             meta, metrics = result
-            cells = [_swept_cell(getattr(point, key)) for key in swept]
+            cells = [_swept_cell(point, key) for key in swept]
             row = format_run_row(meta, metrics)
             fh.write(",".join(row[:cut] + cells + row[cut:]) + "\n")
             key = tuple(meta[k] for k in GROUP_KEY_COLUMNS) + tuple(cells)

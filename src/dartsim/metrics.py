@@ -176,8 +176,6 @@ def aggregate_runs(rows):
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -225,8 +223,11 @@ def read_trace(path):
     """
     meta: dict = {}
     records = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from None
     body_started = False
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .core import (Beacon, DataPacket, ForwardingEntry, NodeId, NodePos,
-                   distance)
+from .core import Beacon, DataPacket, ForwardingEntry, NodeId
 
 
 class NoBudget(Exception):
@@ -25,22 +24,17 @@ class NoBudget(Exception):
 
 @dataclass
 class NodeState:
-    """Everything one node knows: identity, geometry and its neighbor table.
+    """Everything one node knows: its id, sink distance and neighbor table.
 
     The forwarding table is keyed by neighbor id, so there is never more
     than one row per neighbor, and the node itself is never inserted.
-    Nodes never move, so dist_to_sink is computed once, at construction.
-    The decision logic is fully deterministic.
+    Nodes never move, so the kernel computes dist_to_sink once, from the
+    topology.  The decision logic is fully deterministic.
     """
 
     my_id: NodeId
-    my_pos: NodePos
-    sink_pos: NodePos
-    dist_to_sink: float = field(init=False)
+    dist_to_sink: float
     forwarding_table: dict[NodeId, ForwardingEntry] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.dist_to_sink = distance(self.my_pos, self.sink_pos)
 
 
 class ForwardDecision(NamedTuple):

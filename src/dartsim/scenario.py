@@ -108,6 +108,10 @@ def _parse_pair(key, raw):
             _parse_float(key, parts[1].strip()))
 
 
+def _format_pair(value):
+    return f"{value[0]},{value[1]}"
+
+
 def _parse_positions(key, raw):
     if raw == "none":
         return None
@@ -121,6 +125,10 @@ def _parse_positions(key, raw):
     return out
 
 
+def _format_positions(value):
+    return "none" if value is None else "; ".join(map(_format_pair, value))
+
+
 def _parse_ids(key, raw):
     if raw == "auto":
         return None
@@ -131,10 +139,18 @@ def _parse_ids(key, raw):
                             f"id list, got {raw!r}") from None
 
 
+def _format_ids(value):
+    return "auto" if value is None else ",".join(map(str, value))
+
+
 def _parse_optional_float(key, raw):
     if raw == "none":
         return None
     return _parse_float(key, raw)
+
+
+def _format_optional_float(value):
+    return "none" if value is None else str(value)
 
 
 # Keys with their own grammar; every other key is a plain int or float,
@@ -149,6 +165,13 @@ _PARSERS = {
 _PARSERS.update((key, {int: _parse_int, float: _parse_float}[hint])
                 for key, hint in get_type_hints(Scenario).items()
                 if key not in _PARSERS)
+# The text form of those keys; every other value prints as str()
+_FORMATTERS = {
+    "positions": _format_positions,
+    "sink_pos": _format_pair,
+    "cbr_sources": _format_ids,
+    "cbr_stop_s": _format_optional_float,
+}
 
 
 def apply_setting(scenario: Scenario, key: str, raw: str) -> None:
@@ -157,6 +180,11 @@ def apply_setting(scenario: Scenario, key: str, raw: str) -> None:
     if parser is None:
         raise ScenarioError(f"unknown key {key!r}")
     setattr(scenario, key, parser(key, raw))
+
+
+def format_setting(key: str, value) -> str:
+    """A key's value as the text apply_setting parses back to it."""
+    return _FORMATTERS.get(key, str)(value)
 
 
 def validate(scenario: Scenario) -> None:
@@ -242,19 +270,23 @@ def load_scenario(path, overrides=None, base=None) -> Scenario:
     is given its settings are the starting defaults.
     """
     scenario = copy.deepcopy(base) if base is not None else Scenario()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ScenarioError(f"{path}:{lineno}: expected 'key = value', "
-                                    f"got {line.strip()!r}")
-            key, _, raw = stripped.partition("=")
-            try:
-                apply_setting(scenario, key.strip(), raw.strip())
-            except ScenarioError as exc:
-                raise ScenarioError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ScenarioError(f"{path}:{lineno}: expected 'key = value', "
+                                f"got {line.strip()!r}")
+        key, _, raw = stripped.partition("=")
+        try:
+            apply_setting(scenario, key.strip(), raw.strip())
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}:{lineno}: {exc}") from None
     apply_overrides(scenario, overrides or [])
     validate(scenario)
     return scenario
@@ -271,17 +303,6 @@ def apply_overrides(scenario: Scenario, pairs) -> None:
 
 def describe(scenario: Scenario) -> str:
     """Normalized `key = value` text for every setting, for `validate`."""
-    lines = []
-    for f in fields(scenario):
-        value = getattr(scenario, f.name)
-        if f.name == "positions":
-            value = ("none" if value is None else
-                     "; ".join(f"{x},{y}" for x, y in value))
-        elif f.name == "cbr_sources":
-            value = "auto" if value is None else ",".join(map(str, value))
-        elif f.name == "sink_pos":
-            value = f"{value[0]},{value[1]}"
-        elif f.name == "cbr_stop_s" and value is None:
-            value = "none"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{f.name} = {format_setting(f.name, getattr(scenario, f.name))}"
+        for f in fields(scenario))

@@ -24,7 +24,8 @@ recorded, so a packet never waits on itself.
 Draws: a HELLO round, an echo probe and a forward each take one load
 snapshot and draw all their hops from one hop_draws generator, the one
 home of the MAC delay, the queue-window expiry, the attempts loop and
-the one-way delay (protocol.synthesize_one_way_delay's equation).
+the one-way delay (protocol.synthesize_one_way_delay's equation); it
+reads the channel settings from the Scenario.
 Order, fixed for replay: a receiver's broadcast loss (drawn by the
 caller), the hop's jitter, its attempts.  An ACK draws attempts only.
 """
@@ -49,20 +50,7 @@ from .protocol import (NodeState, decide_forward, learn_neighbor,
 log = logging.getLogger(__name__)
 
 
-@dataclass(slots=True)
-class MacDelayModel:
-    """Per-hop delay knobs, all in seconds; Scenario holds the defaults."""
-    base_mac_delay: float
-    queue_service_rate: float
-    queue_window: float
-    tx_delay: float
-    contention_coeff: float
-    max_retries: int
-    jitter_mean: float
-
-
-def hop_draws(mac: MacDelayModel, loss: float, load: float, now: float,
-              rng, broadcast=None):
+def hop_draws(sc, load: float, now: float, rng, broadcast=None):
     """Draw the hops sent under one load snapshot, one per send().
 
     Prime with next().  send(q) draws a unicast from the node whose
@@ -71,13 +59,15 @@ def hop_draws(mac: MacDelayModel, loss: float, load: float, now: float,
     attempts, delivered), delays included when delivery fails.  send(None)
     draws an ACK: attempts only, None for the delays.  Given a broadcast
     deque, next() returns that node's one-attempt broadcast hop.  Each
-    attempt fails with probability loss; max_retries + 1 failures give up.
+    attempt fails with probability sc.loss; max_retries + 1 failures give up.
     """
     random, expovariate = rng.random, rng.expovariate
-    contention = mac.base_mac_delay + mac.contention_coeff * load
-    jitter, rate, tx_delay = mac.jitter_mean, mac.queue_service_rate, mac.tx_delay
-    tries = range(1, mac.max_retries + 2)
-    cut = now - mac.queue_window
+    contention = (sc.base_mac_delay_ms / 1000.0
+                  + sc.contention_coeff_ms / 1000.0 * load)
+    jitter, tx_delay = sc.jitter_ms / 1000.0, sc.tx_delay_ms / 1000.0
+    loss, rate = sc.loss, sc.queue_service_rate
+    tries = range(1, sc.max_retries + 2)
+    cut = now - sc.queue_window_s
     broadcasting = broadcast is not None
     q = broadcast if broadcasting else (yield None)
     while True:
@@ -168,7 +158,6 @@ def _reachable_from(adjacency, start) -> set:
 class _SimNode:
     state: NodeState
     neighbors: list
-    nbhd: list                           # [own id] + neighbors
     beacon: object                       # HELLO and ACK: nodes never move
     own_tx_times: deque = field(default_factory=deque)
     probes: set = field(default_factory=set)  # neighbors with an echo pending
@@ -181,22 +170,11 @@ class Simulation:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         positions, adjacency = build_topology(scenario, self.rng)
-        self.mac = MacDelayModel(
-            base_mac_delay=scenario.base_mac_delay_ms / 1000.0,
-            queue_service_rate=scenario.queue_service_rate,
-            queue_window=scenario.queue_window_s,
-            tx_delay=scenario.tx_delay_ms / 1000.0,
-            contention_coeff=scenario.contention_coeff_ms / 1000.0,
-            max_retries=scenario.max_retries,
-            jitter_mean=scenario.jitter_ms / 1000.0)
         sink = scenario.sink
-        sink_pos = positions[sink]
         self.nodes = []
         for i in range(scenario.nodes):
-            state = NodeState(my_id=i, my_pos=positions[i], sink_pos=sink_pos)
-            nbrs = adjacency[i]
-            self.nodes.append(_SimNode(state=state, neighbors=nbrs,
-                                       nbhd=[i] + list(nbrs),
+            state = NodeState(i, distance(positions[i], positions[sink]))
+            self.nodes.append(_SimNode(state=state, neighbors=adjacency[i],
                                        beacon=make_beacon(state)))
         self.sources = select_sources(scenario, positions)
         self.warnings = []
@@ -272,7 +250,8 @@ class Simulation:
                              (self.data_log, now - sc.flow_window_s)):
             while entries and entries[0][0] <= cut:
                 recent[entries.popleft()[1]] -= 1
-        return float(sum(map(recent.__getitem__, self.nodes[i].nbhd)))
+        return float(recent[i] + sum(map(recent.__getitem__,
+                                         self.nodes[i].neighbors)))
 
     def _record(self, time, kind, node, event_id, detail):
         self.records.append(TraceRecord(time, kind, node, event_id, detail))
@@ -286,7 +265,7 @@ class Simulation:
         self.recent[i] += 1
         node.own_tx_times.append(now)
         p = self.scenario.loss
-        draws = hop_draws(self.mac, p, 0.0, now, self.rng)  # ACKs: no MAC draw
+        draws = hop_draws(self.scenario, 0.0, now, self.rng)  # ACKs: no MAC
         next(draws)
         send, random, nodes = draws.send, self.rng.random, self.nodes
         acks = 0
@@ -316,7 +295,8 @@ class Simulation:
         p = self.scenario.loss
         # reply legs share the prober's snapshot: both ends of an echo
         # share one contention region to first order
-        draws = hop_draws(self.mac, p, load, now, self.rng, node.own_tx_times)
+        draws = hop_draws(self.scenario, load, now, self.rng,
+                          node.own_tx_times)
         probe_delay = next(draws)[0]
         node.own_tx_times.append(now)
         node.probes.update(node.neighbors)
@@ -381,7 +361,7 @@ class Simulation:
                          f"to={decision.duplicate_next_hop}")
             targets.append((decision.duplicate_next_hop,
                             pkt._replace(is_duplicate=True)))
-        draws = hop_draws(self.mac, self.scenario.loss, load, now, self.rng)
+        draws = hop_draws(self.scenario, load, now, self.rng)
         next(draws)
         for j, copy in targets:
             self.data_log.append((now, i))

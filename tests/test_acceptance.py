@@ -190,9 +190,9 @@ def test_criterion_06_equation_oracles():
 
 # -- criterion 7: forwarding decision vs brute force ---------------------
 
-def _brute_force(state, pkt, positions):
-    # every distance from a position kept here, none from the table
-    d_here = distance(state.my_pos, state.sink_pos)
+def _brute_force(state, pkt, my_pos, sink, positions):
+    # every distance from a position kept here, none from the table or state
+    d_here = distance(my_pos, sink)
     if pkt.t_l <= 0.0:
         return None, None, set()
     v_req = d_here / pkt.t_l
@@ -200,7 +200,7 @@ def _brute_force(state, pkt, positions):
     for nid, entry in state.forwarding_table.items():
         if entry.link_delay <= 0.0:
             continue
-        d_n = distance(positions[nid], state.sink_pos)
+        d_n = distance(positions[nid], sink)
         if d_n >= d_here:
             continue
         v_prov = (d_here - d_n) / entry.link_delay
@@ -230,18 +230,20 @@ def test_criterion_07_forwarding_matches_brute_force():
             link = rng.choice([0.0, rng.uniform(1e-5, 5e-3)])
             table[nid] = ForwardingEntry(
                 dist_to_sink=distance(pos, sink), link_delay=link)
-        state = NodeState(my_id=my_id, my_pos=my_pos,
-                          sink_pos=sink, forwarding_table=table)
+        d_here = distance(my_pos, sink)
+        state = NodeState(my_id=my_id, dist_to_sink=d_here,
+                          forwarding_table=table)
         src = my_id if rng.random() < 0.5 else 1
         pkt = DataPacket(event_id=trial, source_id=src,
                          t_l=rng.choice([0.0, rng.uniform(5e-4, 2e-2)]),
                          created_at=0.0, is_duplicate=rng.random() < 0.2)
-        want_primary, want_dup, want_set = _brute_force(state, pkt, positions)
+        want_primary, want_dup, want_set = _brute_force(
+            state, pkt, my_pos, sink, positions)
         got = decide_forward(state, pkt)
         got_set = set()
         for nid, entry in table.items():
-            solo = NodeState(my_id=my_id, my_pos=my_pos,
-                             sink_pos=sink, forwarding_table={nid: entry})
+            solo = NodeState(my_id=my_id, dist_to_sink=d_here,
+                             forwarding_table={nid: entry})
             if decide_forward(solo, pkt).primary_next_hop is not None:
                 got_set.add(nid)
         if (got.primary_next_hop != want_primary

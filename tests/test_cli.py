@@ -147,6 +147,34 @@ def test_validate_bounds_the_bootstrap_rounds_within_sim_time(rounds, code,
         assert f"bootstrap_rounds = {rounds}" in out
 
 
+@pytest.mark.parametrize("setting", ["placement=ring", "sink_pos=1",
+                                     "positions=;", "cbr_sources=a,b",
+                                     "bootstrap_rounds=0"])
+def test_validate_rejects_a_bad_value_naming_its_key(setting, capsys):
+    code, out, err = run_cli(capsys, "validate", "--set", setting)
+    assert code == 1
+    assert out == ""
+    assert setting.partition("=")[0] in err
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_unreadable_input_fails_with_code_1_naming_the_path(command, kind,
+                                                            tmp_path, capsys):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00nodes = 5\n")
+    argv = ([command, "--scenario", str(path)] if command == "run"
+            else [command, str(path)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read ")
+    assert str(path) in err
+
+
 def test_bad_scenario_file_names_the_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("nodes = 5\nloss = lots\n")
@@ -285,6 +313,31 @@ def test_sweep_bad_seeds_fail_with_code_1(tmp_path, capsys):
                            "--seeds", "one", "--out", str(tmp_path / "o"))
     assert code == 1
     assert "--seeds" in err
+
+
+def test_sweep_rejects_a_repeated_seed(tmp_path, capsys):
+    # unchecked, the same run is written twice and its std reads 0.0
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=10",
+                             "--set", "sim_time=5", "--seeds", "1,1",
+                             "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert "--seeds" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_rejects_a_repeated_axis_key(tmp_path, capsys):
+    # unchecked, the last axis wins and the first one's points are lost
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=10",
+                             "--set", "sim_time=5", "--axis", "loss=0.1",
+                             "--axis", "loss=0.3", "--seeds", "1",
+                             "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert "--axis loss" in err
+    assert not out_dir.exists()
 
 
 def test_sweep_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):

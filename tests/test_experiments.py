@@ -10,7 +10,8 @@ from dartsim.experiments import (expand_sweep, replay_trace, run_scenario,
                                  run_sweep)
 from dartsim.metrics import (AGGREGATE_CSV_COLUMNS, RUN_CSV_COLUMNS,
                              format_run_row, read_trace)
-from dartsim.scenario import Scenario, ScenarioError, validate
+from dartsim.scenario import (Scenario, ScenarioError, apply_setting,
+                              validate)
 from dartsim.simkernel import Simulation
 
 
@@ -125,10 +126,29 @@ def test_swept_cell_with_a_comma_is_quoted(tmp_path):
     with open(runs_path) as fh:
         runs = list(csv.reader(fh))
     assert runs[0][5] == "sink_pos"
-    assert [row[5] for row in runs[1:]] == ["(0.0, 0.0)", "(10.0, 20.0)"]
+    assert [row[5] for row in runs[1:]] == ["0.0,0.0", "10.0,20.0"]
     with open(agg_path) as fh:
         assert [row[4] for row in csv.reader(fh)] == [
-            "sink_pos", "(0.0, 0.0)", "(10.0, 20.0)"]
+            "sink_pos", "0.0,0.0", "10.0,20.0"]
+
+
+def test_swept_cells_parse_back_to_their_points(tmp_path):
+    axes = [("cbr_sources", ["auto", "3"]), ("cbr_stop_s", ["none", "4"]),
+            ("sink_pos", ["0,0", "10,20"])]
+    base = small_scenario()
+    runs_path, _, _ = run_sweep(base, axes, [4], tmp_path / "out")
+    with open(runs_path) as fh:
+        runs = list(csv.reader(fh))
+    points = expand_sweep(base, axes, [4])
+    assert runs[0][5:8] == ["cbr_sources", "cbr_stop_s", "sink_pos"]
+    assert len(runs) - 1 == len(points) == 8
+    assert [row[5:7] for row in runs[1::2]] == [
+        ["auto", "none"], ["auto", "4.0"], ["3", "none"], ["3", "4.0"]]
+    for row, point in zip(runs[1:], points):
+        for col, key in enumerate(runs[0][5:8], start=5):
+            parsed = Scenario()
+            apply_setting(parsed, key, row[col])
+            assert getattr(parsed, key) == getattr(point, key)
 
 
 def test_failed_points_leave_a_marker_and_partial_rows(tmp_path, monkeypatch):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
+from dartsim import protocol
 from dartsim.core import (
     Beacon,
     DataPacket,
@@ -32,8 +34,8 @@ from dartsim.protocol import (
 SINK = NodePos(0.0, 0.0)
 
 
-def make_state(my_id=1, my_pos=NodePos(300.0, 0.0)):
-    return NodeState(my_id=my_id, my_pos=my_pos, sink_pos=SINK)
+def make_state(my_id=1, dist_to_sink=300.0):
+    return NodeState(my_id=my_id, dist_to_sink=dist_to_sink)
 
 
 def add_neighbor(state, nid, dist_to_sink, link_delay):
@@ -120,8 +122,8 @@ def test_hello_refresh_keeps_link_delay():
 
 
 def test_hello_ack_handshake_populates_both_sides():
-    a = make_state(my_id=1, my_pos=NodePos(300.0, 0.0))
-    b = make_state(my_id=2, my_pos=NodePos(100.0, 0.0))
+    a = make_state(my_id=1, dist_to_sink=300.0)
+    b = make_state(my_id=2, dist_to_sink=100.0)
     learn_neighbor(b, make_beacon(a))
     learn_neighbor(a, make_beacon(b))
     assert a.forwarding_table[2].dist_to_sink == 100.0
@@ -130,12 +132,17 @@ def test_hello_ack_handshake_populates_both_sides():
 
 def test_make_beacon_distance_is_consistent():
     for pos in (NodePos(600.0, 400.0), NodePos(123.0, 45.0)):
-        state = make_state(my_id=7, my_pos=pos)
+        state = make_state(my_id=7, dist_to_sink=distance(pos, SINK))
         assert state.dist_to_sink == distance(pos, SINK)
         assert make_beacon(state) == Beacon(7, distance(pos, SINK))
-    # the node's own distance is derived, never passed in
-    with pytest.raises(TypeError):
-        NodeState(my_id=7, my_pos=SINK, sink_pos=SINK, dist_to_sink=1.0)
+
+
+def test_node_state_holds_its_id_distance_and_table_only():
+    """The rule is distance-based: a node keeps no position of its own."""
+    assert [f.name for f in fields(NodeState)] == [
+        "my_id", "dist_to_sink", "forwarding_table"]
+    assert not hasattr(protocol, "distance")
+    assert not hasattr(protocol, "NodePos")
 
 
 def test_table_never_contains_self():
@@ -300,9 +307,8 @@ def test_forward_decision_fields_cannot_be_assigned(name):
 
 # -------------------------------------------------- brute-force decision oracle
 
-def oracle_decide(state, pkt):
+def oracle_decide(state, pkt, d_here):
     """Spelled-out eligibility scan used to cross-check decide_forward."""
-    d_here = distance(state.my_pos, state.sink_pos)
     if pkt.t_l <= 0.0:
         return None, None
     v_req = d_here / pkt.t_l
@@ -327,8 +333,8 @@ def oracle_decide(state, pkt):
 def test_decide_forward_matches_oracle_on_random_tables():
     rng = random.Random(42)
     for trial in range(300):
-        state = make_state(my_id=100,
-                           my_pos=NodePos(rng.uniform(0, 600), rng.uniform(0, 400)))
+        my_pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
+        state = make_state(my_id=100, dist_to_sink=distance(my_pos, SINK))
         for nid in range(rng.randint(0, 8)):
             pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
             delay = rng.choice([0.0, rng.uniform(1e-4, 5e-3)])
@@ -339,6 +345,7 @@ def test_decide_forward_matches_oracle_on_random_tables():
                           t_l=rng.uniform(0.001, 0.02),
                           is_duplicate=rng.random() < 0.3)
         got = decide_forward(state, pkt)
-        want_primary, want_duplicate = oracle_decide(state, pkt)
+        want_primary, want_duplicate = oracle_decide(
+            state, pkt, distance(my_pos, SINK))
         assert got.primary_next_hop == want_primary
         assert got.duplicate_next_hop == want_duplicate

@@ -14,8 +14,8 @@ SINK = NodePos(0.0, 0.0)
 
 
 def line_state(my_id, x, table_entries):
-    state = NodeState(my_id=my_id, my_pos=NodePos(x, 0.0),
-                      sink_pos=SINK)
+    state = NodeState(my_id=my_id,
+                      dist_to_sink=distance(NodePos(x, 0.0), SINK))
     for nid, nx, delay in table_entries:
         state.forwarding_table[nid] = ForwardingEntry(
             dist_to_sink=nx, link_delay=delay)
@@ -52,7 +52,8 @@ def test_eligible_chain_respects_budget_and_distance(topo):
         down_id = i - 1
         down_x = 0.0 if down_id == 0 else xs[down_id - 1]
         state = line_state(i, xs[i - 1], [(down_id, down_x, delays[i - 1])])
-        d_here = distance(state.my_pos, SINK)
+        d_here = distance(NodePos(xs[i - 1], 0.0), SINK)
+        assert state.dist_to_sink == d_here
         assert d_here < prev_dist
         prev_dist = d_here
         decision = decide_forward(state, pkt)
@@ -84,8 +85,9 @@ def test_arrival_update_never_increases_budget(t_l, delay):
 def test_duplication_happens_only_at_the_source(seed, at_source, dup_copy):
     rng = random.Random(seed)
     my_id = 50
-    state = NodeState(my_id=my_id, my_pos=NodePos(rng.uniform(50, 600), 0.0),
-                      sink_pos=SINK)
+    state = NodeState(my_id=my_id,
+                      dist_to_sink=distance(NodePos(rng.uniform(50, 600), 0.0),
+                                            SINK))
     for nid in range(rng.randint(0, 8)):
         x = rng.uniform(0.0, 700.0)
         state.forwarding_table[nid] = ForwardingEntry(

@@ -14,8 +14,8 @@ from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              write_trace)
 from dartsim.protocol import synthesize_one_way_delay
 from dartsim.scenario import Scenario, validate
-from dartsim.simkernel import (MacDelayModel, Simulation, build_topology,
-                               hop_draws, select_sources)
+from dartsim.simkernel import (Simulation, build_topology, hop_draws,
+                               select_sources)
 
 
 def make_scenario(**kw):
@@ -48,33 +48,34 @@ def by_kind(records):
 # -- hop draws -----------------------------------------------------------
 
 
-def quiet_mac(**kw):
-    base = dict(base_mac_delay=0.0003, queue_service_rate=4000.0,
-                queue_window=0.5, tx_delay=0.00026, contention_coeff=0.0001,
-                max_retries=4, jitter_mean=0.0)
+def channel(loss=0.0, **kw):
+    """A Scenario whose channel draws are easy to compute by hand."""
+    base = dict(base_mac_delay_ms=0.3, queue_service_rate=4000.0,
+                queue_window_s=0.5, tx_delay_ms=0.26, contention_coeff_ms=0.1,
+                max_retries=4, jitter_ms=0.0)
     base.update(kw)
-    return MacDelayModel(**base)
+    return Scenario(loss=loss, **base)
 
 
-def primed(mac, loss, load, rng, now=1.0):
-    draws = hop_draws(mac, loss, load, now, rng)
+def primed(sc, load, rng, now=1.0):
+    draws = hop_draws(sc, load, now, rng)
     assert next(draws) is None
     return draws
 
 
-def unicast(mac, loss, load, queued, rng):
+def unicast(sc, load, queued, rng):
     """One unicast from a sender with `queued` transmissions in its window."""
-    return primed(mac, loss, load, rng).send(deque([1.0] * queued))
+    return primed(sc, load, rng).send(deque([1.0] * queued))
 
 
 def test_tx_count_without_loss_is_single_attempt():
-    draws = primed(quiet_mac(), 0.0, 0.0, random.Random(1))
+    draws = primed(channel(), 0.0, random.Random(1))
     for _ in range(100):
         assert draws.send(None) == (None, None, None, 1, True)
 
 
 def test_tx_count_support_is_capped_by_retry_budget():
-    draws = primed(quiet_mac(max_retries=3), 0.5, 0.0, random.Random(2))
+    draws = primed(channel(0.5, max_retries=3), 0.0, random.Random(2))
     seen = Counter()
     failures_at = set()
     for _ in range(4000):
@@ -88,36 +89,44 @@ def test_tx_count_support_is_capped_by_retry_budget():
 
 def test_tx_count_mean_matches_truncated_geometric():
     p, retries, n = 0.3, 4, 100_000
-    draws = primed(quiet_mac(max_retries=retries), p, 0.0, random.Random(3))
+    draws = primed(channel(p, max_retries=retries), 0.0, random.Random(3))
     total = sum(draws.send(None)[3] for _ in range(n))
     expected = sum(p ** k for k in range(retries + 1))   # 1.4251
     assert abs(total / n - expected) < 0.02
 
 
 def test_link_delay_is_exact_when_nothing_is_random():
-    mac = quiet_mac()
+    sc = channel()
     one_way, mac_delay, queue_delay, attempts, delivered = unicast(
-        mac, 0.0, 0.0, 0, random.Random(4))
+        sc, 0.0, 0, random.Random(4))
+    tx_delay = sc.tx_delay_ms / 1000.0      # the run's ms -> s conversion
     assert delivered
     assert mac_delay == 0.0003
     assert queue_delay == 0.0
-    assert mac.tx_delay == 0.00026
+    assert tx_delay == pytest.approx(0.00026, rel=1e-12)
     assert attempts == 1
-    assert one_way == (0.0003 + 0.0 + 0.00026) * 1
-    comps = LinkDelayComponents(mac_delay, queue_delay, mac.tx_delay, attempts)
+    assert one_way == (0.0003 + 0.0 + tx_delay) * 1
+    comps = LinkDelayComponents(mac_delay, queue_delay, tx_delay, attempts)
     assert synthesize_one_way_delay(comps) == pytest.approx(0.00056, abs=0)
 
 
 def test_link_delay_load_and_occupancy_terms():
-    _, mac_delay, queue_delay, _, _ = unicast(quiet_mac(), 0.0, 3.0, 2,
+    _, mac_delay, queue_delay, _, _ = unicast(channel(), 3.0, 2,
                                               random.Random(5))
     assert mac_delay == pytest.approx(0.0006, rel=1e-12)
     assert queue_delay == pytest.approx(0.0005, rel=1e-12)
 
 
+def test_ms_settings_are_converted_with_the_runs_expressions():
+    sc = channel(base_mac_delay_ms=0.37, contention_coeff_ms=0.13,
+                 tx_delay_ms=0.29)
+    one_way, mac_delay, _, _, _ = unicast(sc, 3.0, 0, random.Random(11))
+    assert mac_delay == 0.37 / 1000.0 + 0.13 / 1000.0 * 3.0
+    assert one_way == mac_delay + 0.0 + 0.29 / 1000.0
+
+
 def test_link_delay_mean_matches_analytic_value():
-    mac = quiet_mac(jitter_mean=0.00005)
-    draws = primed(mac, 0.3, 3.0, random.Random(6))
+    draws = primed(channel(0.3, jitter_ms=0.05), 3.0, random.Random(6))
     n = 100_000
     total = 0.0
     delivered_count = 0
@@ -132,7 +141,7 @@ def test_link_delay_mean_matches_analytic_value():
 
 def test_queue_window_expires_old_transmissions_and_keeps_the_rest():
     q = deque([0.1, 0.5, 0.9, 1.0])
-    hop = primed(quiet_mac(), 0.0, 0.0, random.Random(7)).send(q)
+    hop = primed(channel(), 0.0, random.Random(7)).send(q)
     assert q == deque([0.9, 1.0])      # 0.5 sits on the window's edge
     assert hop[2] == 2 / 4000.0
 
@@ -140,27 +149,28 @@ def test_queue_window_expires_old_transmissions_and_keeps_the_rest():
 def test_each_leg_is_the_one_way_equation_of_its_parts():
     rng = random.Random(8)
     for _ in range(200):
-        mac = quiet_mac(base_mac_delay=rng.uniform(0.0, 0.002),
-                        queue_service_rate=rng.uniform(100.0, 8000.0),
-                        tx_delay=rng.uniform(0.0, 0.001),
-                        contention_coeff=rng.uniform(0.0, 0.0005),
-                        max_retries=rng.randint(0, 5),
-                        jitter_mean=rng.choice([0.0, rng.uniform(0.0, 0.001)]))
-        loss, load = rng.uniform(0.0, 0.9), float(rng.randint(0, 40))
+        sc = channel(rng.uniform(0.0, 0.9),
+                     base_mac_delay_ms=rng.uniform(0.0, 2.0),
+                     queue_service_rate=rng.uniform(100.0, 8000.0),
+                     tx_delay_ms=rng.uniform(0.0, 1.0),
+                     contention_coeff_ms=rng.uniform(0.0, 0.5),
+                     max_retries=rng.randint(0, 5),
+                     jitter_ms=rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        load = float(rng.randint(0, 40))
         q = deque([1.0] * rng.randint(0, 6))
-        draws = hop_draws(mac, loss, load, 1.0, rng, q)
+        draws = hop_draws(sc, load, 1.0, rng, q)
         legs = [next(draws)] + [draws.send(q) for _ in range(5)]
         assert legs[0][3:] == (1, True)              # the broadcast
         for one_way, mac_delay, queue_delay, attempts, _ in legs:
-            comps = LinkDelayComponents(mac_delay, queue_delay, mac.tx_delay,
-                                        attempts)
+            comps = LinkDelayComponents(mac_delay, queue_delay,
+                                        sc.tx_delay_ms / 1000.0, attempts)
             assert one_way == synthesize_one_way_delay(comps)
 
 
 def test_an_ack_draws_its_attempts_and_no_mac_jitter():
-    mac = quiet_mac(jitter_mean=0.0002, contention_coeff=0.001)
+    sc = channel(0.5, jitter_ms=0.2, contention_coeff_ms=1.0)
     rng, twin = random.Random(9), random.Random(9)
-    draws = primed(mac, 0.5, 7.0, rng)
+    draws = primed(sc, 7.0, rng)
     for _ in range(50):
         attempts = draws.send(None)[3]
         for _ in range(attempts):
@@ -169,10 +179,10 @@ def test_an_ack_draws_its_attempts_and_no_mac_jitter():
 
 
 def test_a_broadcast_draws_its_jitter_and_no_attempts():
-    mac = quiet_mac(jitter_mean=0.0002)
+    sc = channel(0.5, jitter_ms=0.2)
     rng, twin = random.Random(10), random.Random(10)
-    hop = next(hop_draws(mac, 0.5, 0.0, 1.0, rng, deque()))
-    assert hop[1] == 0.0003 + twin.expovariate(1.0 / 0.0002)
+    hop = next(hop_draws(sc, 0.0, 1.0, rng, deque()))
+    assert hop[1] == 0.0003 + twin.expovariate(1.0 / (0.2 / 1000.0))
     assert rng.getstate() == twin.getstate()
 
 
@@ -358,6 +368,26 @@ def test_echo_reply_past_the_horizon_is_not_recorded(after_probe,
     assert records[-1].kind == RUN_END
 
 
+def test_an_echo_reply_applies_only_the_probes_still_pending():
+    """Three quick probes are all answered before the first reply fires,
+    so that reply applies both neighbors' RTTs and the next two none."""
+    sc = make_scenario(nodes=3, placement="explicit",
+                       positions=[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)],
+                       sink=0, bootstrap_rounds=3, bootstrap_gap_s=1e-4,
+                       loss=0.0, jitter_ms=0.0, sim_time=2.0)
+    records, _ = Simulation(sc).run()
+    replies = [rec.detail for rec in records
+               if rec.kind == ECHO_REPLY and rec.node == 0]
+    assert replies == ["measured=2", "measured=0", "measured=0"]
+
+
+def test_a_simulation_runs_only_once():
+    sim = Simulation(line_scenario())
+    sim.run()
+    with pytest.raises(RuntimeError, match="only run once"):
+        sim.run()
+
+
 def test_trace_times_are_sorted():
     sc = make_scenario(nodes=15, seed=3, sim_time=15.0)
     records, _ = Simulation(sc).run()
@@ -447,7 +477,7 @@ def test_neighborhood_load_matches_a_recount_of_the_trace(kw):
     seen = []
 
     def recount(i, now):
-        nbhd = set(sim.nodes[i].nbhd)
+        nbhd = {i, *sim.nodes[i].neighbors}
         ctl_cut = now - sc.ctl_window_s
         flow_cut = now - sc.flow_window_s
         rounds = data = 0
