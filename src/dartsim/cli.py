@@ -73,11 +73,9 @@ def _cmd_sweep(args):
     axes = [_split_pair("--axis", text) for text in args.axis]
     axes = [(key, [v.strip() for v in raw.split(",") if v.strip()])
             for key, raw in axes]
-    for n, (key, values) in enumerate(axes):
+    for key, values in axes:
         if not values:
             raise ScenarioError(f"--axis {key} has no values")
-        if any(key == seen for seen, _ in axes[:n]):
-            raise ScenarioError(f"--axis {key} is given more than once")
     seeds = _parse_seeds(args.seeds)
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
@@ -151,10 +149,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ScenarioError, TraceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:                      # runtime failure

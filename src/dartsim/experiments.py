@@ -20,7 +20,7 @@ from .metrics import (AGGREGATE_CSV_COLUMNS, GROUP_KEY_COLUMNS,
                       RUN_CSV_COLUMNS, RUN_META, aggregate_runs,
                       compute_run_metrics, format_aggregate_row,
                       format_run_row, read_trace, run_meta, write_trace)
-from .scenario import apply_setting, format_setting, validate
+from .scenario import ScenarioError, apply_setting, format_setting, validate
 from .simkernel import Simulation
 
 
@@ -50,10 +50,24 @@ def expand_sweep(base, axes, seeds):
 
     axes is a list of (key, [raw textual values]); values are applied
     through the normal scenario parser, so sweeping any settable key
-    works.  Every point is validated before anything runs.
+    works.  Every point is validated before anything runs.  A seed axis,
+    a key given twice, or a value listed twice in one axis (compared
+    after parsing) is a ScenarioError: it would drop or repeat points.
     """
-    points = [copy.deepcopy(base)]
-    for key, raws in axes:
+    points, probe = [copy.deepcopy(base)], copy.deepcopy(base)
+    for n, (key, raws) in enumerate(axes):
+        if key == "seed":
+            raise ScenarioError("--axis seed would be overwritten by each "
+                                "point's seed; list the seeds in --seeds")
+        if any(key == seen for seen, _ in axes[:n]):
+            raise ScenarioError(f"--axis {key} is given more than once")
+        values = []
+        for raw in raws:
+            apply_setting(probe, key, raw)
+            if getattr(probe, key) in values:
+                raise ScenarioError(f"--axis {key} lists the value "
+                                    f"{raw} more than once")
+            values.append(getattr(probe, key))
         grown = []
         for point in points:
             for raw in raws:
@@ -107,8 +121,7 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     agg_path = out / "aggregate.csv"
     marker = f"# incomplete: {len(failures)} of {len(points)} runs failed"
 
-    swept = [key for key in dict.fromkeys(key for key, _ in axes)
-             if key not in RUN_META]
+    swept = [key for key, _ in axes if key not in RUN_META]
     cut, group_cut = len(RUN_META), len(GROUP_KEY_COLUMNS)
     grouped = []
     with open(runs_path, "w") as fh:

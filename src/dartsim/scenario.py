@@ -209,39 +209,24 @@ def validate(scenario: Scenario) -> None:
                 raise ScenarioError("cbr_sources must not include the sink")
         if len(set(sc.cbr_sources)) < len(sc.cbr_sources):
             raise ScenarioError("cbr_sources lists a node id more than once")
-    for key, value, low in (("area_width", sc.area_width, 0.0),
-                            ("area_height", sc.area_height, 0.0),
-                            ("tx_range", sc.tx_range, 0.0),
-                            ("sim_time", sc.sim_time, 0.0),
-                            ("interval_s", sc.interval_s, 0.0),
-                            ("deadline_ms", sc.deadline_ms, 0.0),
-                            ("queue_service_rate", sc.queue_service_rate, 0.0),
-                            ("hello_period_s", sc.hello_period_s, 0.0),
-                            ("echo_period_s", sc.echo_period_s, 0.0),
-                            ("bootstrap_spread_s", sc.bootstrap_spread_s, 0.0),
-                            ("bootstrap_gap_s", sc.bootstrap_gap_s, 0.0)):
-        if not low < value < math.inf:
-            raise ScenarioError(f"{key} must be finite and > {low}, "
-                                f"got {value}")
-    for key, value in (("cbr_count", sc.cbr_count),
-                       ("max_retries", sc.max_retries),
-                       ("cbr_start_s", sc.cbr_start_s),
-                       ("jitter_ms", sc.jitter_ms),
-                       ("base_mac_delay_ms", sc.base_mac_delay_ms),
-                       ("tx_delay_ms", sc.tx_delay_ms),
-                       ("contention_coeff_ms", sc.contention_coeff_ms),
-                       ("ctl_window_s", sc.ctl_window_s),
-                       ("flow_window_s", sc.flow_window_s),
-                       ("queue_window_s", sc.queue_window_s),
-                       ("snapshot_period_s", sc.snapshot_period_s),
-                       ("initial_energy_j", sc.initial_energy_j)):
+    for key in ("area_width", "area_height", "tx_range", "sim_time",
+                "interval_s", "deadline_ms", "queue_service_rate",
+                "hello_period_s", "echo_period_s", "bootstrap_spread_s",
+                "bootstrap_gap_s"):
+        value = getattr(sc, key)
+        if not 0.0 < value < math.inf:
+            raise ScenarioError(f"{key} must be finite and > 0.0, got {value}")
+    for key in ("cbr_count", "max_retries", "cbr_start_s", "jitter_ms",
+                "base_mac_delay_ms", "tx_delay_ms", "contention_coeff_ms",
+                "ctl_window_s", "flow_window_s", "queue_window_s",
+                "snapshot_period_s", "initial_energy_j"):
+        value = getattr(sc, key)
         if not 0 <= value < math.inf:
             raise ScenarioError(f"{key} must be finite and >= 0, got {value}")
     # each period is a chain of sim_time / period events, run one by one
-    for key, period in (("interval_s", sc.interval_s),
-                        ("hello_period_s", sc.hello_period_s),
-                        ("echo_period_s", sc.echo_period_s),
-                        ("snapshot_period_s", sc.snapshot_period_s)):
+    for key in ("interval_s", "hello_period_s", "echo_period_s",
+                "snapshot_period_s"):
+        period = getattr(sc, key)
         if period > 0 and sc.sim_time / period > MAX_PERIODS:
             raise ScenarioError(f"{key} must be >= sim_time / {MAX_PERIODS}, "
                                 f"got {period}")

@@ -21,13 +21,14 @@ transmissions within queue_window_s divided by the service rate.  Load
 and occupancy are always taken before the current transmission is
 recorded, so a packet never waits on itself.
 
-Draws: a HELLO round, an echo probe and a forward each take one load
-snapshot and draw all their hops from one hop_draws generator, the one
-home of the MAC delay, the queue-window expiry, the attempts loop and
-the one-way delay (protocol.synthesize_one_way_delay's equation); it
-reads the channel settings from the Scenario.
+Draws: an echo probe and a forward each take one load snapshot and
+build one hop_delay closure from it, the one home of the MAC delay, the
+queue-window expiry and the per-attempt delay.  A unicast's attempts
+come from the run's one attempt_counts generator; its one-way delay is
+the product (protocol.synthesize_one_way_delay's equation).
 Order, fixed for replay: a receiver's broadcast loss (drawn by the
-caller), the hop's jitter, its attempts.  An ACK draws attempts only.
+caller), the hop's jitter, its attempts.  An ACK draws attempts only;
+the broadcast draws jitter only.
 """
 
 from __future__ import annotations
@@ -50,46 +51,47 @@ from .protocol import (NodeState, decide_forward, learn_neighbor,
 log = logging.getLogger(__name__)
 
 
-def hop_draws(sc, load: float, now: float, rng, broadcast=None):
-    """Draw the hops sent under one load snapshot, one per send().
+# A closure is cheap to build and needs no priming, so each load snapshot
+# makes its own; a live generator's next() is cheaper than a call, so the
+# attempts of every unicast come from one generator per run.
+def hop_delay(sc, load: float, now: float, rng):
+    """The delay of one attempt from a sender, under one load snapshot.
 
-    Prime with next().  send(q) draws a unicast from the node whose
-    transmission times are the deque q (the caller appends `now` after
-    the send) and returns (one_way_delay, mac_delay, queue_delay,
-    attempts, delivered), delays included when delivery fails.  send(None)
-    draws an ACK: attempts only, None for the delays.  Given a broadcast
-    deque, next() returns that node's one-attempt broadcast hop.  Each
-    attempt fails with probability sc.loss; max_retries + 1 failures give up.
+    Returns delay(q), where q is the deque of the sender's transmission
+    times: it expires q to the queue window and draws the MAC jitter.
+    The caller appends `now` to q after the send.
     """
-    random, expovariate = rng.random, rng.expovariate
+    expovariate = rng.expovariate
     contention = (sc.base_mac_delay_ms / 1000.0
                   + sc.contention_coeff_ms / 1000.0 * load)
     jitter, tx_delay = sc.jitter_ms / 1000.0, sc.tx_delay_ms / 1000.0
-    loss, rate = sc.loss, sc.queue_service_rate
+    rate, cut = sc.queue_service_rate, now - sc.queue_window_s
+
+    def delay(q):
+        while q and q[0] <= cut:
+            q.popleft()
+        mac_delay = contention
+        if jitter > 0.0:
+            mac_delay += expovariate(1.0 / jitter)
+        return mac_delay + len(q) / rate + tx_delay
+    return delay
+
+
+def attempt_counts(sc, rng):
+    """Yield the attempts of one unicast per next(), 0 when it gives up.
+
+    Each attempt fails with probability sc.loss; max_retries + 1
+    failures give up.
+    """
+    random, loss = rng.random, sc.loss
     tries = range(1, sc.max_retries + 2)
-    cut = now - sc.queue_window_s
-    broadcasting = broadcast is not None
-    q = broadcast if broadcasting else (yield None)
     while True:
-        mac_delay = queue_delay = None
-        if q is not None:
-            while q and q[0] <= cut:
-                q.popleft()
-            queue_delay = len(q) / rate
-            mac_delay = contention
-            if jitter > 0.0:
-                mac_delay += expovariate(1.0 / jitter)
-        if broadcasting:                      # receivers draw its loss
-            attempts, delivered, broadcasting = 1, True, False
+        for attempts in tries:
+            if random() >= loss:
+                break
         else:
-            delivered = False
-            for attempts in tries:
-                if random() >= loss:
-                    delivered = True
-                    break
-        one_way = (None if q is None
-                   else (mac_delay + queue_delay + tx_delay) * attempts)
-        q = yield one_way, mac_delay, queue_delay, attempts, delivered
+            attempts = 0
+        yield attempts
 
 
 def build_topology(scenario, rng=None) -> tuple:
@@ -169,6 +171,7 @@ class Simulation:
     def __init__(self, scenario):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
+        self.attempts = attempt_counts(scenario, self.rng)
         positions, adjacency = build_topology(scenario, self.rng)
         sink = scenario.sink
         self.nodes = []
@@ -265,9 +268,7 @@ class Simulation:
         self.recent[i] += 1
         node.own_tx_times.append(now)
         p = self.scenario.loss
-        draws = hop_draws(self.scenario, 0.0, now, self.rng)  # ACKs: no MAC
-        next(draws)
-        send, random, nodes = draws.send, self.rng.random, self.nodes
+        attempts, random, nodes = self.attempts, self.rng.random, self.nodes
         acks = 0
         for j in node.neighbors:
             if random() < p:
@@ -276,7 +277,7 @@ class Simulation:
             if i not in peer.state.forwarding_table:
                 learn_neighbor(peer.state, node.beacon)
             peer.own_tx_times.append(now)     # the ACK transmission
-            if send(None)[4]:
+            if next(attempts):
                 if j not in table:
                     learn_neighbor(node.state, peer.beacon)
                 acks += 1
@@ -295,21 +296,20 @@ class Simulation:
         p = self.scenario.loss
         # reply legs share the prober's snapshot: both ends of an echo
         # share one contention region to first order
-        draws = hop_draws(self.scenario, load, now, self.rng,
-                          node.own_tx_times)
-        probe_delay = next(draws)[0]
+        delay_of = hop_delay(self.scenario, load, now, self.rng)
+        probe_delay = delay_of(node.own_tx_times)
         node.own_tx_times.append(now)
         node.probes.update(node.neighbors)
-        send, random, nodes = draws.send, self.rng.random, self.nodes
+        attempts, random, nodes = self.attempts, self.rng.random, self.nodes
         measurements = []
         for j in node.neighbors:
             if random() < p:
                 continue                      # probe lost at j
             q = nodes[j].own_tx_times
-            delay, _, _, _, delivered = send(q)
+            delay, n = delay_of(q), next(attempts)   # jitter, then attempts
             q.append(now)                     # the reply transmission
-            if delivered:
-                measurements.append((j, probe_delay + delay))
+            if n:
+                measurements.append((j, probe_delay + delay * n))
         self._record(now, ECHO_PROBE, i, -1,
                      f"neighbors={len(node.neighbors)} replies={len(measurements)}")
         reply_at = now + max((rtt for _, rtt in measurements), default=0.0)
@@ -361,13 +361,12 @@ class Simulation:
                          f"to={decision.duplicate_next_hop}")
             targets.append((decision.duplicate_next_hop,
                             pkt._replace(is_duplicate=True)))
-        draws = hop_draws(self.scenario, load, now, self.rng)
-        next(draws)
+        delay_of = hop_delay(self.scenario, load, now, self.rng)
         for j, copy in targets:
             self.data_log.append((now, i))
             self.recent[i] += 1
-            delay, _, _, _, delivered = draws.send(node.own_tx_times)
-            if not delivered:
+            delay, n = delay_of(node.own_tx_times), next(self.attempts)
+            if not n:
                 self.dropped += 1
                 self._record(now, DROP, i, copy.event_id,
                              f"reason={REASON_LOSS} dup={int(copy.is_duplicate)}")
@@ -375,6 +374,7 @@ class Simulation:
             self._record(now, FORWARD, i, copy.event_id,
                          f"to={j} dup={int(copy.is_duplicate)} "
                          f"d={d_here!r} tl={copy.t_l!r}")
+            delay *= n
             self._schedule(now + delay, self._on_packet_arrival,
                            (j, copy, delay))
         node.own_tx_times.extend([now] * len(targets))  # after both sends

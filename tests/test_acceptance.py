@@ -14,6 +14,8 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
+import pytest
+
 from dartsim.core import (DataPacket, ForwardingEntry, LinkDelayComponents,
                           NodePos, distance)
 from dartsim.experiments import _run_point, run_scenario
@@ -86,6 +88,7 @@ def check(ok, line):
 
 # -- criterion 1: miss ratio falls as the deadline grows ----------------
 
+@pytest.mark.slow
 def test_criterion_01_miss_ratio_falls_with_deadline():
     run_ahead(dict(seed=s, nodes=n, deadline_ms=d)
               for n in NODE_COUNTS for d in DEADLINES_MS for s in SEEDS)
@@ -104,6 +107,7 @@ def test_criterion_01_miss_ratio_falls_with_deadline():
 
 # -- criterion 2: miss ratio falls as the packet interval grows ---------
 
+@pytest.mark.slow
 def test_criterion_02_miss_ratio_falls_with_packet_interval():
     run_ahead(dict(seed=s, nodes=n, interval_s=iv, sim_time=150.0,
                    cbr_start_s=10.0)
@@ -126,6 +130,7 @@ def test_criterion_02_miss_ratio_falls_with_packet_interval():
 
 # -- criterion 3: more nodes, more missed deadlines ---------------------
 
+@pytest.mark.slow
 def test_criterion_03_miss_ratio_grows_with_node_count():
     run_ahead(dict(seed=s, nodes=n) for n in (50, 150) for s in SEEDS)
     sparse = mean_over_seeds("deadline_miss_ratio", SEEDS, nodes=50)
@@ -137,6 +142,7 @@ def test_criterion_03_miss_ratio_grows_with_node_count():
 
 # -- criterion 4: delivery ratio grows with simulation time -------------
 
+@pytest.mark.slow
 def test_criterion_04_pdr_grows_with_simulation_time():
     run_ahead(dict(seed=s, nodes=n, sim_time=t, deadline_ms=50.0)
               for n in NODE_COUNTS for t in SIM_TIMES for s in SEEDS)
@@ -155,6 +161,7 @@ def test_criterion_04_pdr_grows_with_simulation_time():
 
 # -- criterion 5: average delay falls with simulation time --------------
 
+@pytest.mark.slow
 def test_criterion_05_delay_falls_with_simulation_time():
     run_ahead(dict(seed=s, nodes=n, sim_time=t, deadline_ms=50.0)
               for n in NODE_COUNTS for t in (100.0, 500.0) for s in SEEDS)

@@ -340,6 +340,22 @@ def test_sweep_rejects_a_repeated_axis_key(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("axis, named", [
+    ("seed=1,2", "--axis seed"),      # else two identical seed-5 rows
+    ("loss=0.1,0.10", "--axis loss lists the value 0.10"),  # else std 0.0
+], ids=["seed-axis", "repeated-value"])
+def test_sweep_rejects_an_axis_that_drops_or_repeats_points(axis, named,
+                                                            tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=10",
+                             "--set", "sim_time=5", "--axis", axis,
+                             "--seeds", "5", "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert named in err
+    assert not out_dir.exists()
+
+
 def test_sweep_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
     import dartsim.experiments as experiments
 

@@ -60,6 +60,18 @@ def test_expand_sweep_validates_every_point():
         expand_sweep(small_scenario(), [("deadline_ms", ["6", "-1"])], [1])
 
 
+@pytest.mark.parametrize("axes, message", [
+    ([("seed", ["1", "2"])], "--axis seed"),
+    ([("loss", ["0.1"]), ("loss", ["0.3"])], "--axis loss is given more"),
+    ([("sink_pos", ["0,0", "0.0, 0"])], "--axis sink_pos lists the value"),
+], ids=["seed-axis", "repeated-key", "repeated-value"])
+def test_run_sweep_rejects_axes_that_drop_or_repeat_points(axes, message,
+                                                            tmp_path):
+    with pytest.raises(ScenarioError, match=message):
+        run_sweep(small_scenario(), axes, [1], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_writes_runs_and_aggregate(tmp_path):
     runs_path, agg_path, failures = run_sweep(
         small_scenario(), [("deadline_ms", ["6", "8"])], [4, 5],

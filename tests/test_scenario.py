@@ -135,6 +135,46 @@ def test_numeric_range_checks():
         validate(sc)
 
 
+POSITIVE = ["area_width", "area_height", "tx_range", "sim_time",
+            "interval_s", "deadline_ms", "queue_service_rate",
+            "hello_period_s", "echo_period_s", "bootstrap_spread_s",
+            "bootstrap_gap_s"]
+NON_NEGATIVE = ["cbr_count", "max_retries", "cbr_start_s", "jitter_ms",
+                "base_mac_delay_ms", "tx_delay_ms", "contention_coeff_ms",
+                "ctl_window_s", "flow_window_s", "queue_window_s",
+                "snapshot_period_s", "initial_energy_j"]
+PERIODS = ["interval_s", "hello_period_s", "echo_period_s",
+           "snapshot_period_s"]
+
+
+def rejection(key, value):
+    """validate's message for a Scenario that differs only at key."""
+    sc = Scenario()
+    setattr(sc, key, type(getattr(sc, key))(value))
+    with pytest.raises(ScenarioError) as caught:
+        validate(sc)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("key", POSITIVE)
+def test_each_positive_key_rejects_zero_by_name(key):
+    assert rejection(key, 0) == f"{key} must be finite and > 0.0, got 0.0"
+
+
+@pytest.mark.parametrize("key", NON_NEGATIVE)
+def test_each_non_negative_key_rejects_minus_one_by_name(key):
+    value = type(getattr(Scenario(), key))(-1)
+    assert rejection(key, -1) == (f"{key} must be finite and >= 0, "
+                                  f"got {value}")
+
+
+@pytest.mark.parametrize("key", PERIODS)
+def test_each_period_rejects_more_than_max_periods_by_name(key):
+    period = Scenario().sim_time / 2e6
+    assert rejection(key, period) == (f"{key} must be >= sim_time / "
+                                      f"1000000, got {period}")
+
+
 NON_FINITE = [("sim_time", "nan"), ("sim_time", "inf"), ("deadline_ms", "nan"),
               ("tx_range", "nan"), ("interval_s", "inf"), ("loss", "-inf"),
               ("area_width", "1e999"), ("cbr_stop_s", "NaN"),

@@ -1,4 +1,4 @@
-"""Simulator kernel tests: hop draws, topology, and whole small runs."""
+"""Simulator kernel tests: channel draws, topology, and whole small runs."""
 
 import hashlib
 import math
@@ -14,8 +14,8 @@ from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              write_trace)
 from dartsim.protocol import synthesize_one_way_delay
 from dartsim.scenario import Scenario, validate
-from dartsim.simkernel import (Simulation, build_topology, hop_draws,
-                               select_sources)
+from dartsim.simkernel import (Simulation, attempt_counts, build_topology,
+                               hop_delay, select_sources)
 
 
 def make_scenario(**kw):
@@ -45,7 +45,7 @@ def by_kind(records):
     return out
 
 
-# -- hop draws -----------------------------------------------------------
+# -- channel draws -------------------------------------------------------
 
 
 def channel(loss=0.0, **kw):
@@ -57,93 +57,98 @@ def channel(loss=0.0, **kw):
     return Scenario(loss=loss, **base)
 
 
-def primed(sc, load, rng, now=1.0):
-    draws = hop_draws(sc, load, now, rng)
-    assert next(draws) is None
-    return draws
+def attempts_or_budget(sc, attempts):
+    """Attempts of one unicast, a give-up counting as the whole budget."""
+    return next(attempts) or sc.max_retries + 1
 
 
-def unicast(sc, load, queued, rng):
-    """One unicast from a sender with `queued` transmissions in its window."""
-    return primed(sc, load, rng).send(deque([1.0] * queued))
+def queued(n):
+    """The transmission deque of a sender with n sends in its window."""
+    return deque([1.0] * n)
 
 
 def test_tx_count_without_loss_is_single_attempt():
-    draws = primed(channel(), 0.0, random.Random(1))
+    attempts = attempt_counts(channel(), random.Random(1))
     for _ in range(100):
-        assert draws.send(None) == (None, None, None, 1, True)
+        assert next(attempts) == 1
 
 
 def test_tx_count_support_is_capped_by_retry_budget():
-    draws = primed(channel(0.5, max_retries=3), 0.0, random.Random(2))
+    sc = channel(0.5, max_retries=3)
+    attempts = attempt_counts(sc, random.Random(2))
     seen = Counter()
     failures_at = set()
     for _ in range(4000):
-        _, _, _, attempts, delivered = draws.send(None)
-        seen[attempts] += 1
-        if not delivered:
-            failures_at.add(attempts)
+        n = next(attempts)
+        seen[n or sc.max_retries + 1] += 1
+        if not n:
+            failures_at.add(sc.max_retries + 1)
     assert set(seen) == {1, 2, 3, 4}
     assert failures_at == {4}          # giving up uses the full budget
 
 
 def test_tx_count_mean_matches_truncated_geometric():
     p, retries, n = 0.3, 4, 100_000
-    draws = primed(channel(p, max_retries=retries), 0.0, random.Random(3))
-    total = sum(draws.send(None)[3] for _ in range(n))
+    sc = channel(p, max_retries=retries)
+    attempts = attempt_counts(sc, random.Random(3))
+    total = sum(attempts_or_budget(sc, attempts) for _ in range(n))
     expected = sum(p ** k for k in range(retries + 1))   # 1.4251
     assert abs(total / n - expected) < 0.02
 
 
 def test_link_delay_is_exact_when_nothing_is_random():
     sc = channel()
-    one_way, mac_delay, queue_delay, attempts, delivered = unicast(
-        sc, 0.0, 0, random.Random(4))
+    rng = random.Random(4)
+    delay = hop_delay(sc, 0.0, 1.0, rng)(queued(0))
+    n = next(attempt_counts(sc, rng))
     tx_delay = sc.tx_delay_ms / 1000.0      # the run's ms -> s conversion
-    assert delivered
-    assert mac_delay == 0.0003
-    assert queue_delay == 0.0
+    assert n == 1
     assert tx_delay == pytest.approx(0.00026, rel=1e-12)
-    assert attempts == 1
-    assert one_way == (0.0003 + 0.0 + tx_delay) * 1
-    comps = LinkDelayComponents(mac_delay, queue_delay, tx_delay, attempts)
-    assert synthesize_one_way_delay(comps) == pytest.approx(0.00056, abs=0)
+    assert delay == 0.0003 + 0.0 + tx_delay
+    assert delay * n == (0.0003 + 0.0 + tx_delay) * 1
+    comps = LinkDelayComponents(0.0003, 0.0, tx_delay, n)
+    assert synthesize_one_way_delay(comps) == delay * n
+    assert delay * n == pytest.approx(0.00056, abs=0)
 
 
 def test_link_delay_load_and_occupancy_terms():
-    _, mac_delay, queue_delay, _, _ = unicast(channel(), 3.0, 2,
-                                              random.Random(5))
-    assert mac_delay == pytest.approx(0.0006, rel=1e-12)
-    assert queue_delay == pytest.approx(0.0005, rel=1e-12)
+    sc, rng = channel(), random.Random(5)
+    idle = hop_delay(sc, 0.0, 1.0, rng)(queued(0))
+    loaded = hop_delay(sc, 3.0, 1.0, rng)(queued(0))
+    busy = hop_delay(sc, 0.0, 1.0, rng)(queued(2))
+    assert loaded - idle == pytest.approx(0.0003, rel=1e-12)  # 3 x 0.1 ms
+    assert busy - idle == pytest.approx(0.0005, rel=1e-12)    # 2 / 4000
 
 
 def test_ms_settings_are_converted_with_the_runs_expressions():
     sc = channel(base_mac_delay_ms=0.37, contention_coeff_ms=0.13,
                  tx_delay_ms=0.29)
-    one_way, mac_delay, _, _, _ = unicast(sc, 3.0, 0, random.Random(11))
-    assert mac_delay == 0.37 / 1000.0 + 0.13 / 1000.0 * 3.0
-    assert one_way == mac_delay + 0.0 + 0.29 / 1000.0
+    delay = hop_delay(sc, 3.0, 1.0, random.Random(11))(queued(0))
+    mac_delay = 0.37 / 1000.0 + 0.13 / 1000.0 * 3.0
+    assert delay == mac_delay + 0.0 + 0.29 / 1000.0
 
 
 def test_link_delay_mean_matches_analytic_value():
-    draws = primed(channel(0.3, jitter_ms=0.05), 3.0, random.Random(6))
+    sc, rng = channel(0.3, jitter_ms=0.05), random.Random(6)
+    delay_of, attempts = hop_delay(sc, 3.0, 1.0, rng), attempt_counts(sc, rng)
     n = 100_000
     total = 0.0
     delivered_count = 0
     for _ in range(n):
-        one_way, _, _, _, delivered = draws.send(deque([1.0, 1.0]))
-        total += one_way
-        delivered_count += delivered
+        delay, tries = delay_of(queued(2)), next(attempts)
+        total += delay * (tries or sc.max_retries + 1)
+        delivered_count += tries > 0
     # (base + coeff*load + jitter + occ/rate + tx) * sum(p^k, k=0..4)
     assert total / n == pytest.approx(0.002009391, rel=0.01)
     assert delivered_count / n == pytest.approx(1 - 0.3 ** 5, abs=0.002)
 
 
 def test_queue_window_expires_old_transmissions_and_keeps_the_rest():
+    sc = channel()
     q = deque([0.1, 0.5, 0.9, 1.0])
-    hop = primed(channel(), 0.0, random.Random(7)).send(q)
+    delay = hop_delay(sc, 0.0, 1.0, random.Random(7))(q)
     assert q == deque([0.9, 1.0])      # 0.5 sits on the window's edge
-    assert hop[2] == 2 / 4000.0
+    assert delay == 0.0003 + 2 / 4000.0 + sc.tx_delay_ms / 1000.0
 
 
 def test_each_leg_is_the_one_way_equation_of_its_parts():
@@ -157,23 +162,31 @@ def test_each_leg_is_the_one_way_equation_of_its_parts():
                      max_retries=rng.randint(0, 5),
                      jitter_ms=rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         load = float(rng.randint(0, 40))
-        q = deque([1.0] * rng.randint(0, 6))
-        draws = hop_draws(sc, load, 1.0, rng, q)
-        legs = [next(draws)] + [draws.send(q) for _ in range(5)]
-        assert legs[0][3:] == (1, True)              # the broadcast
-        for one_way, mac_delay, queue_delay, attempts, _ in legs:
-            comps = LinkDelayComponents(mac_delay, queue_delay,
-                                        sc.tx_delay_ms / 1000.0, attempts)
-            assert one_way == synthesize_one_way_delay(comps)
+        q = queued(rng.randint(0, 6))
+        attempts = attempt_counts(sc, random.Random(rng.random()))
+        twin = random.Random()
+        twin.setstate(rng.getstate())   # replays the jitter draws
+        delay_of = hop_delay(sc, load, 1.0, rng)
+        # the broadcast leg, then five unicast legs
+        legs = [(delay_of(q), 1)] + [
+            (delay_of(q), attempts_or_budget(sc, attempts)) for _ in range(5)]
+        for delay, n in legs:
+            mac_delay = (sc.base_mac_delay_ms / 1000.0
+                         + sc.contention_coeff_ms / 1000.0 * load)
+            if sc.jitter_ms > 0.0:
+                mac_delay += twin.expovariate(1.0 / (sc.jitter_ms / 1000.0))
+            comps = LinkDelayComponents(mac_delay,
+                                        len(q) / sc.queue_service_rate,
+                                        sc.tx_delay_ms / 1000.0, n)
+            assert delay * n == synthesize_one_way_delay(comps)
 
 
 def test_an_ack_draws_its_attempts_and_no_mac_jitter():
     sc = channel(0.5, jitter_ms=0.2, contention_coeff_ms=1.0)
     rng, twin = random.Random(9), random.Random(9)
-    draws = primed(sc, 7.0, rng)
+    attempts = attempt_counts(sc, rng)
     for _ in range(50):
-        attempts = draws.send(None)[3]
-        for _ in range(attempts):
+        for _ in range(attempts_or_budget(sc, attempts)):
             twin.random()
         assert rng.getstate() == twin.getstate()
 
@@ -181,9 +194,56 @@ def test_an_ack_draws_its_attempts_and_no_mac_jitter():
 def test_a_broadcast_draws_its_jitter_and_no_attempts():
     sc = channel(0.5, jitter_ms=0.2)
     rng, twin = random.Random(10), random.Random(10)
-    hop = next(hop_draws(sc, 0.0, 1.0, rng, deque()))
-    assert hop[1] == 0.0003 + twin.expovariate(1.0 / (0.2 / 1000.0))
+    delay = hop_delay(sc, 0.0, 1.0, rng)(queued(0))
+    mac_delay = 0.0003 + twin.expovariate(1.0 / (0.2 / 1000.0))
+    assert delay == mac_delay + 0.0 + sc.tx_delay_ms / 1000.0
     assert rng.getstate() == twin.getstate()
+
+
+def lossy_pair():
+    """A jittery, lossy 2-node run and a twin of its random stream."""
+    sc = make_scenario(nodes=2, placement="explicit", cbr_count=0,
+                       positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
+                       jitter_ms=0.2, max_retries=2, seed=12)
+    sim = Simulation(sc)
+    twin = random.Random()
+    twin.setstate(sim.rng.getstate())
+    return sc, sim, twin
+
+
+def twin_attempts(sc, twin):
+    """Draw one unicast's attempts on the twin; returns how many were used."""
+    for n in range(1, sc.max_retries + 2):
+        if twin.random() >= sc.loss:
+            break
+    return n
+
+
+def test_a_hello_round_draws_each_acks_attempts_and_no_jitter():
+    sc, sim, twin = lossy_pair()
+    heard, retried = 0, 0
+    for k in range(40):
+        sim._on_hello_round(1.0 + k, 0, False)
+        if twin.random() >= sc.loss:          # node 1 heard the HELLO
+            heard += 1
+            retried += twin_attempts(sc, twin) > 1   # its ACK
+        assert sim.rng.getstate() == twin.getstate()
+    assert 0 < heard < 40 and retried > 0
+
+
+def test_an_echo_probe_draws_the_broadcast_jitter_and_no_attempts():
+    sc, sim, twin = lossy_pair()
+    rate = 1.0 / (sc.jitter_ms / 1000.0)
+    heard, retried = 0, 0
+    for k in range(40):
+        sim._on_echo_probe(1.0 + k, 0, False)
+        twin.expovariate(rate)                # the broadcast: jitter only
+        if twin.random() >= sc.loss:          # node 1 heard the probe
+            heard += 1
+            twin.expovariate(rate)            # the reply: jitter, attempts
+            retried += twin_attempts(sc, twin) > 1
+        assert sim.rng.getstate() == twin.getstate()
+    assert 0 < heard < 40 and retried > 0
 
 
 # -- topology -----------------------------------------------------------
