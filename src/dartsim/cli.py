@@ -38,8 +38,6 @@ def _parse_seeds(text):
                             f"got {text!r}") from None
     if not seeds:
         raise ScenarioError("--seeds expects at least one seed")
-    if len(set(seeds)) < len(seeds):
-        raise ScenarioError(f"--seeds lists a seed more than once: {text!r}")
     return seeds
 
 

@@ -50,10 +50,15 @@ def expand_sweep(base, axes, seeds):
 
     axes is a list of (key, [raw textual values]); values are applied
     through the normal scenario parser, so sweeping any settable key
-    works.  Every point is validated before anything runs.  A seed axis,
-    a key given twice, or a value listed twice in one axis (compared
-    after parsing) is a ScenarioError: it would drop or repeat points.
+    works.  Every point is validated before anything runs.  A seed listed
+    twice, a seed axis, a key given twice, or a value listed twice in one
+    axis (compared after parsing) is a ScenarioError: it would drop or
+    repeat points.
     """
+    for n, seed in enumerate(seeds):
+        if seed in seeds[:n]:
+            raise ScenarioError(f"--seeds lists the seed {seed} more "
+                                f"than once")
     points, probe = [copy.deepcopy(base)], copy.deepcopy(base)
     for n, (key, raws) in enumerate(axes):
         if key == "seed":

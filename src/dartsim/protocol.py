@@ -72,21 +72,25 @@ def estimate_link_delay(rtt: float) -> float:
     return rtt / 2.0
 
 
-def record_echo_rtt(state: NodeState, neighbor_id: NodeId, rtt: float,
-                    alpha: float) -> None:
-    """Fold one echo RTT sample into a neighbor's link delay estimate.
+def record_echo_rtts(state: NodeState, pending: set, measurements,
+                     alpha: float) -> int:
+    """Fold one echo reply's (neighbor_id, rtt) samples; return the count.
 
-    Non-positive samples and unknown neighbors are ignored, keeping the
-    previous estimate.  After the first sample, new measurements are
-    exponentially smoothed with weight alpha on the newest one.
+    Each neighbor still in pending is removed from it and counted.  A
+    known neighbor's positive sample is stored, exponentially smoothed
+    with weight alpha on it once the neighbor has an estimate.
     """
-    entry = state.forwarding_table.get(neighbor_id)
-    if entry is None or rtt <= 0.0:
-        return
-    sample = estimate_link_delay(rtt)
-    if entry.link_delay > 0.0:
-        sample = alpha * sample + (1.0 - alpha) * entry.link_delay
-    entry.link_delay = sample
+    table, before = state.forwarding_table, len(pending)
+    for neighbor_id, rtt in measurements:
+        if neighbor_id in pending:
+            pending.remove(neighbor_id)
+            entry = table.get(neighbor_id)
+            if entry is not None and rtt > 0.0:
+                sample = rtt / 2.0            # estimate_link_delay(rtt)
+                if entry.link_delay > 0.0:
+                    sample = alpha * sample + (1.0 - alpha) * entry.link_delay
+                entry.link_delay = sample
+    return before - len(pending)
 
 
 def synthesize_one_way_delay(c) -> float:

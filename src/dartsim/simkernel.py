@@ -22,13 +22,14 @@ and occupancy are always taken before the current transmission is
 recorded, so a packet never waits on itself.
 
 Draws: an echo probe and a forward each take one load snapshot and
-build one hop_delay closure from it, the one home of the MAC delay, the
-queue-window expiry and the per-attempt delay.  A unicast's attempts
-come from the run's one attempt_counts generator; its one-way delay is
-the product (protocol.synthesize_one_way_delay's equation).
-Order, fixed for replay: a receiver's broadcast loss (drawn by the
-caller), the hop's jitter, its attempts.  An ACK draws attempts only;
-the broadcast draws jitter only.
+build one hop_delay closure from it, the one home of the MAC delay (its
+jitter is CPython's expovariate body, written out), the queue-window
+expiry and the per-attempt delay.  A unicast's attempts come from the
+run's one attempt_counts generator; its one-way delay is the product
+(protocol.synthesize_one_way_delay).  Order, fixed for replay: a
+receiver's broadcast loss (drawn by the caller), the hop's jitter, its
+attempts.  An ACK draws attempts only, the broadcast jitter only; an
+echo reply draws nothing and folds its samples in one record_echo_rtts call.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
 from .protocol import (NodeState, decide_forward, learn_neighbor,
-                       make_beacon, on_data_arrival_update, record_echo_rtt)
+                       make_beacon, on_data_arrival_update, record_echo_rtts)
 
 log = logging.getLogger(__name__)
 
 
-# A closure is cheap to build and needs no priming, so each load snapshot
-# makes its own; a live generator's next() is cheaper than a call, so the
-# attempts of every unicast come from one generator per run.
+# A closure per load snapshot needs no priming; a live generator's next()
+# beats a call, so every unicast's attempts come from one per-run generator.
 def hop_delay(sc, load: float, now: float, rng):
     """The delay of one attempt from a sender, under one load snapshot.
 
@@ -61,10 +61,11 @@ def hop_delay(sc, load: float, now: float, rng):
     times: it expires q to the queue window and draws the MAC jitter.
     The caller appends `now` to q after the send.
     """
-    expovariate = rng.expovariate
+    random, _log = rng.random, math.log
     contention = (sc.base_mac_delay_ms / 1000.0
                   + sc.contention_coeff_ms / 1000.0 * load)
     jitter, tx_delay = sc.jitter_ms / 1000.0, sc.tx_delay_ms / 1000.0
+    lambd = 1.0 / jitter if jitter > 0.0 else math.inf
     rate, cut = sc.queue_service_rate, now - sc.queue_window_s
 
     def delay(q):
@@ -72,7 +73,7 @@ def hop_delay(sc, load: float, now: float, rng):
             q.popleft()
         mac_delay = contention
         if jitter > 0.0:
-            mac_delay += expovariate(1.0 / jitter)
+            mac_delay += -_log(1.0 - random()) / lambd
         return mac_delay + len(q) / rate + tx_delay
     return delay
 
@@ -83,15 +84,12 @@ def attempt_counts(sc, rng):
     Each attempt fails with probability sc.loss; max_retries + 1
     failures give up.
     """
-    random, loss = rng.random, sc.loss
-    tries = range(1, sc.max_retries + 2)
+    random, loss, retries = rng.random, sc.loss, range(2, sc.max_retries + 2)
     while True:
-        for attempts in tries:
-            if random() >= loss:
-                break
-        else:
-            attempts = 0
-        yield attempts
+        if random() >= loss:              # most unicasts need one try
+            yield 1
+        else:                             # the first retry through, or 0
+            yield next((n for n in retries if random() >= loss), 0)
 
 
 def build_topology(scenario, rng=None) -> tuple:
@@ -301,7 +299,7 @@ class Simulation:
         node.own_tx_times.append(now)
         node.probes.update(node.neighbors)
         attempts, random, nodes = self.attempts, self.rng.random, self.nodes
-        measurements = []
+        measurements, longest = [], 0.0
         for j in node.neighbors:
             if random() < p:
                 continue                      # probe lost at j
@@ -309,10 +307,13 @@ class Simulation:
             delay, n = delay_of(q), next(attempts)   # jitter, then attempts
             q.append(now)                     # the reply transmission
             if n:
-                measurements.append((j, probe_delay + delay * n))
+                rtt = probe_delay + delay * n
+                measurements.append((j, rtt))
+                if rtt > longest:
+                    longest = rtt
         self._record(now, ECHO_PROBE, i, -1,
                      f"neighbors={len(node.neighbors)} replies={len(measurements)}")
-        reply_at = now + max((rtt for _, rtt in measurements), default=0.0)
+        reply_at = now + longest
         if measurements and reply_at <= self.scenario.sim_time:
             self._schedule(reply_at, self._on_echo_reply, (i, measurements))
         if steady:
@@ -322,13 +323,8 @@ class Simulation:
 
     def _on_echo_reply(self, now, i, measurements):
         node = self.nodes[i]
-        applied = 0
-        for j, rtt in measurements:
-            if j not in node.probes:
-                continue
-            node.probes.remove(j)
-            record_echo_rtt(node.state, j, rtt, self.scenario.echo_alpha)
-            applied += 1
+        applied = record_echo_rtts(node.state, node.probes, measurements,
+                                   self.scenario.echo_alpha)
         self._record(now, ECHO_REPLY, i, -1, f"measured={applied}")
 
     def _on_cbr_emit(self, now, nid, t_set):

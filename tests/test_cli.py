@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import dartsim
+import dartsim.experiments as experiments
 from dartsim.cli import main
 from dartsim.metrics import RUN_CSV_COLUMNS
 
@@ -115,6 +117,21 @@ def test_run_rejects_a_period_too_short_for_the_horizon(setting, capsys):
     assert code == 1
     assert out == ""
     assert f"{setting.partition('=')[0]} must be >= sim_time /" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_oversized_network_is_rejected_at_once(command, monkeypatch,
+                                                  capsys):
+    # 20,000 nodes would take minutes and GBs to build; never build it
+    def unbounded(scenario):
+        raise AssertionError(f"a {scenario.nodes}-node run got past validate")
+    monkeypatch.setattr(experiments, "Simulation", unbounded)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--set", "nodes=20000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert "nodes must keep nodes * (nodes - 1) <=" in err
 
 
 def test_bootstrap_rounds_past_the_horizon_are_not_looped_over():
@@ -324,6 +341,17 @@ def test_sweep_rejects_a_repeated_seed(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "--seeds" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_names_the_repeated_seed(tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=10",
+                             "--set", "sim_time=5", "--seeds", "3,2,7,+2",
+                             "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert "--seeds lists the seed 2 more than once" in err
     assert not out_dir.exists()
 
 

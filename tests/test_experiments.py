@@ -72,6 +72,15 @@ def test_run_sweep_rejects_axes_that_drop_or_repeat_points(axes, message,
     assert not (tmp_path / "out").exists()
 
 
+def test_run_sweep_rejects_a_repeated_seed(tmp_path):
+    # unchecked, the same run is written twice and its std reads 0.0
+    with pytest.raises(ScenarioError,
+                       match="--seeds lists the seed 1 more than once"):
+        run_sweep(Scenario(nodes=10, sim_time=5.0),
+                  [("deadline_ms", ["6"])], [1, 1], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_writes_runs_and_aggregate(tmp_path):
     runs_path, agg_path, failures = run_sweep(
         small_scenario(), [("deadline_ms", ["6", "8"])], [4, 5],

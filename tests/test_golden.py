@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import platform
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -115,21 +117,42 @@ def test_sweep_digest(tmp_path):
     assert sha256_of(aggregate) == SWEEP_AGGREGATE_SHA
 
 
+def interpreters():
+    """This interpreter, then each other CPython 3.X (X >= 10) on PATH.
+
+    A name that does not run (a pyenv shim for a version that is not
+    selected, say) is skipped, and each version is kept once.
+    """
+    found = {f"Python {platform.python_version()}": sys.executable}
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        done = subprocess.run([exe, "--version"], capture_output=True,
+                              text=True)
+        if done.returncode == 0:
+            found.setdefault(done.stdout.strip(), exe)
+    return found
+
+
 def test_digest_holds_in_a_fresh_process_with_another_hash_seed(tmp_path):
     """The CLI in a new interpreter, with string hashing salted
-    differently, writes the same bytes as the pinned in-process run."""
+    differently, writes the same bytes as the pinned in-process run,
+    under every installed CPython: the trace draws its jitter with its
+    own expression, not through the stdlib's."""
     settings, trace_sha, row = GOLDEN["default-50"]
-    path = tmp_path / "run.trace"
     env = dict(os.environ, PYTHONHASHSEED="4242",
                PYTHONPATH=str(Path(dartsim.__file__).resolve().parent.parent))
     env.pop("DART_SEED", None)
-    argv = [sys.executable, "-m", "dartsim.cli", "run", "--trace", str(path)]
-    for key, raw in settings:
-        argv += ["--set", f"{key}={raw}"]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out.splitlines()[1] == row
-    assert sha256_of(path) == trace_sha
+    for n, (version, exe) in enumerate(interpreters().items()):
+        path = tmp_path / f"run{n}.trace"
+        argv = [exe, "-m", "dartsim.cli", "run", "--trace", str(path)]
+        for key, raw in settings:
+            argv += ["--set", f"{key}={raw}"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out.splitlines()[1] == row, version
+        assert sha256_of(path) == trace_sha, version
 
 
 def test_the_data_path_computes_no_distance(monkeypatch):

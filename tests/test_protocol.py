@@ -26,7 +26,7 @@ from dartsim.protocol import (
     make_beacon,
     on_data_arrival_update,
     provided_speed,
-    record_echo_rtt,
+    record_echo_rtts,
     required_speed,
     synthesize_one_way_delay,
 )
@@ -153,18 +153,24 @@ def test_table_never_contains_self():
 
 # --------------------------------------------------------- echo smoothing
 
+def reply(state, *samples, alpha=0.5):
+    """One echo reply whose (neighbor, rtt) samples are all still pending."""
+    return record_echo_rtts(state, {j for j, _ in samples}, list(samples),
+                            alpha)
+
+
 def test_first_echo_sample_is_stored_directly():
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
-    record_echo_rtt(state, 2, 0.004, alpha=0.5)
+    reply(state, (2, 0.004))
     assert state.forwarding_table[2].link_delay == 0.002
 
 
 def test_second_echo_sample_is_smoothed():
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
-    record_echo_rtt(state, 2, 0.004, alpha=0.5)
-    record_echo_rtt(state, 2, 0.008, alpha=0.5)
+    reply(state, (2, 0.004))
+    reply(state, (2, 0.008))
     # 0.5 * 0.004 + 0.5 * 0.002
     assert state.forwarding_table[2].link_delay == pytest.approx(0.003, rel=1e-12)
 
@@ -172,16 +178,61 @@ def test_second_echo_sample_is_smoothed():
 def test_bad_rtt_keeps_previous_estimate():
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
-    record_echo_rtt(state, 2, 0.004, alpha=0.5)
-    record_echo_rtt(state, 2, 0.0, alpha=0.5)
-    record_echo_rtt(state, 2, -1.0, alpha=0.5)
+    reply(state, (2, 0.004))
+    reply(state, (2, 0.0))
+    reply(state, (2, -1.0))
     assert state.forwarding_table[2].link_delay == 0.002
 
 
 def test_echo_for_unknown_neighbor_is_ignored():
     state = make_state()
-    record_echo_rtt(state, 9, 0.004, alpha=0.5)
+    reply(state, (9, 0.004))
     assert state.forwarding_table == {}
+
+
+def test_echo_sample_for_a_neighbor_no_longer_pending_is_skipped():
+    state = make_state()
+    add_neighbor(state, 2, 100.0, 0.0)
+    add_neighbor(state, 3, 120.0, 0.001)
+    pending = {2}
+    applied = record_echo_rtts(state, pending, [(3, 0.004), (2, 0.006)],
+                               alpha=0.5)
+    assert applied == 1
+    assert pending == set()
+    assert state.forwarding_table[3].link_delay == 0.001   # untouched
+    assert state.forwarding_table[2].link_delay == 0.003
+    # a second reply finds nothing pending: no state, no count
+    assert record_echo_rtts(state, pending, [(2, 0.008)], alpha=0.5) == 0
+    assert pending == set()
+    assert state.forwarding_table[2].link_delay == 0.003
+
+
+def test_echo_reply_counts_exactly_the_probes_it_removes():
+    rng = random.Random(17)
+    for _ in range(300):
+        state = make_state()
+        for nid in range(2, 10):
+            if rng.random() < 0.7:
+                add_neighbor(state, nid, 100.0, rng.choice([0.0, 0.002]))
+        pending = {nid for nid in range(2, 12) if rng.random() < 0.6}
+        before = set(pending)
+        sampled = rng.sample(range(2, 12), rng.randint(0, 10))
+        measurements = [(j, rng.choice([-1.0, 0.0, rng.uniform(1e-4, 1e-2)]))
+                        for j in sampled]
+        applied = record_echo_rtts(state, pending, measurements, alpha=0.3)
+        assert pending == before - set(sampled)
+        assert applied == len(before) - len(pending)
+
+
+def test_echo_halving_is_estimate_link_delay_exactly():
+    rng = random.Random(18)
+    for _ in range(500):
+        rtt = rng.choice([rng.uniform(1e-9, 1.0), rng.expovariate(1e3),
+                          5e-324, 1e300])
+        state = make_state()
+        add_neighbor(state, 2, 100.0, 0.0)
+        assert reply(state, (2, rtt), alpha=rng.random()) == 1
+        assert state.forwarding_table[2].link_delay == estimate_link_delay(rtt)
 
 
 # ------------------------------------------------------------- forwarding

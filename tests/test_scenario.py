@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from dartsim.scenario import (Scenario, ScenarioError, apply_overrides,
-                              apply_setting, describe, load_scenario,
-                              validate)
+from dartsim.scenario import (MAX_NODE_PAIRS, Scenario, ScenarioError,
+                              apply_overrides, apply_setting, describe,
+                              load_scenario, validate)
 
 
 def write(tmp_path, text, name="scenario.txt"):
@@ -173,6 +173,15 @@ def test_each_period_rejects_more_than_max_periods_by_name(key):
     period = Scenario().sim_time / 2e6
     assert rejection(key, period) == (f"{key} must be >= sim_time / "
                                       f"1000000, got {period}")
+
+
+def test_nodes_beyond_the_pair_bound_are_rejected_by_name():
+    largest = 2000                  # 2000 * 1999 pairs: the bound itself
+    assert largest * (largest - 1) == MAX_NODE_PAIRS
+    validate(Scenario(nodes=largest))
+    assert rejection("nodes", largest + 1) == (
+        f"nodes must keep nodes * (nodes - 1) <= {MAX_NODE_PAIRS}, "
+        f"got {largest + 1}")
 
 
 NON_FINITE = [("sim_time", "nan"), ("sim_time", "inf"), ("deadline_ms", "nan"),

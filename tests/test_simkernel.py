@@ -200,6 +200,46 @@ def test_a_broadcast_draws_its_jitter_and_no_attempts():
     assert rng.getstate() == twin.getstate()
 
 
+@pytest.mark.parametrize("jitter_ms", [1e-6, 0.05, 0.2, 1.0, 37.5])
+def test_the_jitter_is_expovariate_on_a_twin_bit_for_bit(jitter_ms):
+    # no other delay term, so the delay is the jitter draw itself
+    sc = channel(jitter_ms=jitter_ms, base_mac_delay_ms=0.0,
+                 contention_coeff_ms=0.0, tx_delay_ms=0.0)
+    rng, twin = random.Random(14), random.Random(14)
+    delay_of = hop_delay(sc, 0.0, 1.0, rng)
+    rate = 1.0 / (jitter_ms / 1000.0)
+    for _ in range(300):
+        assert delay_of(queued(0)).hex() == twin.expovariate(rate).hex()
+        assert rng.getstate() == twin.getstate()
+
+
+def retry_loop(sc, twin):
+    """A unicast's attempts as one for ... else loop over every try."""
+    for attempts in range(1, sc.max_retries + 2):
+        if twin.random() >= sc.loss:
+            break
+    else:
+        attempts = 0
+    return attempts
+
+
+@pytest.mark.parametrize("max_retries", [0, 1, 3])
+@pytest.mark.parametrize("loss", [0.0, 0.4, 1.0])
+def test_attempt_counts_match_the_retry_loop_on_a_twin(loss, max_retries):
+    sc = channel(loss, max_retries=max_retries)
+    rng, twin = random.Random(15), random.Random(15)
+    attempts = attempt_counts(sc, rng)
+    seen = set()
+    for _ in range(400):
+        n = next(attempts)
+        assert n == retry_loop(sc, twin)
+        assert rng.getstate() == twin.getstate()
+        seen.add(n)
+    # every outcome the budget allows shows up, and no other
+    assert seen == {0.0: {1}, 0.4: set(range(max_retries + 2)),
+                    1.0: {0}}[loss]
+
+
 def lossy_pair():
     """A jittery, lossy 2-node run and a twin of its random stream."""
     sc = make_scenario(nodes=2, placement="explicit", cbr_count=0,
