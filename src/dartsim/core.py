@@ -1,7 +1,7 @@
 """Shared value types: positions, packets, and forwarding table rows.
 
 Everything here is a plain immutable value, except ForwardingEntry: a
-node updates its table rows in place.  Packets and delay breakdowns are
+node updates its table rows in place.  Packets and beacons are
 NamedTuples, cheap to build on every hop; a changed copy of a packet is
 made with _replace.  Distances are meters, times are seconds, speeds
 are meters per second.
@@ -38,19 +38,6 @@ class Beacon(NamedTuple):
 
     node_id: NodeId
     dist_to_sink: float
-
-
-class LinkDelayComponents(NamedTuple):
-    """One-way delay breakdown for a single link traversal.
-
-    The total one-way delay is (mac_delay + queue_delay + tx_delay)
-    multiplied by tx_count, the number of transmission attempts used.
-    """
-
-    mac_delay: float
-    queue_delay: float
-    tx_delay: float
-    tx_count: int
 
 
 class DataPacket(NamedTuple):

@@ -13,6 +13,7 @@ is appended, and the failures are reported to the caller.
 from __future__ import annotations
 
 import copy
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -99,14 +100,19 @@ def _swept_cell(point, key) -> str:
 def run_sweep(base, axes, seeds, out_dir, jobs=1):
     """Run a sweep and write runs.csv and aggregate.csv under out_dir.
 
+    Up to jobs processes run the points, no more than there are points
+    or CPUs this process may use; with one, the points run in-process.
+
     Returns (runs_path, aggregate_path, failures) where failures is a
     list of (scenario, exception) for points that did not finish.
     """
     points = expand_sweep(base, axes, seeds)
     results = [None] * len(points)
     failures = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+    # a fork pool starts every worker at the first submit
+    workers = min(jobs, len(points), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_point, p) for p in points]
             for idx, fut in enumerate(futures):
                 try:

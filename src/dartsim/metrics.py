@@ -84,7 +84,11 @@ def detail_fields(detail: str) -> dict[str, str]:
 
 
 def _scan(records):
-    """One pass over a trace: emissions, first arrivals and drop counts."""
+    """One pass over a trace: emissions, first arrivals and drop counts.
+
+    An arrival or drop of an event not emitted before it, or a drop with
+    an unknown reason, is a TraceError naming the event.
+    """
     created = {}        # event_id -> (created_at, t_set)
     first_arrival = {}  # event_id -> arrival time
     no_route = 0
@@ -97,16 +101,21 @@ def _scan(records):
                 raise TraceError(f"CBR_EMIT of event {rec.event_id} has no "
                                  f"numeric tset in {rec.detail!r}") from None
             created[rec.event_id] = (rec.time, t_set)
-        elif rec.kind == PACKET_ARRIVAL:
-            if rec.event_id not in first_arrival:
+        elif rec.kind in (PACKET_ARRIVAL, DROP):
+            if rec.event_id not in created:
+                raise TraceError(f"{rec.kind} of event {rec.event_id} comes "
+                                 f"before any CBR_EMIT of it")
+            if rec.kind == DROP:
+                reason = detail_fields(rec.detail).get("reason")
+                if reason == REASON_LOSS:
+                    loss += 1
+                elif reason in (REASON_NO_ROUTE, REASON_NO_BUDGET):
+                    no_route += 1     # routing-layer drops: voids and budgets
+                else:
+                    raise TraceError(f"DROP of event {rec.event_id} has the "
+                                     f"unknown reason {reason!r}")
+            elif rec.event_id not in first_arrival:
                 first_arrival[rec.event_id] = rec.time
-        elif rec.kind == DROP:
-            reason = detail_fields(rec.detail).get("reason")
-            if reason == REASON_LOSS:
-                loss += 1
-            else:
-                # routing-layer drops: voids and spent budgets
-                no_route += 1
     return created, first_arrival, no_route, loss
 
 
@@ -125,8 +134,7 @@ def compute_run_metrics(records) -> RunMetrics:
             if arrival is None or (arrival - created_at) > t_set:
                 missed += 1
         miss = missed / sent
-    delays = [t - created[eid][0] for eid, t in first_arrival.items()
-              if eid in created]
+    delays = [t - created[eid][0] for eid, t in first_arrival.items()]
     avg = sum(delays) / len(delays) if delays else None
     return RunMetrics(sent_events=sent, received_events=received,
                       avg_e2e_delay=avg, pdr=pdr, deadline_miss_ratio=miss,

@@ -18,10 +18,6 @@ from typing import NamedTuple, Optional
 from .core import Beacon, DataPacket, ForwardingEntry, NodeId
 
 
-class NoBudget(Exception):
-    """The packet's remaining time budget is already spent."""
-
-
 @dataclass
 class NodeState:
     """Everything one node knows: its id, sink distance and neighbor table.
@@ -38,14 +34,16 @@ class NodeState:
 
 
 class ForwardDecision(NamedTuple):
-    """Outcome of one forwarding decision.
-
-    v_req is infinite when the budget was already spent.
-    """
+    """Outcome of one forwarding decision; v_req is the required speed."""
 
     primary_next_hop: Optional[NodeId]
     duplicate_next_hop: Optional[NodeId]
     v_req: float
+
+
+# the one decision for a spent budget: the kernel tells its drop apart from
+# a routing void by identity, so the budget is tested only in decide_forward
+SPENT = ForwardDecision(None, None, math.inf)
 
 
 def make_beacon(state: NodeState) -> Beacon:
@@ -65,13 +63,6 @@ def learn_neighbor(state: NodeState, beacon: Beacon) -> None:
         table[beacon.node_id] = ForwardingEntry(beacon.dist_to_sink)
 
 
-def estimate_link_delay(rtt: float) -> float:
-    """One-way link delay from an echo round trip: half the RTT."""
-    if rtt <= 0.0:
-        raise ValueError("rtt must be positive")
-    return rtt / 2.0
-
-
 def record_echo_rtts(state: NodeState, pending: set, measurements,
                      alpha: float) -> int:
     """Fold one echo reply's (neighbor_id, rtt) samples; return the count.
@@ -86,31 +77,11 @@ def record_echo_rtts(state: NodeState, pending: set, measurements,
             pending.remove(neighbor_id)
             entry = table.get(neighbor_id)
             if entry is not None and rtt > 0.0:
-                sample = rtt / 2.0            # estimate_link_delay(rtt)
+                sample = rtt / 2.0            # one way: half the round trip
                 if entry.link_delay > 0.0:
                     sample = alpha * sample + (1.0 - alpha) * entry.link_delay
                 entry.link_delay = sample
     return before - len(pending)
-
-
-def synthesize_one_way_delay(c) -> float:
-    """Total one-way delay from its components, scaled by attempts used."""
-    return (c.mac_delay + c.queue_delay + c.tx_delay) * c.tx_count
-
-
-def required_speed(dist_to_sink: float, time_left: float) -> float:
-    """Progress speed (m/s) the remaining budget demands."""
-    if time_left <= 0.0:
-        raise NoBudget(f"no time budget left ({time_left!r} s)")
-    return dist_to_sink / time_left
-
-
-def provided_speed(dist_here: float, dist_neighbor: float,
-                   link_delay: float) -> float:
-    """Progress speed (m/s) a neighbor's link offers."""
-    if link_delay <= 0.0:
-        raise ValueError("link delay must be a positive measurement")
-    return (dist_here - dist_neighbor) / link_delay
 
 
 def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
@@ -120,21 +91,20 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
     this node and its measured link sustains at least the required
     speed; equal speed qualifies.  The fastest eligible neighbor wins,
     ties going to the lower id.  Only the original copy at its source
-    node fans out a duplicate, and only when a runner-up exists.
+    node fans out a duplicate, and only when a runner-up exists.  A
+    packet whose budget is spent (t_l <= 0) gets SPENT.
     """
+    if pkt.t_l <= 0.0:
+        return SPENT
     d_here = state.dist_to_sink
-    try:
-        v_req = required_speed(d_here, pkt.t_l)
-    except NoBudget:
-        return ForwardDecision(None, None, math.inf)
-
+    v_req = d_here / pkt.t_l              # the speed the budget demands
     ranked = []
     for nid, entry in state.forwarding_table.items():
         if entry.link_delay <= 0.0:
             continue  # not measured yet
         if entry.dist_to_sink >= d_here:
             continue
-        v_prov = provided_speed(d_here, entry.dist_to_sink, entry.link_delay)
+        v_prov = (d_here - entry.dist_to_sink) / entry.link_delay  # provided
         if v_prov >= v_req:
             ranked.append((-v_prov, nid))
     if not ranked:

@@ -25,10 +25,9 @@ Draws: an echo probe and a forward each take one load snapshot and
 build one hop_delay closure from it, the one home of the MAC delay (its
 jitter is CPython's expovariate body, written out), the queue-window
 expiry and the per-attempt delay.  A unicast's attempts come from the
-run's one attempt_counts generator; its one-way delay is the product
-(protocol.synthesize_one_way_delay).  Order, fixed for replay: a
-receiver's broadcast loss (drawn by the caller), the hop's jitter, its
-attempts.  An ACK draws attempts only, the broadcast jitter only; an
+run's one attempt_counts generator; its one-way delay is the per-attempt
+delay times the attempts.  Order, fixed for replay: a receiver's
+broadcast loss (drawn by the caller), the hop's jitter, its attempts.  An ACK draws attempts only, the broadcast jitter only; an
 echo reply draws nothing and folds its samples in one record_echo_rtts call.
 """
 
@@ -46,7 +45,7 @@ from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
-from .protocol import (NodeState, decide_forward, learn_neighbor,
+from .protocol import (SPENT, NodeState, decide_forward, learn_neighbor,
                        make_beacon, on_data_arrival_update, record_echo_rtts)
 
 log = logging.getLogger(__name__)
@@ -92,19 +91,17 @@ def attempt_counts(sc, rng):
             yield next((n for n in retries if random() >= loss), 0)
 
 
-def build_topology(scenario, rng=None) -> tuple:
+def build_topology(scenario, rng) -> tuple:
     """Place nodes and compute the radio adjacency.
 
     Returns (positions, adjacency): a NodePos per node id, and a sorted
-    neighbor id list per node id.  uniform: independent draws in the
-    area, with the sink pinned to sink_pos.  grid: near-square lattice
+    neighbor id list per node id.  uniform: independent draws from rng in
+    the area, with the sink pinned to sink_pos.  grid: near-square lattice
     filling the area, node 0 at the origin.  explicit: positions taken
     verbatim from the scenario.
     """
     n = scenario.nodes
     if scenario.placement == "uniform":
-        if rng is None:
-            rng = random.Random(scenario.seed)
         positions = [NodePos(rng.uniform(0.0, scenario.area_width),
                              rng.uniform(0.0, scenario.area_height))
                      for _ in range(n)]
@@ -132,13 +129,12 @@ def build_topology(scenario, rng=None) -> tuple:
     return positions, adjacency
 
 
-def select_sources(scenario, positions) -> list:
+def select_sources(scenario, dist_to_sink) -> list:
     """Pick CBR source ids: explicit list, or the farthest-from-sink nodes."""
     if scenario.cbr_sources is not None:
         return list(scenario.cbr_sources)
-    sink_pos = positions[scenario.sink]
     candidates = [i for i in range(scenario.nodes) if i != scenario.sink]
-    candidates.sort(key=lambda i: (-distance(positions[i], sink_pos), i))
+    candidates.sort(key=lambda i: (-dist_to_sink[i], i))
     return sorted(candidates[:scenario.cbr_count])
 
 
@@ -172,12 +168,13 @@ class Simulation:
         self.attempts = attempt_counts(scenario, self.rng)
         positions, adjacency = build_topology(scenario, self.rng)
         sink = scenario.sink
+        dist_to_sink = [distance(p, positions[sink]) for p in positions]
         self.nodes = []
-        for i in range(scenario.nodes):
-            state = NodeState(i, distance(positions[i], positions[sink]))
+        for i, d in enumerate(dist_to_sink):
+            state = NodeState(i, d)
             self.nodes.append(_SimNode(state=state, neighbors=adjacency[i],
                                        beacon=make_beacon(state)))
-        self.sources = select_sources(scenario, positions)
+        self.sources = select_sources(scenario, dist_to_sink)
         self.warnings = []
         reachable = _reachable_from(adjacency, sink)
         for s in self.sources:
@@ -344,7 +341,7 @@ class Simulation:
         st = node.state
         decision = decide_forward(st, pkt)
         if decision.primary_next_hop is None:
-            reason = REASON_NO_BUDGET if pkt.t_l <= 0.0 else REASON_NO_ROUTE
+            reason = REASON_NO_BUDGET if decision is SPENT else REASON_NO_ROUTE
             self.dropped += 1
             self._record(now, DROP, i, pkt.event_id,
                          f"reason={reason} dup={int(pkt.is_duplicate)}")

@@ -11,20 +11,19 @@ import math
 import os
 import random
 import statistics
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
+from types import SimpleNamespace
 
 import pytest
 
-from dartsim.core import (DataPacket, ForwardingEntry, LinkDelayComponents,
-                          NodePos, distance)
+from dartsim.core import DataPacket, ForwardingEntry, NodePos, distance
 from dartsim.experiments import _run_point, run_scenario
 from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
-from dartsim.protocol import (NodeState, decide_forward, estimate_link_delay,
-                              provided_speed, required_speed,
-                              synthesize_one_way_delay)
+from dartsim.protocol import NodeState, decide_forward, record_echo_rtts
 from dartsim.scenario import Scenario, validate
-from dartsim.simkernel import Simulation
+from dartsim.simkernel import Simulation, attempt_counts, hop_delay
 from trace_invariants import criterion_8_violations
 
 NODE_COUNTS = (50, 100, 150)
@@ -181,18 +180,36 @@ def test_criterion_05_delay_falls_with_simulation_time():
 # -- criterion 6: speed and delay equations against hand values ---------
 
 def test_criterion_06_equation_oracles():
-    cases = [
-        (estimate_link_delay(0.004), 0.002),
-        (synthesize_one_way_delay(LinkDelayComponents(
-            mac_delay=0.001, queue_delay=0.0005, tx_delay=0.0005,
-            tx_count=6)), 0.012),
-        (required_speed(500.0, 0.01), 50000.0),
-        (provided_speed(500.0, 450.0, 0.001), 50000.0),
-    ]
-    ok = all(math.isclose(got, want, rel_tol=1e-12) for got, want in cases)
-    check(ok, "criterion 6: link delay, required speed and provided speed "
-              "match hand-computed values to 1e-12 relative; "
-              + "; ".join(f"{got!r}~{want!r}" for got, want in cases))
+    # a 4 ms echo round trip is a 2 ms one-way link delay
+    state = NodeState(my_id=1, dist_to_sink=500.0)
+    state.forwarding_table[2] = ForwardingEntry(dist_to_sink=400.0)
+    record_echo_rtts(state, {2}, [(2, 0.004)], alpha=0.5)
+    link = state.forwarding_table[2].link_delay
+    # (1 ms MAC + 1 queued send at 2000/s + 0.5 ms transmission) x 6 tries
+    sc = Scenario(base_mac_delay_ms=1.0, contention_coeff_ms=0.0,
+                  jitter_ms=0.0, queue_service_rate=2000.0, tx_delay_ms=0.5,
+                  loss=0.5, max_retries=5)
+    # stub streams of random() values: none (no jitter), 5 failed tries
+    per_try = hop_delay(sc, 0.0, 1.0, SimpleNamespace(random=None))(
+        deque([1.0]))
+    draws = iter([0.0] * 5 + [0.9])
+    tries = next(attempt_counts(sc, SimpleNamespace(random=draws.__next__)))
+
+    # 500 m to go in 10 ms needs 50000 m/s; 100 m over the 2 ms link
+    # provides 50000 m/s: taken at that requirement, refused 1e-12 above
+    def hop(v_req):
+        pkt = DataPacket(event_id=1, source_id=9, t_l=500.0 / v_req,
+                         created_at=0.0)
+        return decide_forward(state, pkt)
+    at, above = hop(50000.0), hop(50000.0 * (1.0 + 1e-12))
+    cases = [(link, 0.002), (per_try * tries, 0.012), (at.v_req, 50000.0)]
+    provided = at.primary_next_hop == 2 and above.primary_next_hop is None
+    ok = provided and all(math.isclose(got, want, rel_tol=1e-12)
+                          for got, want in cases)
+    check(ok, "criterion 6: link delay, one-way delay, required speed and "
+              "provided speed match hand-computed values to 1e-12 relative; "
+              + "; ".join(f"{got!r}~{want!r}" for got, want in cases)
+              + f"; provided 50000.0 m/s {'held' if provided else 'failed'}")
 
 
 # -- criterion 7: forwarding decision vs brute force ---------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ import dartsim
 from dartsim.core import (
     DataPacket,
     ForwardingEntry,
-    LinkDelayComponents,
     NodePos,
     distance,
 )
@@ -72,13 +69,6 @@ def test_data_packet_fields_cannot_be_assigned(name):
 def test_forwarding_entry_starts_unmeasured():
     e = ForwardingEntry(dist_to_sink=10.0)
     assert e.link_delay == 0.0
-
-
-def test_link_delay_components_fields():
-    c = LinkDelayComponents(mac_delay=0.001, queue_delay=0.002,
-                            tx_delay=0.003, tx_count=2)
-    assert c.tx_count >= 1
-    assert math.isclose(c.mac_delay + c.queue_delay + c.tx_delay, 0.006)
 
 
 def test_public_names_resolve_and_are_sorted():

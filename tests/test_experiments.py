@@ -133,11 +133,19 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
             return fut
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})    # three usable CPUs
     runs_path, _, failures = run_sweep(
         small_scenario(), [("deadline_ms", ["6"])], [4, 5], tmp_path / "out",
         jobs=8)
     assert started == [2] and not failures
     assert len(runs_path.read_text().splitlines()) == 3
+    # more points than CPUs: the CPUs cap the pool, not jobs or the points
+    runs_path, _, failures = run_sweep(
+        small_scenario(), [("deadline_ms", ["6", "8"])], [4, 5],
+        tmp_path / "cpus", jobs=8)
+    assert started == [2, 3] and not failures
+    assert len(runs_path.read_text().splitlines()) == 5
 
 
 def test_swept_cell_with_a_comma_is_quoted(tmp_path):

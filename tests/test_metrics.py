@@ -103,6 +103,19 @@ def test_compute_run_metrics_counts_drop_reasons():
     assert rm.avg_e2e_delay is None
 
 
+@pytest.mark.parametrize("bad, event", [
+    (arrive(0.002, 7), "event 7"),
+    (drop(0.002, 7, "no_route"), "event 7"),
+    (drop(0.002, 0, "bogus"), "event 0"),
+    (TraceRecord(0.002, DROP, 3, 0, "dup=0"), "event 0")],
+    ids=["arrival-never-emitted", "drop-never-emitted", "unknown-reason",
+         "no-reason"])
+def test_impossible_trace_is_rejected_naming_the_event(bad, event):
+    trace = [emit(0.0, 0), arrive(0.001, 0), bad]
+    with pytest.raises(TraceError, match=event):
+        compute_run_metrics(trace)
+
+
 def test_zero_cbr_metrics_are_undefined_not_zero():
     rm = compute_run_metrics([])
     assert rm.sent_events == 0

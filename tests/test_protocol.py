@@ -4,32 +4,25 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
 from dartsim import protocol
-from dartsim.core import (
-    Beacon,
-    DataPacket,
-    ForwardingEntry,
-    LinkDelayComponents,
-    NodePos,
-    distance,
-)
+from dartsim.core import Beacon, DataPacket, ForwardingEntry, NodePos, distance
 from dartsim.protocol import (
-    NoBudget,
+    SPENT,
     NodeState,
     decide_forward,
-    estimate_link_delay,
     learn_neighbor,
     make_beacon,
     on_data_arrival_update,
-    provided_speed,
     record_echo_rtts,
-    required_speed,
-    synthesize_one_way_delay,
 )
+from dartsim.scenario import Scenario
+from dartsim.simkernel import attempt_counts, hop_delay
 
 SINK = NodePos(0.0, 0.0)
 
@@ -50,42 +43,60 @@ def make_packet(source_id=1, t_l=0.006, is_duplicate=False):
 
 # ---------------------------------------------------------------- equations
 
-def test_estimate_link_delay_halves_rtt():
-    assert estimate_link_delay(0.004) == 0.002
-
-
 def test_estimate_link_delay_rejects_non_positive_rtt():
-    with pytest.raises(ValueError):
-        estimate_link_delay(0.0)
-    with pytest.raises(ValueError):
-        estimate_link_delay(-0.001)
+    # the pending probe is cleared and counted; the row stays unmeasured
+    state = make_state()
+    add_neighbor(state, 2, 100.0, 0.0)
+    for rtt in (0.0, -0.001):
+        assert reply(state, (2, rtt)) == 1
+        assert state.forwarding_table[2].link_delay == 0.0
 
 
 def test_synthesize_one_way_delay_scales_with_tx_count():
-    c = LinkDelayComponents(0.001, 0.002, 0.003, 2)
-    assert synthesize_one_way_delay(c) == 0.012
-    assert synthesize_one_way_delay(LinkDelayComponents(0.001, 0.002, 0.003, 1)) == 0.006
+    # 1 ms MAC + 2 queued sends at 1000/s + 3 ms transmission, per attempt
+    sc = Scenario(base_mac_delay_ms=1.0, contention_coeff_ms=0.0,
+                  jitter_ms=0.0, queue_service_rate=1000.0, tx_delay_ms=3.0,
+                  loss=0.5, max_retries=4)
+    no_draws = SimpleNamespace(random=None)   # no jitter: nothing is drawn
+    delay = hop_delay(sc, 0.0, 1.0, no_draws)(deque([1.0, 1.0]))
+    for values, n in (([0.9], 1), ([0.0, 0.9], 2)):
+        draws = SimpleNamespace(random=iter(values).__next__)
+        assert next(attempt_counts(sc, draws)) == n
+        assert delay * n == (0.001 + 0.002 + 0.003) * n
+    assert delay * 2 == 0.012
 
 
 def test_required_speed_examples():
-    assert required_speed(300.0, 0.006) == 50000.0
-    assert required_speed(0.0, 0.006) == 0.0
+    assert decide_forward(make_state(), make_packet(t_l=0.006)).v_req == 50000.0
+    at_sink = make_state(dist_to_sink=0.0)
+    assert decide_forward(at_sink, make_packet(t_l=0.006)).v_req == 0.0
 
 
 def test_required_speed_no_budget():
-    with pytest.raises(NoBudget):
-        required_speed(300.0, 0.0)
-    with pytest.raises(NoBudget):
-        required_speed(300.0, -0.001)
+    state = make_state()
+    add_neighbor(state, 2, 200.0, 0.001)
+    for t_l in (0.0, -0.001):
+        d = decide_forward(state, make_packet(t_l=t_l))
+        assert d is SPENT and d.v_req == math.inf
 
 
 def test_provided_speed_example():
-    assert provided_speed(300.0, 200.0, 0.002) == 50000.0
+    # 100 m of progress over a 2 ms link provides 50000 m/s: the neighbor
+    # qualifies when 50000 m/s is required, not when a few ulps more is
+    state = make_state()
+    add_neighbor(state, 2, 200.0, 0.002)
+    at = decide_forward(state, make_packet(t_l=0.006))
+    above = decide_forward(state, make_packet(t_l=0.006 * (1.0 - 1e-15)))
+    assert at.v_req == 50000.0 and at.primary_next_hop == 2
+    assert above.v_req > 50000.0 and above.primary_next_hop is None
 
 
 def test_provided_speed_rejects_unmeasured_link():
-    with pytest.raises(ValueError):
-        provided_speed(300.0, 200.0, 0.0)
+    # an unmeasured row offers no speed: skipped, not an error
+    state = make_state()
+    add_neighbor(state, 2, 200.0, 0.0)
+    d = decide_forward(state, make_packet(t_l=0.006))
+    assert d == (None, None, 50000.0)
 
 
 # ------------------------------------------------------- table maintenance
@@ -232,7 +243,7 @@ def test_echo_halving_is_estimate_link_delay_exactly():
         state = make_state()
         add_neighbor(state, 2, 100.0, 0.0)
         assert reply(state, (2, rtt), alpha=rng.random()) == 1
-        assert state.forwarding_table[2].link_delay == estimate_link_delay(rtt)
+        assert state.forwarding_table[2].link_delay == rtt / 2.0
 
 
 # ------------------------------------------------------------- forwarding

@@ -7,12 +7,11 @@ from collections import Counter, defaultdict, deque
 
 import pytest
 
-from dartsim.core import DataPacket, LinkDelayComponents, NodePos
+from dartsim.core import DataPacket, NodePos, distance
 from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              FORWARD, HELLO_ROUND, METRIC_SNAPSHOT,
                              PACKET_ARRIVAL, RUN_END, detail_fields, run_meta,
                              write_trace)
-from dartsim.protocol import synthesize_one_way_delay
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import (Simulation, attempt_counts, build_topology,
                                hop_delay, select_sources)
@@ -106,8 +105,6 @@ def test_link_delay_is_exact_when_nothing_is_random():
     assert tx_delay == pytest.approx(0.00026, rel=1e-12)
     assert delay == 0.0003 + 0.0 + tx_delay
     assert delay * n == (0.0003 + 0.0 + tx_delay) * 1
-    comps = LinkDelayComponents(0.0003, 0.0, tx_delay, n)
-    assert synthesize_one_way_delay(comps) == delay * n
     assert delay * n == pytest.approx(0.00056, abs=0)
 
 
@@ -175,10 +172,8 @@ def test_each_leg_is_the_one_way_equation_of_its_parts():
                          + sc.contention_coeff_ms / 1000.0 * load)
             if sc.jitter_ms > 0.0:
                 mac_delay += twin.expovariate(1.0 / (sc.jitter_ms / 1000.0))
-            comps = LinkDelayComponents(mac_delay,
-                                        len(q) / sc.queue_service_rate,
-                                        sc.tx_delay_ms / 1000.0, n)
-            assert delay * n == synthesize_one_way_delay(comps)
+            assert delay * n == (mac_delay + len(q) / sc.queue_service_rate
+                                 + sc.tx_delay_ms / 1000.0) * n
 
 
 def test_an_ack_draws_its_attempts_and_no_mac_jitter():
@@ -291,8 +286,8 @@ def test_an_echo_probe_draws_the_broadcast_jitter_and_no_attempts():
 
 def test_uniform_topology_is_seeded_and_in_bounds():
     sc = make_scenario(nodes=12, seed=5)
-    positions, adjacency = build_topology(sc)
-    positions_b, adjacency_b = build_topology(sc)
+    positions, adjacency = build_topology(sc, random.Random(sc.seed))
+    positions_b, adjacency_b = build_topology(sc, random.Random(sc.seed))
     assert positions == positions_b
     assert adjacency == adjacency_b
     assert positions[0] == NodePos(0.0, 0.0)      # sink pinned
@@ -303,7 +298,7 @@ def test_uniform_topology_is_seeded_and_in_bounds():
 
 def test_adjacency_matches_pairwise_distances():
     sc = make_scenario(nodes=12, seed=5)
-    positions, adjacency = build_topology(sc)
+    positions, adjacency = build_topology(sc, random.Random(sc.seed))
     for i in range(sc.nodes):
         assert adjacency[i] == sorted(adjacency[i])
         assert i not in adjacency[i]
@@ -319,7 +314,7 @@ def test_adjacency_matches_pairwise_distances():
 def test_grid_topology_fills_the_area():
     sc = make_scenario(nodes=6, placement="grid", area_width=100.0,
                        area_height=100.0)
-    positions, _ = build_topology(sc)
+    positions, _ = build_topology(sc, random.Random(sc.seed))
     assert positions[0] == NodePos(0.0, 0.0)
     assert positions[2] == NodePos(100.0, 0.0)
     assert positions[5] == NodePos(100.0, 100.0)
@@ -328,7 +323,7 @@ def test_grid_topology_fills_the_area():
 def test_explicit_positions_pass_through():
     pts = [(1.0, 2.0), (3.0, 4.0)]
     sc = make_scenario(nodes=2, placement="explicit", positions=pts)
-    positions, _ = build_topology(sc)
+    positions, _ = build_topology(sc, random.Random(sc.seed))
     assert positions == [NodePos(1.0, 2.0), NodePos(3.0, 4.0)]
 
 
@@ -336,14 +331,16 @@ def test_auto_sources_are_the_farthest_nodes():
     pts = [(0.0, 0.0), (10.0, 0.0), (40.0, 0.0), (40.0, 0.0), (5.0, 0.0)]
     sc = make_scenario(nodes=5, placement="explicit", positions=pts,
                        cbr_count=2, tx_range=100.0)
-    positions, _ = build_topology(sc)
-    assert select_sources(sc, positions) == [2, 3]
+    positions, _ = build_topology(sc, random.Random(sc.seed))
+    dist_to_sink = [distance(p, positions[sc.sink]) for p in positions]
+    assert select_sources(sc, dist_to_sink) == [2, 3]
 
 
 def test_explicit_sources_pass_through():
     sc = line_scenario()
-    positions, _ = build_topology(sc)
-    assert select_sources(sc, positions) == [2]
+    positions, _ = build_topology(sc, random.Random(sc.seed))
+    dist_to_sink = [distance(p, positions[sc.sink]) for p in positions]
+    assert select_sources(sc, dist_to_sink) == [2]
 
 
 # -- whole small runs ---------------------------------------------------
@@ -407,6 +404,10 @@ def test_forwarding_with_spent_budget_is_a_no_budget_drop():
     drop = sim.records[-1]
     assert drop.kind == DROP
     assert detail_fields(drop.detail)["reason"] == "no_budget"
+    # a budget left, however small, is no spent budget even when the
+    # required speed overflows to infinity: that drop is a routing void
+    sim._forward_from(2, pkt._replace(t_l=5e-324), 7.5)
+    assert detail_fields(sim.records[-1].detail)["reason"] == "no_route"
 
 
 def test_zero_cbr_run_completes_with_undefined_ratios():
