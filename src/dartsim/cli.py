@@ -6,9 +6,9 @@ Subcommands:
   replay    recompute the metrics row from a saved trace
   validate  parse a scenario and print the normalized settings
 
-Exit codes: 0 success, 1 bad input (scenario or trace), 2 runtime
-failure.  DART_SEED in the environment sets the default seed; explicit
-`seed = ...` in a file or --set still wins.
+Exit codes: 0 success, 1 bad input (usage, scenario or trace), 2
+runtime failure.  DART_SEED in the environment sets the default seed;
+explicit `seed = ...` in a file or --set still wins.
 """
 
 from __future__ import annotations
@@ -144,7 +144,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:             # argparse: 0 after --help, else 2
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ScenarioError, TraceError, FileNotFoundError) as exc:

@@ -7,6 +7,8 @@ probes.  A data packet carries a shrinking time budget; it is handed to
 the neighbor that is closer to the sink and offers the highest progress
 speed, provided that speed covers what the remaining budget demands.
 At the packet's source a second copy goes to the runner-up neighbor.
+A link delay changes only when an echo reply is folded in, so each node
+ranks its closer neighbors once per echo reply, not once per packet.
 """
 
 from __future__ import annotations
@@ -26,11 +28,17 @@ class NodeState:
     than one row per neighbor, and the node itself is never inserted.
     Nodes never move, so the kernel computes dist_to_sink once, from the
     topology.  The decision logic is fully deterministic.
+
+    best caches the two fastest (-v_prov, id) pairs over the measured
+    rows closer to the sink, built by decide_forward on first use and
+    reset to None by record_echo_rtts, the only writer of a link delay.
+    Code that writes a link_delay by hand must set best to None.
     """
 
     my_id: NodeId
     dist_to_sink: float
     forwarding_table: dict[NodeId, ForwardingEntry] = field(default_factory=dict)
+    best: Optional[list] = field(default=None, compare=False, repr=False)
 
 
 class ForwardDecision(NamedTuple):
@@ -81,6 +89,7 @@ def record_echo_rtts(state: NodeState, pending: set, measurements,
                 if entry.link_delay > 0.0:
                     sample = alpha * sample + (1.0 - alpha) * entry.link_delay
                 entry.link_delay = sample
+    state.best = None                     # rank again at the next packet
     return before - len(pending)
 
 
@@ -98,25 +107,21 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
         return SPENT
     d_here = state.dist_to_sink
     v_req = d_here / pkt.t_l              # the speed the budget demands
-    ranked = []
-    for nid, entry in state.forwarding_table.items():
-        if entry.link_delay <= 0.0:
-            continue  # not measured yet
-        if entry.dist_to_sink >= d_here:
-            continue
-        v_prov = (d_here - entry.dist_to_sink) / entry.link_delay  # provided
-        if v_prov >= v_req:
-            ranked.append((-v_prov, nid))
+    best = state.best
+    if best is None:                      # unranked since the last echo reply
+        best = state.best = sorted(
+            (-((d_here - entry.dist_to_sink) / entry.link_delay), nid)
+            for nid, entry in state.forwarding_table.items()
+            if entry.link_delay > 0.0 and entry.dist_to_sink < d_here)[:2]
+    # sorted by falling speed, so the eligible neighbors are a prefix
+    ranked = [nid for neg_v_prov, nid in best if -neg_v_prov >= v_req]
     if not ranked:
         return ForwardDecision(None, None, v_req)
-
-    ranked.sort()
-    primary = ranked[0][1]
     duplicate = None
     if (state.my_id == pkt.source_id and not pkt.is_duplicate
             and len(ranked) >= 2):
-        duplicate = ranked[1][1]
-    return ForwardDecision(primary, duplicate, v_req)
+        duplicate = ranked[1]
+    return ForwardDecision(ranked[0], duplicate, v_req)
 
 
 def on_data_arrival_update(pkt: DataPacket, traversed_link_delay: float) -> DataPacket:

@@ -27,8 +27,9 @@ jitter is CPython's expovariate body, written out), the queue-window
 expiry and the per-attempt delay.  A unicast's attempts come from the
 run's one attempt_counts generator; its one-way delay is the per-attempt
 delay times the attempts.  Order, fixed for replay: a receiver's
-broadcast loss (drawn by the caller), the hop's jitter, its attempts.  An ACK draws attempts only, the broadcast jitter only; an
-echo reply draws nothing and folds its samples in one record_echo_rtts call.
+broadcast loss (drawn by the caller), the hop's jitter, its attempts.
+An ACK draws attempts only and a broadcast draws jitter only; an echo
+reply draws nothing and folds its samples in one record_echo_rtts call.
 """
 
 from __future__ import annotations

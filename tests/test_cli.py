@@ -71,6 +71,22 @@ def test_unknown_set_key_fails_with_code_1(line_file, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("argv", [["validate", "--set", "-x=1"], [],
+                                  ["sweep", "--out", "o", "--jobs", "two"]])
+def test_a_usage_error_is_bad_input_with_code_1(argv, capsys):
+    # argparse alone would exit 2, the code of a runtime failure
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error: " in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "validate", "--help")
+    assert code == 0
+    assert "--set KEY=VALUE" in out
+
+
 @pytest.mark.parametrize("setting", ["sim_time=nan", "sim_time=inf",
                                      "deadline_ms=nan", "tx_range=nan",
                                      "interval_s=inf"])

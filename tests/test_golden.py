@@ -26,7 +26,7 @@ import dartsim
 from dartsim import protocol, simkernel
 from dartsim.core import distance
 from dartsim.experiments import run_scenario, run_sweep
-from dartsim.metrics import format_run_row, run_meta
+from dartsim.metrics import ECHO_REPLY, format_run_row, run_meta
 from dartsim.scenario import Scenario, apply_overrides, validate
 
 LINE = (("nodes", "3"), ("placement", "explicit"),
@@ -172,3 +172,35 @@ def test_the_data_path_computes_no_distance(monkeypatch):
     assert calls == Counter()
     # the protocol holds only distances, so it has no distance() to call
     assert not hasattr(protocol, "distance")
+
+
+class ScanCountingTable(dict):
+    """A forwarding table that counts the scans made of it."""
+
+    scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+
+def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
+    """A link delay changes only when an echo reply is folded in, so the
+    busiest golden run scans a table at most once per node and reply."""
+    settings, _, row = GOLDEN["data-heavy-100"]
+    scenario = scenario_from(settings)
+    sim = simkernel.Simulation(scenario)
+    for node in sim.nodes:
+        node.state.forwarding_table = ScanCountingTable()
+    calls = Counter()
+
+    def counted(state, pkt):
+        calls["decide_forward"] += 1
+        return protocol.decide_forward(state, pkt)
+    monkeypatch.setattr(simkernel, "decide_forward", counted)
+    records, metrics = sim.run()
+    assert ",".join(format_run_row(run_meta(scenario), metrics)) == row
+    scans = sum(node.state.forwarding_table.scans for node in sim.nodes)
+    replies = sum(r.kind == ECHO_REPLY for r in records)
+    # scanning once per decision would pass neither bound
+    assert 0 < scans <= scenario.nodes + replies < calls["decide_forward"]

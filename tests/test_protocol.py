@@ -149,9 +149,12 @@ def test_make_beacon_distance_is_consistent():
 
 
 def test_node_state_holds_its_id_distance_and_table_only():
-    """The rule is distance-based: a node keeps no position of its own."""
+    """The rule is distance-based: a node keeps no position of its own;
+    best only caches the ranking of its table."""
     assert [f.name for f in fields(NodeState)] == [
-        "my_id", "dist_to_sink", "forwarding_table"]
+        "my_id", "dist_to_sink", "forwarding_table", "best"]
+    best = fields(NodeState)[-1]
+    assert best.default is None and not best.compare and not best.repr
     assert not hasattr(protocol, "distance")
     assert not hasattr(protocol, "NodePos")
 
@@ -411,3 +414,35 @@ def test_decide_forward_matches_oracle_on_random_tables():
             state, pkt, distance(my_pos, SINK))
         assert got.primary_next_hop == want_primary
         assert got.duplicate_next_hop == want_duplicate
+
+
+def test_decide_forward_matches_oracle_over_table_histories():
+    """Learning, echo replies and decisions interleaved on one node: each
+    decision equals a fresh scan of the table as it stands."""
+    rng = random.Random(43)
+    decisions = 0
+    for _ in range(200):
+        my_pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
+        d_here = distance(my_pos, SINK)
+        state = make_state(my_id=100, dist_to_sink=d_here)
+        pending = set()
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.25:
+                pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
+                learn_neighbor(state, Beacon(rng.randrange(12),
+                                             distance(pos, SINK)))
+            elif op < 0.5:
+                known = list(state.forwarding_table)
+                pending.update(rng.sample(known, rng.randint(0, len(known))))
+                samples = [(nid, rng.choice([0.0, rng.uniform(1e-4, 1e-2)]))
+                           for nid in rng.sample(range(12), rng.randint(0, 4))]
+                record_echo_rtts(state, pending, samples, alpha=0.3)
+            else:
+                pkt = make_packet(source_id=rng.choice([100, 55]),
+                                  t_l=rng.choice([0.0, rng.uniform(1e-3, 2e-2)]),
+                                  is_duplicate=rng.random() < 0.3)
+                got = decide_forward(state, pkt)
+                assert got[:2] == oracle_decide(state, pkt, d_here)
+                decisions += 1
+    assert decisions > 3000
