@@ -1,17 +1,13 @@
 """Deadline-driven geographic routing for sensor networks, plus a simulator."""
 
-from .core import (
-    Beacon,
-    DataPacket,
-    ForwardingEntry,
-    NodeId,
-    NodePos,
-    distance,
-)
 from .experiments import replay_trace, run_scenario, run_sweep
 from .metrics import RunMetrics, TraceError, TraceRecord, compute_run_metrics
 from .protocol import (
+    Beacon,
+    DataPacket,
     ForwardDecision,
+    ForwardingEntry,
+    NodeId,
     NodeState,
     decide_forward,
     learn_neighbor,
@@ -27,7 +23,6 @@ __all__ = [
     "ForwardDecision",
     "ForwardingEntry",
     "NodeId",
-    "NodePos",
     "NodeState",
     "RunMetrics",
     "Scenario",
@@ -38,7 +33,6 @@ __all__ = [
     "build_topology",
     "compute_run_metrics",
     "decide_forward",
-    "distance",
     "learn_neighbor",
     "load_scenario",
     "make_beacon",

@@ -159,16 +159,12 @@ def aggregate_runs(rows):
     Returns a list of (group_key, {metric_column: (mean, std)}).
     """
     groups: dict = {}
-    order = []
     for key, rm in rows:
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rm)
+        groups.setdefault(key, []).append(rm)
     out = []
-    for key in order:
+    for key, members in groups.items():
         metrics = {}
-        columns = zip(*(_metric_values(rm) for rm in groups[key]))
+        columns = zip(*(_metric_values(rm) for rm in members))
         for column, cells in zip(METRIC_COLUMNS, columns):
             # float(): equal integer drop counts average to 2.0, not 2
             values = [float(v) for v in cells if v is not None]

@@ -41,13 +41,14 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import DataPacket, NodePos, distance
 from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
-from .protocol import (SPENT, NodeState, decide_forward, learn_neighbor,
-                       make_beacon, on_data_arrival_update, record_echo_rtts)
+from .protocol import (SPENT, DataPacket, NodeState, decide_forward,
+                       learn_neighbor, make_beacon, on_data_arrival_update,
+                       record_echo_rtts)
+from .scenario import validate
 
 log = logging.getLogger(__name__)
 
@@ -95,36 +96,33 @@ def attempt_counts(sc, rng):
 def build_topology(scenario, rng) -> tuple:
     """Place nodes and compute the radio adjacency.
 
-    Returns (positions, adjacency): a NodePos per node id, and a sorted
-    neighbor id list per node id.  uniform: independent draws from rng in
-    the area, with the sink pinned to sink_pos.  grid: near-square lattice
-    filling the area, node 0 at the origin.  explicit: positions taken
-    verbatim from the scenario.
+    Returns (positions, adjacency): an (x, y) tuple per node id, and a
+    sorted neighbor id list per node id.  uniform: independent draws from
+    rng in the area, with the sink pinned to sink_pos.  grid: near-square
+    lattice filling the area, node 0 at the origin.  explicit: positions
+    taken verbatim from the scenario.
     """
     n = scenario.nodes
     if scenario.placement == "uniform":
-        positions = [NodePos(rng.uniform(0.0, scenario.area_width),
-                             rng.uniform(0.0, scenario.area_height))
+        positions = [(rng.uniform(0.0, scenario.area_width),
+                      rng.uniform(0.0, scenario.area_height))
                      for _ in range(n)]
-        positions[scenario.sink] = NodePos(*scenario.sink_pos)
+        positions[scenario.sink] = tuple(scenario.sink_pos)
     elif scenario.placement == "grid":
         cols = math.ceil(math.sqrt(n))
         rows = math.ceil(n / cols)
         sx = scenario.area_width / (cols - 1) if cols > 1 else 0.0
         sy = scenario.area_height / (rows - 1) if rows > 1 else 0.0
-        positions = [NodePos((k % cols) * sx, (k // cols) * sy)
-                     for k in range(n)]
+        positions = [((k % cols) * sx, (k // cols) * sy) for k in range(n)]
     else:
-        positions = [NodePos(x, y) for x, y in scenario.positions]
+        positions = [(x, y) for x, y in scenario.positions]
 
-    # distance()'s float expression, on local coordinate lists
-    xs, ys = [p.x for p in positions], [p.y for p in positions]
-    hypot, tx_range = math.hypot, scenario.tx_range
+    dist, tx_range = math.dist, scenario.tx_range
     adjacency = [[] for _ in range(n)]
     for i in range(n):
-        xi, yi, near = xs[i], ys[i], adjacency[i]
+        here, near = positions[i], adjacency[i]
         for j in range(i + 1, n):
-            if hypot(xi - xs[j], yi - ys[j]) <= tx_range:
+            if dist(here, positions[j]) <= tx_range:
                 near.append(j)
                 adjacency[j].append(i)
     return positions, adjacency
@@ -164,12 +162,13 @@ class Simulation:
     """One scenario run.  Build, then call run() once."""
 
     def __init__(self, scenario):
+        validate(scenario)
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.attempts = attempt_counts(scenario, self.rng)
         positions, adjacency = build_topology(scenario, self.rng)
         sink = scenario.sink
-        dist_to_sink = [distance(p, positions[sink]) for p in positions]
+        dist_to_sink = [math.dist(p, positions[sink]) for p in positions]
         self.nodes = []
         for i, d in enumerate(dist_to_sink):
             state = NodeState(i, d)

@@ -18,10 +18,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from dartsim.core import DataPacket, ForwardingEntry, NodePos, distance
 from dartsim.experiments import _run_point, run_scenario
 from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
-from dartsim.protocol import NodeState, decide_forward, record_echo_rtts
+from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
+                              decide_forward, record_echo_rtts)
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import Simulation, attempt_counts, hop_delay
 from trace_invariants import criterion_8_violations
@@ -216,7 +216,7 @@ def test_criterion_06_equation_oracles():
 
 def _brute_force(state, pkt, my_pos, sink, positions):
     # every distance from a position kept here, none from the table or state
-    d_here = distance(my_pos, sink)
+    d_here = math.dist(my_pos, sink)
     if pkt.t_l <= 0.0:
         return None, None, set()
     v_req = d_here / pkt.t_l
@@ -224,7 +224,7 @@ def _brute_force(state, pkt, my_pos, sink, positions):
     for nid, entry in state.forwarding_table.items():
         if entry.link_delay <= 0.0:
             continue
-        d_n = distance(positions[nid], sink)
+        d_n = math.dist(positions[nid], sink)
         if d_n >= d_here:
             continue
         v_prov = (d_here - d_n) / entry.link_delay
@@ -243,18 +243,18 @@ def test_criterion_07_forwarding_matches_brute_force():
     rng = random.Random(2024)
     mismatches = 0
     for trial in range(1000):
-        sink = NodePos(0.0, 0.0)
-        my_pos = NodePos(rng.uniform(50, 600), rng.uniform(50, 400))
+        sink = (0.0, 0.0)
+        my_pos = (rng.uniform(50, 600), rng.uniform(50, 400))
         my_id = 1000
         table = {}
         positions = {}
         for nid in range(rng.randint(0, 8)):
-            pos = positions[nid] = NodePos(rng.uniform(0, 650),
-                                           rng.uniform(0, 450))
+            pos = positions[nid] = (rng.uniform(0, 650),
+                                    rng.uniform(0, 450))
             link = rng.choice([0.0, rng.uniform(1e-5, 5e-3)])
             table[nid] = ForwardingEntry(
-                dist_to_sink=distance(pos, sink), link_delay=link)
-        d_here = distance(my_pos, sink)
+                dist_to_sink=math.dist(pos, sink), link_delay=link)
+        d_here = math.dist(my_pos, sink)
         state = NodeState(my_id=my_id, dist_to_sink=d_here,
                           forwarding_table=table)
         src = my_id if rng.random() < 0.5 else 1

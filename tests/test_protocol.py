@@ -11,9 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 from dartsim import protocol
-from dartsim.core import Beacon, DataPacket, ForwardingEntry, NodePos, distance
 from dartsim.protocol import (
     SPENT,
+    Beacon,
+    DataPacket,
+    ForwardingEntry,
     NodeState,
     decide_forward,
     learn_neighbor,
@@ -24,7 +26,7 @@ from dartsim.protocol import (
 from dartsim.scenario import Scenario
 from dartsim.simkernel import attempt_counts, hop_delay
 
-SINK = NodePos(0.0, 0.0)
+SINK = (0.0, 0.0)
 
 
 def make_state(my_id=1, dist_to_sink=300.0):
@@ -142,10 +144,10 @@ def test_hello_ack_handshake_populates_both_sides():
 
 
 def test_make_beacon_distance_is_consistent():
-    for pos in (NodePos(600.0, 400.0), NodePos(123.0, 45.0)):
-        state = make_state(my_id=7, dist_to_sink=distance(pos, SINK))
-        assert state.dist_to_sink == distance(pos, SINK)
-        assert make_beacon(state) == Beacon(7, distance(pos, SINK))
+    for pos in ((600.0, 400.0), (123.0, 45.0)):
+        state = make_state(my_id=7, dist_to_sink=math.dist(pos, SINK))
+        assert state.dist_to_sink == math.dist(pos, SINK)
+        assert make_beacon(state) == Beacon(7, math.dist(pos, SINK))
 
 
 def test_node_state_holds_its_id_distance_and_table_only():
@@ -398,20 +400,20 @@ def oracle_decide(state, pkt, d_here):
 def test_decide_forward_matches_oracle_on_random_tables():
     rng = random.Random(42)
     for trial in range(300):
-        my_pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
-        state = make_state(my_id=100, dist_to_sink=distance(my_pos, SINK))
+        my_pos = (rng.uniform(0, 600), rng.uniform(0, 400))
+        state = make_state(my_id=100, dist_to_sink=math.dist(my_pos, SINK))
         for nid in range(rng.randint(0, 8)):
-            pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
+            pos = (rng.uniform(0, 600), rng.uniform(0, 400))
             delay = rng.choice([0.0, rng.uniform(1e-4, 5e-3)])
             state.forwarding_table[nid] = ForwardingEntry(
-                dist_to_sink=distance(pos, SINK), link_delay=delay)
+                dist_to_sink=math.dist(pos, SINK), link_delay=delay)
         source_id = rng.choice([100, 55])
         pkt = make_packet(source_id=source_id,
                           t_l=rng.uniform(0.001, 0.02),
                           is_duplicate=rng.random() < 0.3)
         got = decide_forward(state, pkt)
         want_primary, want_duplicate = oracle_decide(
-            state, pkt, distance(my_pos, SINK))
+            state, pkt, math.dist(my_pos, SINK))
         assert got.primary_next_hop == want_primary
         assert got.duplicate_next_hop == want_duplicate
 
@@ -422,16 +424,16 @@ def test_decide_forward_matches_oracle_over_table_histories():
     rng = random.Random(43)
     decisions = 0
     for _ in range(200):
-        my_pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
-        d_here = distance(my_pos, SINK)
+        my_pos = (rng.uniform(0, 600), rng.uniform(0, 400))
+        d_here = math.dist(my_pos, SINK)
         state = make_state(my_id=100, dist_to_sink=d_here)
         pending = set()
         for _ in range(40):
             op = rng.random()
             if op < 0.25:
-                pos = NodePos(rng.uniform(0, 600), rng.uniform(0, 400))
+                pos = (rng.uniform(0, 600), rng.uniform(0, 400))
                 learn_neighbor(state, Beacon(rng.randrange(12),
-                                             distance(pos, SINK)))
+                                             math.dist(pos, SINK)))
             elif op < 0.5:
                 known = list(state.forwarding_table)
                 pending.update(rng.sample(known, rng.randint(0, len(known))))

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dartsim.core import DataPacket, ForwardingEntry, NodePos, distance
-from dartsim.protocol import NodeState, decide_forward, on_data_arrival_update
+from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
+                              decide_forward, on_data_arrival_update)
 
-SINK = NodePos(0.0, 0.0)
+SINK = (0.0, 0.0)
 
 
 def line_state(my_id, x, table_entries):
     state = NodeState(my_id=my_id,
-                      dist_to_sink=distance(NodePos(x, 0.0), SINK))
+                      dist_to_sink=math.dist((x, 0.0), SINK))
     for nid, nx, delay in table_entries:
         state.forwarding_table[nid] = ForwardingEntry(
             dist_to_sink=nx, link_delay=delay)
@@ -52,7 +53,7 @@ def test_eligible_chain_respects_budget_and_distance(topo):
         down_id = i - 1
         down_x = 0.0 if down_id == 0 else xs[down_id - 1]
         state = line_state(i, xs[i - 1], [(down_id, down_x, delays[i - 1])])
-        d_here = distance(NodePos(xs[i - 1], 0.0), SINK)
+        d_here = math.dist((xs[i - 1], 0.0), SINK)
         assert state.dist_to_sink == d_here
         assert d_here < prev_dist
         prev_dist = d_here
@@ -86,8 +87,8 @@ def test_duplication_happens_only_at_the_source(seed, at_source, dup_copy):
     rng = random.Random(seed)
     my_id = 50
     state = NodeState(my_id=my_id,
-                      dist_to_sink=distance(NodePos(rng.uniform(50, 600), 0.0),
-                                            SINK))
+                      dist_to_sink=math.dist((rng.uniform(50, 600), 0.0),
+                                             SINK))
     for nid in range(rng.randint(0, 8)):
         x = rng.uniform(0.0, 700.0)
         state.forwarding_table[nid] = ForwardingEntry(

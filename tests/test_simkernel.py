@@ -7,12 +7,12 @@ from collections import Counter, defaultdict, deque
 
 import pytest
 
-from dartsim.core import DataPacket, NodePos, distance
 from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              FORWARD, HELLO_ROUND, METRIC_SNAPSHOT,
                              PACKET_ARRIVAL, RUN_END, detail_fields, run_meta,
                              write_trace)
-from dartsim.scenario import Scenario, validate
+from dartsim.protocol import DataPacket
+from dartsim.scenario import Scenario, ScenarioError, validate
 from dartsim.simkernel import (Simulation, attempt_counts, build_topology,
                                hop_delay, select_sources)
 
@@ -290,41 +290,77 @@ def test_uniform_topology_is_seeded_and_in_bounds():
     positions_b, adjacency_b = build_topology(sc, random.Random(sc.seed))
     assert positions == positions_b
     assert adjacency == adjacency_b
-    assert positions[0] == NodePos(0.0, 0.0)      # sink pinned
+    assert positions[0] == (0.0, 0.0)   # sink pinned
     for pos in positions[1:]:
-        assert 0.0 <= pos.x <= sc.area_width
-        assert 0.0 <= pos.y <= sc.area_height
+        assert 0.0 <= pos[0] <= sc.area_width
+        assert 0.0 <= pos[1] <= sc.area_height
 
 
 def test_adjacency_matches_pairwise_distances():
-    sc = make_scenario(nodes=12, seed=5)
-    positions, adjacency = build_topology(sc, random.Random(sc.seed))
-    for i in range(sc.nodes):
-        assert adjacency[i] == sorted(adjacency[i])
-        assert i not in adjacency[i]
-        for j in range(sc.nodes):
-            if i == j:
-                continue
-            d = math.hypot(positions[i].x - positions[j].x,
-                           positions[i].y - positions[j].y)
-            assert (j in adjacency[i]) == (d <= sc.tx_range)
-            assert (j in adjacency[i]) == (i in adjacency[j])
+    """Every placement gives (x, y) tuples, linked as the inline hypot
+    of the coordinates says, exact boundary cases included."""
+    for sc in (make_scenario(nodes=12, seed=5),
+               make_scenario(nodes=60, seed=9),
+               make_scenario(nodes=30, placement="grid", tx_range=120.0),
+               make_scenario(nodes=5, placement="explicit", tx_range=100.0,
+                             positions=[(0.0, 0.0), (-60.0, 80.0),
+                                        (100.0, 0.0), (100.0, -1e-13),
+                                        (0.0, 100.0000000000001)])):
+        positions, adjacency = build_topology(sc, random.Random(sc.seed))
+        assert all(type(p) is tuple and len(p) == 2 for p in positions)
+        for i in range(sc.nodes):
+            assert adjacency[i] == sorted(adjacency[i])
+            assert i not in adjacency[i]
+            for j in range(sc.nodes):
+                if i == j:
+                    continue
+                d = math.hypot(positions[i][0] - positions[j][0],
+                               positions[i][1] - positions[j][1])
+                assert (j in adjacency[i]) == (d <= sc.tx_range)
+                assert (j in adjacency[i]) == (i in adjacency[j])
 
 
 def test_grid_topology_fills_the_area():
     sc = make_scenario(nodes=6, placement="grid", area_width=100.0,
                        area_height=100.0)
     positions, _ = build_topology(sc, random.Random(sc.seed))
-    assert positions[0] == NodePos(0.0, 0.0)
-    assert positions[2] == NodePos(100.0, 0.0)
-    assert positions[5] == NodePos(100.0, 100.0)
+    assert positions[0] == (0.0, 0.0)
+    assert positions[2] == (100.0, 0.0)
+    assert positions[5] == (100.0, 100.0)
 
 
 def test_explicit_positions_pass_through():
     pts = [(1.0, 2.0), (3.0, 4.0)]
     sc = make_scenario(nodes=2, placement="explicit", positions=pts)
     positions, _ = build_topology(sc, random.Random(sc.seed))
-    assert positions == [NodePos(1.0, 2.0), NodePos(3.0, 4.0)]
+    assert positions == [(1.0, 2.0), (3.0, 4.0)]
+
+
+def test_dist_is_the_inline_hypot_bit_for_bit():
+    """math.dist and a two-argument math.hypot share one float routine,
+    so the topology's distances are the ones the old inline form gave."""
+    rng = random.Random(17)
+    for k in range(2000):
+        a = (rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
+        b = (rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
+        if k % 4 == 1:
+            b = (a[0], b[1])              # zero width in x
+        elif k % 4 == 2:
+            b = (b[0], a[1])              # zero width in y
+        elif k % 8 == 3:
+            b = a                         # the same point
+        want = math.hypot(a[0] - b[0], a[1] - b[1])
+        assert math.dist(a, b).hex() == want.hex(), (a, b)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("interval_s", 0.0), ("loss", 1.5), ("deadline_ms", -3.0)])
+def test_simulation_refuses_an_invalid_scenario(key, value):
+    """A run is checked where it is built: interval_s = 0 would emit
+    forever at one instant, and a bad loss or deadline would run in
+    silence."""
+    with pytest.raises(ScenarioError, match=key):
+        Simulation(Scenario(**{key: value}))
 
 
 def test_auto_sources_are_the_farthest_nodes():
@@ -332,14 +368,14 @@ def test_auto_sources_are_the_farthest_nodes():
     sc = make_scenario(nodes=5, placement="explicit", positions=pts,
                        cbr_count=2, tx_range=100.0)
     positions, _ = build_topology(sc, random.Random(sc.seed))
-    dist_to_sink = [distance(p, positions[sc.sink]) for p in positions]
+    dist_to_sink = [math.dist(p, positions[sc.sink]) for p in positions]
     assert select_sources(sc, dist_to_sink) == [2, 3]
 
 
 def test_explicit_sources_pass_through():
     sc = line_scenario()
     positions, _ = build_topology(sc, random.Random(sc.seed))
-    dist_to_sink = [distance(p, positions[sc.sink]) for p in positions]
+    dist_to_sink = [math.dist(p, positions[sc.sink]) for p in positions]
     assert select_sources(sc, dist_to_sink) == [2]
 
 
