@@ -7,14 +7,12 @@ Subcommands:
   validate  parse a scenario and print the normalized settings
 
 Exit codes: 0 success, 1 bad input (usage, scenario or trace), 2
-runtime failure.  DART_SEED in the environment sets the default seed;
-explicit `seed = ...` in a file or --set still wins.
+runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .experiments import replay_trace, run_scenario, run_sweep
@@ -32,30 +30,20 @@ def _split_pair(flag, text):
 
 def _parse_seeds(text):
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ScenarioError(f"--seeds expects comma-separated integers, "
                             f"got {text!r}") from None
-    if not seeds:
-        raise ScenarioError("--seeds expects at least one seed")
-    return seeds
 
 
 def _build_scenario(args):
-    base = Scenario()
-    env_seed = os.environ.get("DART_SEED")
-    if env_seed is not None:
-        try:
-            base.seed = int(env_seed)
-        except ValueError:
-            raise ScenarioError(f"DART_SEED must be an integer, "
-                                f"got {env_seed!r}") from None
     overrides = [_split_pair("--set", text) for text in args.set]
     if args.scenario is not None:
-        return load_scenario(args.scenario, overrides, base=base)
-    apply_overrides(base, overrides)
-    validate(base)
-    return base
+        return load_scenario(args.scenario, overrides)
+    scenario = Scenario()
+    apply_overrides(scenario, overrides)
+    validate(scenario)
+    return scenario
 
 
 def _cmd_run(args):
@@ -71,13 +59,8 @@ def _cmd_sweep(args):
     axes = [_split_pair("--axis", text) for text in args.axis]
     axes = [(key, [v.strip() for v in raw.split(",") if v.strip()])
             for key, raw in axes]
-    for key, values in axes:
-        if not values:
-            raise ScenarioError(f"--axis {key} has no values")
-    seeds = _parse_seeds(args.seeds)
-    if args.jobs < 1:
-        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
-    runs_path, agg_path, failures = run_sweep(scenario, axes, seeds,
+    runs_path, agg_path, failures = run_sweep(scenario, axes,
+                                              _parse_seeds(args.seeds),
                                               args.out, jobs=args.jobs)
     print(f"wrote {runs_path}")
     print(f"wrote {agg_path}")

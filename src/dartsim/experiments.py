@@ -51,17 +51,21 @@ def expand_sweep(base, axes, seeds):
 
     axes is a list of (key, [raw textual values]); values are applied
     through the normal scenario parser, so sweeping any settable key
-    works.  Every point is validated before anything runs.  A seed listed
-    twice, a seed axis, a key given twice, or a value listed twice in one
-    axis (compared after parsing) is a ScenarioError: it would drop or
-    repeat points.
+    works.  Every point is validated before anything runs.  No seeds, an
+    axis with no values, a seed listed twice, a seed axis, a key given
+    twice, or a value listed twice in one axis (compared after parsing)
+    is a ScenarioError: it would drop or repeat points.
     """
+    if not seeds:
+        raise ScenarioError("--seeds expects at least one seed")
     for n, seed in enumerate(seeds):
         if seed in seeds[:n]:
             raise ScenarioError(f"--seeds lists the seed {seed} more "
                                 f"than once")
     points, probe = [copy.deepcopy(base)], copy.deepcopy(base)
     for n, (key, raws) in enumerate(axes):
+        if not raws:
+            raise ScenarioError(f"--axis {key} has no values")
         if key == "seed":
             raise ScenarioError("--axis seed would be overwritten by each "
                                 "point's seed; list the seeds in --seeds")
@@ -102,10 +106,14 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
 
     Up to jobs processes run the points, no more than there are points
     or CPUs this process may use; with one, the points run in-process.
+    Bad input (see expand_sweep, or jobs < 1) is a ScenarioError raised
+    before out_dir is made.
 
     Returns (runs_path, aggregate_path, failures) where failures is a
     list of (scenario, exception) for points that did not finish.
     """
+    if jobs < 1:
+        raise ScenarioError(f"--jobs must be at least 1, got {jobs}")
     points = expand_sweep(base, axes, seeds)
     results = [None] * len(points)
     failures = []

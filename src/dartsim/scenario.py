@@ -10,7 +10,6 @@ bit rate sources at the far side of the field.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields
 from typing import Optional, get_type_hints
@@ -70,7 +69,6 @@ class Scenario:
     flow_window_s: float = 0.5
     queue_window_s: float = 0.05
     # misc
-    initial_energy_j: float = 100.0     # reported in HELLO_ROUND records only
     snapshot_period_s: float = 0.0      # 0 disables periodic snapshots
 
     def t_set(self) -> float:
@@ -203,6 +201,13 @@ def validate(scenario: Scenario) -> None:
     if not (0 <= sc.sink < sc.nodes):
         raise ScenarioError(f"sink must be a node id in [0, {sc.nodes}), "
                             f"got {sc.sink}")
+    _parse_placement("placement", sc.placement)
+    for key, points in (("sink_pos", [sc.sink_pos]),
+                        ("positions", sc.positions or [])):
+        for point in points:
+            if len(point) != 2 or not all(map(math.isfinite, point)):
+                raise ScenarioError(f"{key} expects finite (x, y) points, "
+                                    f"got {point}")
     if sc.placement == "explicit":
         if sc.positions is None:
             raise ScenarioError("positions is required when placement = explicit")
@@ -227,7 +232,7 @@ def validate(scenario: Scenario) -> None:
     for key in ("cbr_count", "max_retries", "cbr_start_s", "jitter_ms",
                 "base_mac_delay_ms", "tx_delay_ms", "contention_coeff_ms",
                 "ctl_window_s", "flow_window_s", "queue_window_s",
-                "snapshot_period_s", "initial_energy_j"):
+                "snapshot_period_s"):
         value = getattr(sc, key)
         if not 0 <= value < math.inf:
             raise ScenarioError(f"{key} must be finite and >= 0, got {value}")
@@ -255,14 +260,13 @@ def validate(scenario: Scenario) -> None:
                             f"got {stop}")
 
 
-def load_scenario(path, overrides=None, base=None) -> Scenario:
+def load_scenario(path, overrides=None) -> Scenario:
     """Build a Scenario from a file plus (key, value) override pairs.
 
     File errors are reported as 'path:line: message'.  Overrides are
-    applied after the file and report the bad pair instead.  When base
-    is given its settings are the starting defaults.
+    applied after the file and report the bad pair instead.
     """
-    scenario = copy.deepcopy(base) if base is not None else Scenario()
+    scenario = Scenario()
     try:
         with open(path) as fh:
             lines = fh.readlines()

@@ -276,8 +276,7 @@ class Simulation:
                 if j not in table:
                     learn_neighbor(node.state, peer.beacon)
                 acks += 1
-        self._record(now, HELLO_ROUND, i, -1,
-                     f"acks={acks} energy={self.scenario.initial_energy_j!r}")
+        self._record(now, HELLO_ROUND, i, -1, f"acks={acks}")
         if steady:
             nxt = now + self.scenario.hello_period_s
             if nxt <= self.scenario.sim_time:

@@ -60,15 +60,22 @@ def test_expand_sweep_validates_every_point():
         expand_sweep(small_scenario(), [("deadline_ms", ["6", "-1"])], [1])
 
 
-@pytest.mark.parametrize("axes, message", [
-    ([("seed", ["1", "2"])], "--axis seed"),
-    ([("loss", ["0.1"]), ("loss", ["0.3"])], "--axis loss is given more"),
-    ([("sink_pos", ["0,0", "0.0, 0"])], "--axis sink_pos lists the value"),
-], ids=["seed-axis", "repeated-key", "repeated-value"])
-def test_run_sweep_rejects_axes_that_drop_or_repeat_points(axes, message,
-                                                            tmp_path):
+@pytest.mark.parametrize("axes, seeds, jobs, message", [
+    ([("seed", ["1", "2"])], [1], 1, "--axis seed"),
+    ([("loss", ["0.1"]), ("loss", ["0.3"])], [1], 1,
+     "--axis loss is given more"),
+    ([("sink_pos", ["0,0", "0.0, 0"])], [1], 1,
+     "--axis sink_pos lists the value"),
+    # unchecked, these two wrote header-only CSVs and jobs < 1 ran serially
+    ([("loss", [])], [1], 1, "--axis loss has no values$"),
+    ([("loss", ["0.1"])], [], 1, "--seeds expects at least one seed$"),
+    ([("loss", ["0.1"])], [1], 0, "--jobs must be at least 1, got 0$"),
+], ids=["seed-axis", "repeated-key", "repeated-value", "empty-axis",
+        "no-seeds", "jobs-0"])
+def test_run_sweep_rejects_axes_that_drop_or_repeat_points(axes, seeds, jobs,
+                                                            message, tmp_path):
     with pytest.raises(ScenarioError, match=message):
-        run_sweep(small_scenario(), axes, [1], tmp_path / "out")
+        run_sweep(small_scenario(), axes, seeds, tmp_path / "out", jobs=jobs)
     assert not (tmp_path / "out").exists()
 
 

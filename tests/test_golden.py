@@ -40,43 +40,43 @@ LINE = (("nodes", "3"), ("placement", "explicit"),
 GOLDEN = {
     "default-50": (
         (("sim_time", "30"), ("seed", "1")),
-        "289ed3d3c73a4071b6ec7ca4766133740d48665d7d91a58083ccc82f70b93b60",
+        "6e6fdad8e0c3585e0dbf75c0e96ea83f7ed41486e38beed5bb86c238167f9955",
         "50,30.0,6.0,1.0,1,4.827902146685068,0.8741721854304636,0.17218543046357615,78,0"),
     "dense-150": (
         (("nodes", "150"), ("sim_time", "20"), ("seed", "2")),
-        "1da6a98ff4011173128253bd294aabfa0ee0bcf0cdcd924e08e495cfafa76b30",
+        "7dadb719cdbcce833c85446c79fdc8af567e54a11c3fea10bdf42859040739b7",
         "150,20.0,6.0,1.0,2,4.154926518407856,0.16831683168316833,0.8316831683168316,108,0"),
     "grid-49": (
         (("nodes", "49"), ("placement", "grid"), ("sim_time", "30"),
          ("seed", "3")),
-        "afecf5af9559210eba5e5547db9cc1666d044c00cad627599e455735764c0bee",
+        "1dcc587f09abf99dd9367847ab86aed7821899517f1dcf1aeba3c3b25c66e6db",
         "49,30.0,6.0,1.0,3,4.4551081819886,0.847682119205298,0.1986754966887417,50,0"),
     "line-3": (
         LINE,
-        "7854edd9ab15b11a0aebd0a0291c470b85ce7e5668191587bd60ece3bf80623b",
+        "65a867f465f294f7146bc8dcda07614886f37363a813bc5f48b2f5b8d67b5118",
         "3,30.0,6.0,2.0,0,2.0769230769239755,1.0,0.0,0,0"),
     "lossy-retries": (
         (("loss", "0.3"), ("max_retries", "6"), ("sim_time", "30"),
          ("seed", "4")),
-        "c8098b8eb31d79268e140af4a636270480053538943832cd7ca9e37fddab60a1",
+        "27bbc93c285f1487709470da76cf71bc92764ae19e144e51ea4090ca0e06f6be",
         "50,30.0,6.0,1.0,4,4.620248062373727,0.5231788079470199,0.5231788079470199,124,0"),
     "snapshots": (
         (("snapshot_period_s", "2.5"), ("cbr_stop_s", "20"),
          ("sim_time", "30"), ("seed", "5")),
-        "780e609e11863e71b871624067eb6ee6e6583fb8bd6d08df4da562119dddf336",
+        "c35781f9c5b038ea4b1dce01c599896958de2a6066a95a5f0e93a3956bd9dd54",
         "50,30.0,6.0,1.0,5,4.601154425208418,0.5643564356435643,0.49504950495049505,72,0"),
     # fast lossy CBR: the data-transmission window stays busy
     "data-heavy-100": (
         (("nodes", "100"), ("cbr_count", "10"), ("interval_s", "0.1"),
          ("deadline_ms", "50"), ("loss", "0.2"), ("max_retries", "3"),
          ("sim_time", "5"), ("seed", "6")),
-        "9968581abd7891262a0fa9c1381f7b1bcf002c52e1dab88eb0c8b4faf850d939",
+        "cf0c9d4471cc2dd09dfbecb01ae43e25e4a06f14259f8c2df604c1096a757854",
         "100,5.0,50.0,0.1,6,48.68692203178766,0.35528942115768464,0.844311377245509,574,2"),
     # zero-width load windows: the contention load is always 0
     "zero-windows": (
         (("ctl_window_s", "0"), ("flow_window_s", "0"), ("sim_time", "30"),
          ("seed", "7")),
-        "8643454c05bc7dbb7bcdb39d6e3d57d38866e93abd54b30077afb3a982de5e83",
+        "82e5987fb9737d5481b2548bf4ae34e4ee7f7db71d432160b4b8090160e083a2",
         "50,30.0,6.0,1.0,7,2.0501120187034574,0.9337748344370861,0.06622516556291391,10,0"),
 }
 
@@ -118,20 +118,23 @@ def test_sweep_digest(tmp_path):
 
 
 def interpreters():
-    """This interpreter, then each other CPython 3.X (X >= 10) on PATH.
+    """This interpreter, then each other CPython 3.X (X >= 10) on PATH
+    or installed by pyenv under $PYENV_ROOT (default ~/.pyenv).
 
     A name that does not run (a pyenv shim for a version that is not
     selected, say) is skipped, and each version is kept once.
     """
     found = {f"Python {platform.python_version()}": sys.executable}
-    for minor in range(10, 20):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None:
-            continue
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    candidates += sorted(map(str, pyenv.glob("versions/*/bin/python3")))
+    for exe in filter(None, candidates):
         done = subprocess.run([exe, "--version"], capture_output=True,
                               text=True)
-        if done.returncode == 0:
-            found.setdefault(done.stdout.strip(), exe)
+        version = done.stdout.strip()
+        if (done.returncode == 0 and version.startswith("Python 3.")
+                and int(version.split(".")[1]) >= 10):
+            found.setdefault(version, exe)
     return found
 
 
@@ -143,7 +146,6 @@ def test_digest_holds_in_a_fresh_process_with_another_hash_seed(tmp_path):
     settings, trace_sha, row = GOLDEN["default-50"]
     env = dict(os.environ, PYTHONHASHSEED="4242",
                PYTHONPATH=str(Path(dartsim.__file__).resolve().parent.parent))
-    env.pop("DART_SEED", None)
     for n, (version, exe) in enumerate(interpreters().items()):
         path = tmp_path / f"run{n}.trace"
         argv = [exe, "-m", "dartsim.cli", "run", "--trace", str(path)]

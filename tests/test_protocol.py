@@ -1,4 +1,5 @@
-"""Forwarding-rule and table-maintenance checks against hand-computed values."""
+"""Forwarding-rule, table-maintenance and value-type checks against
+hand-computed values, and the package's public names."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import dartsim
 from dartsim import protocol
 from dartsim.protocol import (
     SPENT,
@@ -45,7 +47,7 @@ def make_packet(source_id=1, t_l=0.006, is_duplicate=False):
 
 # ---------------------------------------------------------------- equations
 
-def test_estimate_link_delay_rejects_non_positive_rtt():
+def test_echo_reply_with_a_non_positive_rtt_leaves_the_link_unmeasured():
     # the pending probe is cleared and counted; the row stays unmeasured
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
@@ -54,7 +56,7 @@ def test_estimate_link_delay_rejects_non_positive_rtt():
         assert state.forwarding_table[2].link_delay == 0.0
 
 
-def test_synthesize_one_way_delay_scales_with_tx_count():
+def test_hop_delay_scales_with_the_attempt_count():
     # 1 ms MAC + 2 queued sends at 1000/s + 3 ms transmission, per attempt
     sc = Scenario(base_mac_delay_ms=1.0, contention_coeff_ms=0.0,
                   jitter_ms=0.0, queue_service_rate=1000.0, tx_delay_ms=3.0,
@@ -68,13 +70,13 @@ def test_synthesize_one_way_delay_scales_with_tx_count():
     assert delay * 2 == 0.012
 
 
-def test_required_speed_examples():
+def test_decide_forward_requires_distance_over_budget():
     assert decide_forward(make_state(), make_packet(t_l=0.006)).v_req == 50000.0
     at_sink = make_state(dist_to_sink=0.0)
     assert decide_forward(at_sink, make_packet(t_l=0.006)).v_req == 0.0
 
 
-def test_required_speed_no_budget():
+def test_decide_forward_with_no_budget_left_is_spent():
     state = make_state()
     add_neighbor(state, 2, 200.0, 0.001)
     for t_l in (0.0, -0.001):
@@ -82,7 +84,7 @@ def test_required_speed_no_budget():
         assert d is SPENT and d.v_req == math.inf
 
 
-def test_provided_speed_example():
+def test_decide_forward_provided_speed_is_progress_over_link_delay():
     # 100 m of progress over a 2 ms link provides 50000 m/s: the neighbor
     # qualifies when 50000 m/s is required, not when a few ulps more is
     state = make_state()
@@ -93,12 +95,39 @@ def test_provided_speed_example():
     assert above.v_req > 50000.0 and above.primary_next_hop is None
 
 
-def test_provided_speed_rejects_unmeasured_link():
+def test_decide_forward_routes_nowhere_over_an_unmeasured_link():
     # an unmeasured row offers no speed: skipped, not an error
     state = make_state()
     add_neighbor(state, 2, 200.0, 0.0)
     d = decide_forward(state, make_packet(t_l=0.006))
     assert d == (None, None, 50000.0)
+
+
+# -------------------------------------------------------------- value types
+
+def test_data_packet_defaults():
+    pkt = DataPacket(event_id=7, source_id=3, t_l=0.006, created_at=12.5)
+    assert pkt.hop_count == 0
+    assert not pkt.is_duplicate
+
+
+@pytest.mark.parametrize("name", ["event_id", "source_id", "t_l",
+                                  "created_at", "hop_count", "is_duplicate"])
+def test_data_packet_fields_cannot_be_assigned(name):
+    pkt = DataPacket(event_id=7, source_id=3, t_l=0.006, created_at=12.5)
+    with pytest.raises(AttributeError):
+        setattr(pkt, name, 0)
+
+
+def test_forwarding_entry_starts_unmeasured():
+    e = ForwardingEntry(dist_to_sink=10.0)
+    assert e.link_delay == 0.0
+
+
+def test_public_names_resolve_and_are_sorted():
+    assert dartsim.__all__ == sorted(dartsim.__all__)
+    for name in dartsim.__all__:
+        assert getattr(dartsim, name) is not None
 
 
 # ------------------------------------------------------- table maintenance
@@ -240,7 +269,7 @@ def test_echo_reply_counts_exactly_the_probes_it_removes():
         assert applied == len(before) - len(pending)
 
 
-def test_echo_halving_is_estimate_link_delay_exactly():
+def test_first_echo_sample_is_half_the_rtt_exactly():
     rng = random.Random(18)
     for _ in range(500):
         rtt = rng.choice([rng.uniform(1e-9, 1.0), rng.expovariate(1e3),

@@ -1,10 +1,13 @@
-"""README examples run as written: the scenario file and the library use."""
+"""README examples run as written: the scenario file and the library use.
+The key-groups table lists every scenario key once."""
 
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
 
+from dartsim import Scenario
 from dartsim.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -35,3 +38,12 @@ def test_library_example_runs():
     pdr, delay = out.getvalue().split()
     assert 0.0 <= float(pdr) <= 1.0
     assert 0.0 < float(delay) < 1.0          # seconds, not milliseconds
+
+
+def test_key_groups_table_lists_each_scenario_key_once():
+    table = README.split("| group | keys |", 1)[1].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| ")]
+    # a key opens its cell or follows ", "; `auto` and the like do not
+    keys = [key for row in rows
+            for key in re.findall(r"(?:^|, )`(\w+)`", row.split(" | ")[1])]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(Scenario))

@@ -142,7 +142,7 @@ POSITIVE = ["area_width", "area_height", "tx_range", "sim_time",
 NON_NEGATIVE = ["cbr_count", "max_retries", "cbr_start_s", "jitter_ms",
                 "base_mac_delay_ms", "tx_delay_ms", "contention_coeff_ms",
                 "ctl_window_s", "flow_window_s", "queue_window_s",
-                "snapshot_period_s", "initial_energy_j"]
+                "snapshot_period_s"]
 PERIODS = ["interval_s", "hello_period_s", "echo_period_s",
            "snapshot_period_s"]
 
@@ -224,15 +224,6 @@ def test_override_errors_mention_the_flag():
     sc = Scenario()
     with pytest.raises(ScenarioError, match="--set"):
         apply_overrides(sc, [("bogus", "1")])
-
-
-def test_base_seed_survives_unless_file_sets_it(tmp_path):
-    base = Scenario()
-    base.seed = 777
-    sc = load_scenario(write(tmp_path, "nodes = 10\n"), base=base)
-    assert sc.seed == 777
-    sc = load_scenario(write(tmp_path, "seed = 5\n", name="b.txt"), base=base)
-    assert sc.seed == 5
 
 
 def test_describe_round_trips_through_the_parser():

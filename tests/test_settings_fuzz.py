@@ -55,12 +55,10 @@ def test_any_text_for_a_key_validates_or_is_rejected_naming_it(key, raw):
 
 @given(key=st.one_of(st.sampled_from(KEYS), st.text(max_size=12)),
        raw=VALUES)
-# each example reads capsys out and removes DART_SEED, so it may share them
+# each example reads capsys out, so it may share it
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_validate_set_exits_0_or_1_without_a_traceback(key, raw, capsys,
-                                                       monkeypatch):
-    monkeypatch.delenv("DART_SEED", raising=False)
+def test_validate_set_exits_0_or_1_without_a_traceback(key, raw, capsys):
     code = main(["validate", "--set", f"{key}={raw}"])
     out, err = capsys.readouterr()
     # an exception escaping main fails the test; main's own output opens

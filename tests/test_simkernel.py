@@ -354,13 +354,22 @@ def test_dist_is_the_inline_hypot_bit_for_bit():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("interval_s", 0.0), ("loss", 1.5), ("deadline_ms", -3.0)])
+    ("interval_s", 0.0), ("loss", 1.5), ("deadline_ms", -3.0),
+    pytest.param("placement", "ring", id="placement-ring"),
+    pytest.param("sink_pos", (math.nan, 0.0), id="sink_pos-nan"),
+    pytest.param("sink_pos", (1.0, 2.0, 3.0), id="sink_pos-3d"),
+    pytest.param("positions", [(0.0, 0.0), (math.nan, 0.0)],
+                 id="positions-nan")])
 def test_simulation_refuses_an_invalid_scenario(key, value):
     """A run is checked where it is built: interval_s = 0 would emit
-    forever at one instant, and a bad loss or deadline would run in
-    silence."""
+    forever at one instant, a bad loss, deadline or NaN point would run
+    in silence, and an unknown placement or a 3-d sink_pos would crash
+    while the topology is built."""
+    sc = Scenario(**{key: value})
+    if key == "positions":               # read only by explicit placement
+        sc.nodes, sc.placement = len(value), "explicit"
     with pytest.raises(ScenarioError, match=key):
-        Simulation(Scenario(**{key: value}))
+        Simulation(sc)
 
 
 def test_auto_sources_are_the_farthest_nodes():
@@ -572,8 +581,8 @@ def test_copy_conservation_on_a_busy_run():
 
 # Trace sha256 pinned from the run that pushed every snapshot up front.
 @pytest.mark.parametrize("area, trace_sha", [
-    (None, "2f514d8477534713d25e1ae2e1ae7e2624b2bea638fcc0eb0287f99c775b79e2"),
-    (400.0, "34bc03b738f34eb599ef17d37f31a12c8662d0e92d19703185fced442cbd4660"),
+    (None, "3df5af499ba7e447d7b0cf108cdbe80d74b53fa4f660f709055d1440f2f2f7bc"),
+    (400.0, "af1c27b97bb44d488ba8a7a8d124bf86ef2cc5a9d4404d48255ddf996ccfde0d"),
 ], ids=["default-area", "400m-area"])
 def test_fine_snapshots_are_chained_not_prescheduled(area, trace_sha,
                                                       tmp_path):
