@@ -17,8 +17,7 @@ import sys
 
 from .experiments import replay_trace, run_scenario, run_sweep
 from .metrics import RUN_CSV_COLUMNS, TraceError, format_run_row
-from .scenario import (Scenario, ScenarioError, apply_overrides, describe,
-                       load_scenario, validate)
+from .scenario import ScenarioError, describe, load_scenario
 
 
 def _split_pair(flag, text):
@@ -37,13 +36,8 @@ def _parse_seeds(text):
 
 
 def _build_scenario(args):
-    overrides = [_split_pair("--set", text) for text in args.set]
-    if args.scenario is not None:
-        return load_scenario(args.scenario, overrides)
-    scenario = Scenario()
-    apply_overrides(scenario, overrides)
-    validate(scenario)
-    return scenario
+    return load_scenario(args.scenario,
+                         [_split_pair("--set", text) for text in args.set])
 
 
 def _cmd_run(args):

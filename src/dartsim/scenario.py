@@ -6,13 +6,14 @@ keys are rejected by name, and errors carry the offending line number.
 The defaults describe the standard benchmark environment: 50 nodes in a
 600 x 400 m field, 250 m radio range, a corner sink, and five constant
 bit rate sources at the far side of the field.
-"""
 
-from __future__ import annotations
+Each key is declared once, on its `Scenario` field: its type gives its
+grammar and type check, bounds in its `Annotated` type give its range.
+"""
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, get_type_hints
+from typing import Annotated, Callable, Literal, NamedTuple, Optional, get_args
 
 
 # most events one periodic chain may schedule in a run
@@ -28,48 +29,67 @@ class ScenarioError(Exception):
     """A scenario key, value or combination is invalid."""
 
 
+# A bound is the text completing "KEY must be ..."; _HOLDS tests it.  It is
+# text, not a function: typing's Annotated cache would keep its module alive
+POSITIVE, NON_NEGATIVE = "finite and > 0.0", "finite and >= 0"
+PROBABILITY, WEIGHT, AT_LEAST_ONE = "in [0, 1)", "in (0, 1]", ">= 1"
+PERIOD = f">= sim_time / {MAX_PERIODS}"
+_HOLDS = {
+    POSITIVE: lambda v, sc: 0.0 < v < math.inf,
+    NON_NEGATIVE: lambda v, sc: 0 <= v < math.inf,
+    PROBABILITY: lambda v, sc: 0.0 <= v < 1.0,
+    WEIGHT: lambda v, sc: 0.0 < v <= 1.0,
+    AT_LEAST_ONE: lambda v, sc: v >= 1,
+    # sim_time is declared, and so checked, before every period
+    PERIOD: lambda v, sc: not (v > 0 and sc.sim_time / v > MAX_PERIODS),
+}
+
+Point = tuple[float, float]
+Placement = Literal["uniform", "grid", "explicit"]
+
+
 @dataclass
 class Scenario:
     # topology
     nodes: int = 50
-    area_width: float = 600.0
-    area_height: float = 400.0
-    tx_range: float = 250.0
-    placement: str = "uniform"          # uniform | grid | explicit
-    positions: Optional[list] = None    # [(x, y), ...] when explicit
+    area_width: Annotated[float, POSITIVE] = 600.0
+    area_height: Annotated[float, POSITIVE] = 400.0
+    tx_range: Annotated[float, POSITIVE] = 250.0
+    placement: Placement = "uniform"
+    positions: Optional[list[Point]] = None   # one per node when explicit
     sink: int = 0
-    sink_pos: tuple = (0.0, 0.0)        # pins the sink node (uniform placement)
+    sink_pos: Point = (0.0, 0.0)        # pins the sink node (uniform placement)
     # run horizon
-    sim_time: float = 100.0
+    sim_time: Annotated[float, POSITIVE] = 100.0
     seed: int = 0
     # traffic
-    cbr_sources: Optional[list] = None  # explicit source ids, or None = auto
-    cbr_count: int = 5
-    interval_s: float = 1.0
-    deadline_ms: float = 6.0
-    cbr_start_s: float = 0.0
+    cbr_sources: Optional[list[int]] = None   # explicit source ids, or auto
+    cbr_count: Annotated[int, NON_NEGATIVE] = 5
+    interval_s: Annotated[float, POSITIVE, PERIOD] = 1.0
+    deadline_ms: Annotated[float, POSITIVE] = 6.0
+    cbr_start_s: Annotated[float, NON_NEGATIVE] = 0.0
     cbr_stop_s: Optional[float] = None  # None = run until sim_time
     # radio and MAC abstraction
-    loss: float = 0.05
-    base_mac_delay_ms: float = 0.3
-    tx_delay_ms: float = 0.26
-    contention_coeff_ms: float = 0.1
-    queue_service_rate: float = 4000.0
-    max_retries: int = 4
-    jitter_ms: float = 0.05
+    loss: Annotated[float, PROBABILITY] = 0.05
+    base_mac_delay_ms: Annotated[float, NON_NEGATIVE] = 0.3
+    tx_delay_ms: Annotated[float, NON_NEGATIVE] = 0.26
+    contention_coeff_ms: Annotated[float, NON_NEGATIVE] = 0.1
+    queue_service_rate: Annotated[float, POSITIVE] = 4000.0
+    max_retries: Annotated[int, NON_NEGATIVE] = 4
+    jitter_ms: Annotated[float, NON_NEGATIVE] = 0.05
     # control plane cadence
-    hello_period_s: float = 10.0
-    echo_period_s: float = 10.0
-    echo_alpha: float = 0.5
-    bootstrap_rounds: int = 2
-    bootstrap_spread_s: float = 1.0
-    bootstrap_gap_s: float = 2.0
+    hello_period_s: Annotated[float, POSITIVE, PERIOD] = 10.0
+    echo_period_s: Annotated[float, POSITIVE, PERIOD] = 10.0
+    echo_alpha: Annotated[float, WEIGHT] = 0.5
+    bootstrap_rounds: Annotated[int, AT_LEAST_ONE] = 2
+    bootstrap_spread_s: Annotated[float, POSITIVE] = 1.0
+    bootstrap_gap_s: Annotated[float, POSITIVE] = 2.0
     # load accounting windows
-    ctl_window_s: float = 0.25
-    flow_window_s: float = 0.5
-    queue_window_s: float = 0.05
-    # misc
-    snapshot_period_s: float = 0.0      # 0 disables periodic snapshots
+    ctl_window_s: Annotated[float, NON_NEGATIVE] = 0.25
+    flow_window_s: Annotated[float, NON_NEGATIVE] = 0.5
+    queue_window_s: Annotated[float, NON_NEGATIVE] = 0.05
+    # misc; 0 disables periodic snapshots
+    snapshot_period_s: Annotated[float, NON_NEGATIVE, PERIOD] = 0.0
 
     def t_set(self) -> float:
         """The per-packet deadline in seconds."""
@@ -79,11 +99,47 @@ class Scenario:
         return self.sim_time if self.cbr_stop_s is None else self.cbr_stop_s
 
 
-def _parse_int(key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"{key} expects an integer, got {raw!r}") from None
+class _Grammar(NamedTuple):
+    """One declared type: its text form and its type test."""
+    parse: Callable                     # (key, text) -> value or ScenarioError
+    format: Callable                    # value -> the text parse reads back
+    accepts: Callable                   # value -> whether it has this type
+    expects: str                        # what the type is, for messages
+
+
+def _is_int(value):
+    return isinstance(value, int) and type(value) is not bool
+
+
+def _is_number(value):
+    return isinstance(value, float) or _is_int(value)
+
+
+def _is_point(value):
+    return (isinstance(value, tuple) and len(value) == 2
+            and all(map(_is_number, value)) and all(map(math.isfinite, value)))
+
+
+def _plain(convert, fmt, accepts, expects):
+    """A grammar whose bad text and wrong type are both reported as expects."""
+    def parse(key, raw):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None                # accepted by no plain grammar
+        if not accepts(value):
+            raise ScenarioError(f"{key} {expects}, got {raw!r}")
+        return value
+    return _Grammar(parse, fmt, accepts, expects)
+
+
+def _optional(word, grammar):
+    """grammar's values and None, which reads and prints as word."""
+    parse, fmt, accepts, _ = grammar
+    return grammar._replace(
+        parse=lambda key, raw: None if raw == word else parse(key, raw),
+        format=lambda value: word if value is None else fmt(value),
+        accepts=lambda value: value is None or accepts(value))
 
 
 def _parse_float(key, raw):
@@ -96,13 +152,6 @@ def _parse_float(key, raw):
     return value
 
 
-def _parse_placement(key, raw):
-    if raw not in ("uniform", "grid", "explicit"):
-        raise ScenarioError(f"{key} must be uniform, grid or explicit, "
-                            f"got {raw!r}")
-    return raw
-
-
 def _parse_pair(key, raw):
     parts = raw.split(",")
     if len(parts) != 2:
@@ -111,88 +160,71 @@ def _parse_pair(key, raw):
             _parse_float(key, parts[1].strip()))
 
 
-def _format_pair(value):
-    return f"{value[0]},{value[1]}"
-
-
-def _parse_positions(key, raw):
-    if raw == "none":
-        return None
-    out = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(_parse_pair(key, chunk))
-    if not out:
+def _parse_points(key, raw):
+    points = [_parse_pair(key, chunk.strip())
+              for chunk in raw.split(";") if chunk.strip()]
+    if not points:
         raise ScenarioError(f"{key} expects 'x,y; x,y; ...', got {raw!r}")
-    return out
+    return points
 
 
-def _format_positions(value):
-    return "none" if value is None else "; ".join(map(_format_pair, value))
-
-
-def _parse_ids(key, raw):
-    if raw == "auto":
-        return None
-    try:
-        return [int(part.strip()) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ScenarioError(f"{key} expects 'auto' or a comma-separated "
-                            f"id list, got {raw!r}") from None
-
-
-def _format_ids(value):
-    return "auto" if value is None else ",".join(map(str, value))
-
-
-def _parse_optional_float(key, raw):
-    if raw == "none":
-        return None
-    return _parse_float(key, raw)
-
-
-def _format_optional_float(value):
-    return "none" if value is None else str(value)
-
-
-# Keys with their own grammar; every other key is a plain int or float,
-# parsed by its type in Scenario.
-_PARSERS = {
-    "placement": _parse_placement,
-    "positions": _parse_positions,
-    "sink_pos": _parse_pair,
-    "cbr_sources": _parse_ids,
-    "cbr_stop_s": _parse_optional_float,
+_FLOAT = _Grammar(_parse_float, str, _is_number, "expects a number")
+_POINT = _Grammar(_parse_pair, lambda p: f"{p[0]},{p[1]}", _is_point,
+                  "expects finite (x, y) points")
+# The grammar of every type a Scenario key may be declared with
+_GRAMMARS = {
+    int: _plain(int, str, _is_int, "expects an integer"),
+    float: _FLOAT,
+    Optional[float]: _optional("none", _FLOAT),
+    Point: _POINT,
+    Optional[list[Point]]: _optional("none", _POINT._replace(
+        parse=_parse_points,
+        format=lambda points: "; ".join(map(_POINT.format, points)),
+        accepts=lambda ps: isinstance(ps, list) and all(map(_is_point, ps)))),
+    Optional[list[int]]: _optional("auto", _plain(
+        lambda raw: [int(part) for part in raw.split(",") if part.strip()],
+        lambda ids: ",".join(map(str, ids)),
+        lambda ids: isinstance(ids, list) and all(map(_is_int, ids)),
+        "expects 'auto' or a comma-separated id list")),
+    Placement: _plain(str, str, get_args(Placement).__contains__,
+                      "must be uniform, grid or explicit"),
 }
-_PARSERS.update((key, {int: _parse_int, float: _parse_float}[hint])
-                for key, hint in get_type_hints(Scenario).items()
-                if key not in _PARSERS)
-# The text form of those keys; every other value prints as str()
-_FORMATTERS = {
-    "positions": _format_positions,
-    "sink_pos": _format_pair,
-    "cbr_sources": _format_ids,
-    "cbr_stop_s": _format_optional_float,
-}
+
+
+def _declared(hint):
+    """(grammar, type test, its wording, bounds) of one declared type."""
+    base, *bounds = get_args(hint) if hasattr(hint, "__metadata__") else [hint]
+    grammar = _GRAMMARS[base]
+    return (grammar, grammar.accepts, grammar.expects,
+            tuple((_HOLDS[bound], bound) for bound in bounds))
+
+
+# each key's grammar and checks, in declaration order, built once
+_KEYS = {f.name: _declared(f.type) for f in fields(Scenario)}
 
 
 def apply_setting(scenario: Scenario, key: str, raw: str) -> None:
     """Set one key from its textual value, as found in files or --set."""
-    parser = _PARSERS.get(key)
-    if parser is None:
+    if key not in _KEYS:
         raise ScenarioError(f"unknown key {key!r}")
-    setattr(scenario, key, parser(key, raw))
+    setattr(scenario, key, _KEYS[key][0].parse(key, raw))
 
 
 def format_setting(key: str, value) -> str:
     """A key's value as the text apply_setting parses back to it."""
-    return _FORMATTERS.get(key, str)(value)
+    return _KEYS[key][0].format(value)
 
 
 def validate(scenario: Scenario) -> None:
-    """Cross-field validation; raises ScenarioError naming the bad key."""
+    """Check every key's type and range, then the rules across keys."""
     sc = scenario
+    for key, (_, accepts, expects, bounds) in _KEYS.items():
+        value = getattr(sc, key)
+        if not accepts(value):
+            raise ScenarioError(f"{key} {expects}, got {value!r}")
+        for holds, text in bounds:
+            if not holds(value, sc):
+                raise ScenarioError(f"{key} must be {text}, got {value}")
     if sc.nodes < 2:
         raise ScenarioError(f"nodes must be at least 2, got {sc.nodes}")
     if sc.nodes * (sc.nodes - 1) > MAX_NODE_PAIRS:
@@ -201,13 +233,6 @@ def validate(scenario: Scenario) -> None:
     if not (0 <= sc.sink < sc.nodes):
         raise ScenarioError(f"sink must be a node id in [0, {sc.nodes}), "
                             f"got {sc.sink}")
-    _parse_placement("placement", sc.placement)
-    for key, points in (("sink_pos", [sc.sink_pos]),
-                        ("positions", sc.positions or [])):
-        for point in points:
-            if len(point) != 2 or not all(map(math.isfinite, point)):
-                raise ScenarioError(f"{key} expects finite (x, y) points, "
-                                    f"got {point}")
     if sc.placement == "explicit":
         if sc.positions is None:
             raise ScenarioError("positions is required when placement = explicit")
@@ -222,34 +247,6 @@ def validate(scenario: Scenario) -> None:
                 raise ScenarioError("cbr_sources must not include the sink")
         if len(set(sc.cbr_sources)) < len(sc.cbr_sources):
             raise ScenarioError("cbr_sources lists a node id more than once")
-    for key in ("area_width", "area_height", "tx_range", "sim_time",
-                "interval_s", "deadline_ms", "queue_service_rate",
-                "hello_period_s", "echo_period_s", "bootstrap_spread_s",
-                "bootstrap_gap_s"):
-        value = getattr(sc, key)
-        if not 0.0 < value < math.inf:
-            raise ScenarioError(f"{key} must be finite and > 0.0, got {value}")
-    for key in ("cbr_count", "max_retries", "cbr_start_s", "jitter_ms",
-                "base_mac_delay_ms", "tx_delay_ms", "contention_coeff_ms",
-                "ctl_window_s", "flow_window_s", "queue_window_s",
-                "snapshot_period_s"):
-        value = getattr(sc, key)
-        if not 0 <= value < math.inf:
-            raise ScenarioError(f"{key} must be finite and >= 0, got {value}")
-    # each period is a chain of sim_time / period events, run one by one
-    for key in ("interval_s", "hello_period_s", "echo_period_s",
-                "snapshot_period_s"):
-        period = getattr(sc, key)
-        if period > 0 and sc.sim_time / period > MAX_PERIODS:
-            raise ScenarioError(f"{key} must be >= sim_time / {MAX_PERIODS}, "
-                                f"got {period}")
-    if not (0.0 <= sc.loss < 1.0):
-        raise ScenarioError(f"loss must be in [0, 1), got {sc.loss}")
-    if not (0.0 < sc.echo_alpha <= 1.0):
-        raise ScenarioError(f"echo_alpha must be in (0, 1], got {sc.echo_alpha}")
-    if sc.bootstrap_rounds < 1:
-        raise ScenarioError(f"bootstrap_rounds must be >= 1, "
-                            f"got {sc.bootstrap_rounds}")
     # every bootstrap round that fits in sim_time is scheduled up front
     if min(sc.bootstrap_rounds, sc.sim_time / sc.bootstrap_gap_s) > MAX_PERIODS:
         raise ScenarioError(f"bootstrap_rounds must fit at most {MAX_PERIODS} "
@@ -260,18 +257,20 @@ def validate(scenario: Scenario) -> None:
                             f"got {stop}")
 
 
-def load_scenario(path, overrides=None) -> Scenario:
-    """Build a Scenario from a file plus (key, value) override pairs.
+def load_scenario(path=None, overrides=None) -> Scenario:
+    """Build a Scenario from an optional file plus (key, value) overrides.
 
-    File errors are reported as 'path:line: message'.  Overrides are
-    applied after the file and report the bad pair instead.
+    Without a file the overrides apply to the defaults.  File errors are
+    reported as 'path:line: message'.  Overrides are applied after the
+    file and report the bad pair instead.
     """
-    scenario = Scenario()
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
+    scenario, lines = Scenario(), []
+    if path is not None:
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

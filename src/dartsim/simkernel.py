@@ -107,7 +107,7 @@ def build_topology(scenario, rng) -> tuple:
         positions = [(rng.uniform(0.0, scenario.area_width),
                       rng.uniform(0.0, scenario.area_height))
                      for _ in range(n)]
-        positions[scenario.sink] = tuple(scenario.sink_pos)
+        positions[scenario.sink] = scenario.sink_pos
     elif scenario.placement == "grid":
         cols = math.ceil(math.sqrt(n))
         rows = math.ceil(n / cols)
@@ -115,7 +115,7 @@ def build_topology(scenario, rng) -> tuple:
         sy = scenario.area_height / (rows - 1) if rows > 1 else 0.0
         positions = [((k % cols) * sx, (k // cols) * sy) for k in range(n)]
     else:
-        positions = [(x, y) for x, y in scenario.positions]
+        positions = list(scenario.positions)
 
     dist, tx_range = math.dist, scenario.tx_range
     adjacency = [[] for _ in range(n)]

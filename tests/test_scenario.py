@@ -1,12 +1,19 @@
 """Scenario defaults, file grammar, and validation diagnostics."""
 
+import dataclasses
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dartsim.scenario import (MAX_NODE_PAIRS, Scenario, ScenarioError,
                               apply_overrides, apply_setting, describe,
                               load_scenario, validate)
+from dartsim.simkernel import Simulation
+
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
 
 
 def write(tmp_path, text, name="scenario.txt"):
@@ -226,15 +233,85 @@ def test_override_errors_mention_the_flag():
         apply_overrides(sc, [("bogus", "1")])
 
 
-def test_describe_round_trips_through_the_parser():
-    original = Scenario()
-    original.placement = "explicit"
-    original.nodes = 2
-    original.positions = [(0.0, 0.0), (30.0, 40.0)]
-    original.cbr_sources = [1]
-    original.cbr_stop_s = None
+def _numbers(low, high):
+    """Finite floats in [low, high], and ints, which a float key takes."""
+    return st.floats(low, high) | st.integers(math.ceil(low), int(high))
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios that validate, each key drawn from what its type and
+    bound allow: sink, sources and explicit points fit the node count, and
+    each period and the bootstrap chain fit in sim_time."""
+    sc = Scenario()
+    sc.nodes = n = draw(st.integers(2, 40))
+    coordinate = st.floats(-1e9, 1e9) | st.integers(-10**9, 10**9)
+    point = st.tuples(coordinate, coordinate)
+    sc.placement = draw(st.sampled_from(["uniform", "grid", "explicit"]))
+    sc.positions = draw(st.lists(point, min_size=n, max_size=n)
+                        if sc.placement == "explicit"
+                        else st.none() | st.lists(point, min_size=1))
+    sc.sink = draw(st.integers(0, n - 1))
+    sc.sink_pos = draw(point)
+    sc.sim_time = draw(_numbers(1e-3, 1e9))
+    sc.seed = draw(st.integers())
+    others = [i for i in range(n) if i != sc.sink]
+    sc.cbr_sources = draw(st.none() | st.lists(st.sampled_from(others),
+                                                unique=True))
+    for key in ("area_width", "area_height", "tx_range", "deadline_ms",
+                "queue_service_rate", "bootstrap_spread_s"):
+        setattr(sc, key, draw(_numbers(1e-300, 1e12)))
+    for key in ("interval_s", "hello_period_s", "echo_period_s"):
+        setattr(sc, key, draw(_numbers(sc.sim_time / 1e5, 1e12)))
+    sc.snapshot_period_s = draw(st.just(0.0) | _numbers(sc.sim_time / 1e5,
+                                                        1e12))
+    sc.bootstrap_gap_s = draw(_numbers(sc.sim_time / 1e5, 1e12))
+    for key in ("cbr_count", "max_retries"):
+        setattr(sc, key, draw(st.integers(0, 10**6)))
+    for key in ("cbr_start_s", "base_mac_delay_ms", "tx_delay_ms",
+                "contention_coeff_ms", "jitter_ms", "ctl_window_s",
+                "flow_window_s", "queue_window_s"):
+        setattr(sc, key, draw(_numbers(0.0, 1e12)))
+    sc.cbr_stop_s = draw(st.none() | _numbers(sc.cbr_start_s, 2e12))
+    sc.loss = draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(0))
+    sc.echo_alpha = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1))
+    sc.bootstrap_rounds = draw(st.integers(1, 10**6))
+    validate(sc)
+    return sc
+
+
+@given(valid_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_describe_round_trips_through_the_parser(original):
     rebuilt = Scenario()
     for line in describe(original).splitlines():
         key, _, raw = line.partition("=")
         apply_setting(rebuilt, key.strip(), raw.strip())
     assert rebuilt == original
+
+
+def _wrong(keys, values):
+    return st.tuples(st.sampled_from(keys), values)
+
+
+POINT_3D = st.tuples(*[st.floats(-1e3, 1e3)] * 3)
+WRONG_TYPED = st.one_of(
+    _wrong([k for k, v in DEFAULTS.items() if type(v) is int], st.floats()),
+    _wrong(["cbr_sources"], st.lists(st.floats(), min_size=1, max_size=3)),
+    _wrong(list(DEFAULTS), st.booleans()),
+    _wrong([k for k in DEFAULTS if k != "placement"],
+           st.text("0123456789.,; -e", max_size=8)),
+    _wrong([k for k, v in DEFAULTS.items() if v is not None], st.none()),
+    _wrong([k for k in DEFAULTS if k != "positions"], POINT_3D),
+    _wrong(["positions"], st.lists(POINT_3D, min_size=1, max_size=3)))
+
+
+@given(WRONG_TYPED)
+@settings(max_examples=200, deadline=None)
+def test_a_wrong_typed_value_is_rejected_naming_only_its_key(wrong):
+    key, value = wrong
+    with pytest.raises(ScenarioError) as caught:
+        Simulation(Scenario(**{key: value}))
+    message = str(caught.value)
+    named = [k for k in DEFAULTS if re.search(rf"\b{k}\b", message)]
+    assert named == [key], message

@@ -8,6 +8,7 @@ the values that validate may be as large as the grammar allows.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -15,10 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dartsim.cli import main
-from dartsim.scenario import (_PARSERS, Scenario, ScenarioError, apply_setting,
-                              validate)
+from dartsim.scenario import Scenario, ScenarioError, apply_setting, validate
 
-KEYS = sorted(_PARSERS)
+KEYS = sorted(f.name for f in dataclasses.fields(Scenario))
 
 # number-like text near every bound the grammar and validate() test
 NUMBERS = st.one_of(

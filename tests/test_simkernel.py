@@ -514,6 +514,21 @@ def test_echo_reply_past_the_horizon_is_not_recorded(after_probe,
     assert records[-1].kind == RUN_END
 
 
+@pytest.mark.parametrize("kind", [HELLO_ROUND, ECHO_REPLY])
+def test_a_record_due_exactly_at_the_horizon_is_recorded(kind):
+    """sim_time is inclusive: a bootstrap HELLO round, and an echo reply,
+    that fall exactly on it still happen.  Events before the horizon do
+    not depend on it, so a shorter run replays the long one up to there."""
+    kw = dict(nodes=10, cbr_count=2, seed=5)
+    records, _ = Simulation(make_scenario(sim_time=30.0, **kw)).run()
+    hello_period_s = Scenario().hello_period_s
+    # steady HELLO rounds start after hello_period_s; bootstrap ones before
+    due = [rec for rec in records if rec.kind == kind
+           and (kind != HELLO_ROUND or rec.time < hello_period_s)][-1]
+    records, _ = Simulation(make_scenario(sim_time=due.time, **kw)).run()
+    assert due in records
+
+
 def test_an_echo_reply_applies_only_the_probes_still_pending():
     """Three quick probes are all answered before the first reply fires,
     so that reply applies both neighbors' RTTs and the next two none."""
