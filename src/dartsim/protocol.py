@@ -11,8 +11,9 @@ A link delay changes only when an echo reply is folded in, so each node
 ranks its closer neighbors once per echo reply, not once per packet.
 
 Packets and beacons are NamedTuples, cheap to build on every hop; a
-changed copy of a packet is made with _replace.  Distances are meters,
-times are seconds, speeds are meters per second.
+changed copy of a packet is built positionally from the unpacked
+original, which costs less than _replace.  Distances are meters, times
+are seconds, speeds are meters per second.
 """
 
 from __future__ import annotations
@@ -158,17 +159,17 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
             for nid, entry in state.forwarding_table.items()
             if entry.link_delay > 0.0 and entry.dist_to_sink < d_here)[:2]
     # sorted by falling speed, so the eligible neighbors are a prefix
-    ranked = [nid for neg_v_prov, nid in best if -neg_v_prov >= v_req]
-    if not ranked:
+    if not (best and -best[0][0] >= v_req):
         return ForwardDecision(None, None, v_req)
     duplicate = None
     if (state.my_id == pkt.source_id and not pkt.is_duplicate
-            and len(ranked) >= 2):
-        duplicate = ranked[1]
-    return ForwardDecision(ranked[0], duplicate, v_req)
+            and len(best) >= 2 and -best[1][0] >= v_req):
+        duplicate = best[1][1]
+    return ForwardDecision(best[0][1], duplicate, v_req)
 
 
 def on_data_arrival_update(pkt: DataPacket, traversed_link_delay: float) -> DataPacket:
     """Charge a traversed link against the packet's budget, count the hop."""
-    return pkt._replace(t_l=max(0.0, pkt.t_l - traversed_link_delay),
-                        hop_count=pkt.hop_count + 1)
+    eid, src, t_l, created_at, hops, dup = pkt
+    return DataPacket(eid, src, max(0.0, t_l - traversed_link_delay),
+                      created_at, hops + 1, dup)

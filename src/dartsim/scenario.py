@@ -240,6 +240,8 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError(f"positions lists {len(sc.positions)} points "
                                 f"but nodes = {sc.nodes}")
     if sc.cbr_sources is not None:
+        if not sc.cbr_sources:
+            raise ScenarioError("cbr_sources is empty; use cbr_count = 0")
         for nid in sc.cbr_sources:
             if not (0 <= nid < sc.nodes):
                 raise ScenarioError(f"cbr_sources id {nid} out of range")

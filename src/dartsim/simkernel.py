@@ -21,9 +21,10 @@ transmissions within queue_window_s divided by the service rate.  Load
 and occupancy are always taken before the current transmission is
 recorded, so a packet never waits on itself.
 
-Draws: an echo probe and a forward each take one load snapshot and
-build one hop_delay closure from it, the one home of the MAC delay (its
-jitter is CPython's expovariate body, written out), the queue-window
+Draws: channel() binds the MAC and queue constants once per run.  An
+echo probe and a forward each take one load snapshot and build one delay
+closure from it with hop_delay(load, now): the one home of the MAC delay
+(its jitter is CPython's expovariate body, written out), the queue-window
 expiry and the per-attempt delay.  A unicast's attempts come from the
 run's one attempt_counts generator; its one-way delay is the per-attempt
 delay times the attempts.  Order, fixed for replay: a receiver's
@@ -35,6 +36,7 @@ reply draws nothing and folds its samples in one record_echo_rtts call.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import math
 import random
@@ -53,30 +55,33 @@ from .scenario import validate
 log = logging.getLogger(__name__)
 
 
-# A closure per load snapshot needs no priming; a live generator's next()
-# beats a call, so every unicast's attempts come from one per-run generator.
-def hop_delay(sc, load: float, now: float, rng):
-    """The delay of one attempt from a sender, under one load snapshot.
+# Constants bind once per run and a snapshot's closure needs no priming;
+# a live generator's next() beats a call, hence one attempt_counts per run.
+def channel(sc, rng):
+    """Bind a run's MAC and queue constants; returns hop_delay(load, now).
 
-    Returns delay(q), where q is the deque of the sender's transmission
-    times: it expires q to the queue window and draws the MAC jitter.
-    The caller appends `now` to q after the send.
+    hop_delay gives delay(q), one attempt's delay under that load snapshot
+    from a sender whose transmission times are the deque q: it expires q to
+    the queue window and draws the MAC jitter.  The caller appends `now`.
     """
     random, _log = rng.random, math.log
-    contention = (sc.base_mac_delay_ms / 1000.0
-                  + sc.contention_coeff_ms / 1000.0 * load)
+    base = sc.base_mac_delay_ms / 1000.0
+    coeff = sc.contention_coeff_ms / 1000.0
     jitter, tx_delay = sc.jitter_ms / 1000.0, sc.tx_delay_ms / 1000.0
     lambd = 1.0 / jitter if jitter > 0.0 else math.inf
-    rate, cut = sc.queue_service_rate, now - sc.queue_window_s
+    rate, window = sc.queue_service_rate, sc.queue_window_s
 
-    def delay(q):
-        while q and q[0] <= cut:
-            q.popleft()
-        mac_delay = contention
-        if jitter > 0.0:
-            mac_delay += -_log(1.0 - random()) / lambd
-        return mac_delay + len(q) / rate + tx_delay
-    return delay
+    def hop_delay(load: float, now: float):
+        contention, cut = base + coeff * load, now - window
+        def delay(q):
+            while q and q[0] <= cut:
+                q.popleft()
+            mac_delay = contention
+            if jitter > 0.0:
+                mac_delay += -_log(1.0 - random()) / lambd
+            return mac_delay + len(q) / rate + tx_delay
+        return delay
+    return hop_delay
 
 
 def attempt_counts(sc, rng):
@@ -154,6 +159,7 @@ class _SimNode:
     state: NodeState
     neighbors: list
     beacon: object                       # HELLO and ACK: nodes never move
+    dist_text: str = ""                  # repr(dist_to_sink), at first send
     own_tx_times: deque = field(default_factory=deque)
     probes: set = field(default_factory=set)  # neighbors with an echo pending
 
@@ -166,6 +172,7 @@ class Simulation:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.attempts = attempt_counts(scenario, self.rng)
+        self.hop_delay = channel(scenario, self.rng)
         positions, adjacency = build_topology(scenario, self.rng)
         sink = scenario.sink
         dist_to_sink = [math.dist(p, positions[sink]) for p in positions]
@@ -186,9 +193,14 @@ class Simulation:
         self.recent = [0] * scenario.nodes  # each node's entries in the logs
         self.round_log = deque()            # (time, node) per control round
         self.data_log = deque()             # (time, node) per data packet sent
+        self.windows = ((self.round_log, scenario.ctl_window_s),
+                        (self.data_log, scenario.flow_window_s))
+        self.t_set = scenario.t_set()
+        self.emit_detail = f"tset={self.t_set!r}"
+        self.cbr_end = min(scenario.cbr_stop(), scenario.sim_time)
         self.records = []
         self.heap = []
-        self.seq = 0
+        self.seq = itertools.count(1)
         self.next_event_id = 0
         self.arrived = 0
         self.dropped = 0
@@ -197,8 +209,7 @@ class Simulation:
     # -- scheduling ---------------------------------------------------
 
     def _schedule(self, fire_at, handler, args=()):
-        self.seq += 1
-        heapq.heappush(self.heap, (fire_at, self.seq, handler, args))
+        heapq.heappush(self.heap, (fire_at, next(self.seq), handler, args))
 
     def _schedule_all(self):
         sc = self.scenario
@@ -225,27 +236,25 @@ class Simulation:
             t_echo = sc.echo_period_s * (0.5 + stagger)
             if t_echo <= end:
                 self._schedule(t_echo, self._on_echo_probe, (i, True))
-        t_set = sc.t_set()
-        stop = min(sc.cbr_stop(), end)
         for idx, s in enumerate(self.sources):
             # sources interleave their emissions across the interval
             first = sc.cbr_start_s + idx / len(self.sources) * sc.interval_s
-            if first <= stop:
-                self._schedule(first, self._on_cbr_emit, (s, t_set))
+            if first <= self.cbr_end:
+                self._schedule(first, self._on_cbr_emit, (s,))
         if 0 < sc.snapshot_period_s <= end:
-            # every snapshot keeps the next seq, so each sorts after set-up
+            # every snapshot keeps this seq, so each sorts after set-up
             # events and before run-time events that fire at its time
-            self._schedule(sc.snapshot_period_s, self._on_snapshot,
-                           (self.seq + 1,))
+            seq = next(self.seq)
+            heapq.heappush(self.heap, (sc.snapshot_period_s, seq,
+                                       self._on_snapshot, (seq,)))
 
     # -- load accounting ----------------------------------------------
 
     def _neighborhood_load(self, i, now) -> float:
         """Recent control rounds + data transmissions near node i."""
-        sc = self.scenario
         recent = self.recent
-        for entries, cut in ((self.round_log, now - sc.ctl_window_s),
-                             (self.data_log, now - sc.flow_window_s)):
+        for entries, window in self.windows:
+            cut = now - window
             while entries and entries[0][0] <= cut:
                 recent[entries.popleft()[1]] -= 1
         return float(recent[i] + sum(map(recent.__getitem__,
@@ -290,7 +299,7 @@ class Simulation:
         p = self.scenario.loss
         # reply legs share the prober's snapshot: both ends of an echo
         # share one contention region to first order
-        delay_of = hop_delay(self.scenario, load, now, self.rng)
+        delay_of = self.hop_delay(load, now)
         probe_delay = delay_of(node.own_tx_times)
         node.own_tx_times.append(now)
         node.probes.update(node.neighbors)
@@ -323,37 +332,33 @@ class Simulation:
                                    self.scenario.echo_alpha)
         self._record(now, ECHO_REPLY, i, -1, f"measured={applied}")
 
-    def _on_cbr_emit(self, now, nid, t_set):
+    def _on_cbr_emit(self, now, nid):
         eid = self.next_event_id
         self.next_event_id += 1
-        pkt = DataPacket(event_id=eid, source_id=nid, t_l=t_set,
-                         created_at=now)
-        self._record(now, CBR_EMIT, nid, eid, f"tset={t_set!r}")
-        self._forward_from(nid, pkt, now)
-        sc = self.scenario
-        nxt = now + sc.interval_s
-        if nxt <= min(sc.cbr_stop(), sc.sim_time):
-            self._schedule(nxt, self._on_cbr_emit, (nid, t_set))
+        self._record(now, CBR_EMIT, nid, eid, self.emit_detail)
+        self._forward_from(nid, DataPacket(eid, nid, self.t_set, now), now)
+        nxt = now + self.scenario.interval_s
+        if nxt <= self.cbr_end:
+            self._schedule(nxt, self._on_cbr_emit, (nid,))
 
     def _forward_from(self, i, pkt, now):
         node = self.nodes[i]
-        st = node.state
-        decision = decide_forward(st, pkt)
-        if decision.primary_next_hop is None:
+        decision = decide_forward(node.state, pkt)
+        primary, duplicate, _ = decision
+        if primary is None:
             reason = REASON_NO_BUDGET if decision is SPENT else REASON_NO_ROUTE
             self.dropped += 1
             self._record(now, DROP, i, pkt.event_id,
-                         f"reason={reason} dup={int(pkt.is_duplicate)}")
+                         f"reason={reason} dup={pkt.is_duplicate:d}")
             return
         load = self._neighborhood_load(i, now)
-        d_here = st.dist_to_sink
-        targets = [(decision.primary_next_hop, pkt)]
-        if decision.duplicate_next_hop is not None:
-            self._record(now, DUPLICATE, i, pkt.event_id,
-                         f"to={decision.duplicate_next_hop}")
-            targets.append((decision.duplicate_next_hop,
-                            pkt._replace(is_duplicate=True)))
-        delay_of = hop_delay(self.scenario, load, now, self.rng)
+        targets = ((primary, pkt),)
+        if duplicate is not None:
+            self._record(now, DUPLICATE, i, pkt.event_id, f"to={duplicate}")
+            targets += ((duplicate, DataPacket(*pkt[:5], True)),)
+        if not node.dist_text:            # FORWARD's d=, once per node
+            node.dist_text = repr(node.state.dist_to_sink)
+        delay_of = self.hop_delay(load, now)
         for j, copy in targets:
             self.data_log.append((now, i))
             self.recent[i] += 1
@@ -361,11 +366,11 @@ class Simulation:
             if not n:
                 self.dropped += 1
                 self._record(now, DROP, i, copy.event_id,
-                             f"reason={REASON_LOSS} dup={int(copy.is_duplicate)}")
+                             f"reason={REASON_LOSS} dup={copy.is_duplicate:d}")
                 continue
             self._record(now, FORWARD, i, copy.event_id,
-                         f"to={j} dup={int(copy.is_duplicate)} "
-                         f"d={d_here!r} tl={copy.t_l!r}")
+                         f"to={j} dup={copy.is_duplicate:d} "
+                         f"d={node.dist_text} tl={copy.t_l!r}")
             delay *= n
             self._schedule(now + delay, self._on_packet_arrival,
                            (j, copy, delay))
@@ -378,7 +383,7 @@ class Simulation:
             e2e = now - updated.created_at
             self._record(now, PACKET_ARRIVAL, j, updated.event_id,
                          f"delay={e2e!r} tl={updated.t_l!r} "
-                         f"dup={int(updated.is_duplicate)} "
+                         f"dup={updated.is_duplicate:d} "
                          f"hops={updated.hop_count}")
         else:
             self._forward_from(j, updated, now)

@@ -23,7 +23,7 @@ from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
 from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
                               decide_forward, record_echo_rtts)
 from dartsim.scenario import Scenario, validate
-from dartsim.simkernel import Simulation, attempt_counts, hop_delay
+from dartsim.simkernel import Simulation, attempt_counts, channel
 from trace_invariants import criterion_8_violations
 
 NODE_COUNTS = (50, 100, 150)
@@ -190,7 +190,7 @@ def test_criterion_06_equation_oracles():
                   jitter_ms=0.0, queue_service_rate=2000.0, tx_delay_ms=0.5,
                   loss=0.5, max_retries=5)
     # stub streams of random() values: none (no jitter), 5 failed tries
-    per_try = hop_delay(sc, 0.0, 1.0, SimpleNamespace(random=None))(
+    per_try = channel(sc, SimpleNamespace(random=None))(0.0, 1.0)(
         deque([1.0]))
     draws = iter([0.0] * 5 + [0.9])
     tries = next(attempt_counts(sc, SimpleNamespace(random=draws.__next__)))

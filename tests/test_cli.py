@@ -106,6 +106,15 @@ def test_run_rejects_a_repeated_cbr_source(capsys):
     assert "cbr_sources" in err
 
 
+def test_run_rejects_an_empty_cbr_source_list(capsys):
+    # unchecked, the run has no traffic and prints blank ratio cells
+    code, out, err = run_cli(capsys, "run", "--set", "cbr_sources=",
+                             "--set", "sim_time=5")
+    assert code == 1
+    assert out == ""
+    assert "cbr_sources is empty; use cbr_count = 0" in err
+
+
 def test_run_rejects_nan_deadline_instead_of_running(capsys):
     # sim_time=inf is not tried here: unchecked, that run never ends
     code, out, err = run_cli(capsys, "run", "--set", "deadline_ms=nan",

@@ -177,6 +177,21 @@ def test_the_data_path_computes_no_distance(monkeypatch):
     assert not hasattr(protocol, "distance")
 
 
+def test_the_data_path_rebuilds_packets_without_replace(monkeypatch,
+                                                       tmp_path):
+    """Each hop builds its packet positionally, so the busiest golden run
+    writes its pinned bytes with DataPacket._replace out of reach."""
+    settings, trace_sha, row = GOLDEN["data-heavy-100"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("DataPacket._replace called on the data path")
+    monkeypatch.setattr(protocol.DataPacket, "_replace", refused)
+    path = tmp_path / "run.trace"
+    meta, _, metrics = run_scenario(scenario_from(settings), trace_path=path)
+    assert ",".join(format_run_row(meta, metrics)) == row
+    assert sha256_of(path) == trace_sha
+
+
 class ScanCountingTable(dict):
     """A forwarding table that counts the scans made of it."""
 

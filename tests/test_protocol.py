@@ -26,7 +26,7 @@ from dartsim.protocol import (
     record_echo_rtts,
 )
 from dartsim.scenario import Scenario
-from dartsim.simkernel import attempt_counts, hop_delay
+from dartsim.simkernel import attempt_counts, channel
 
 SINK = (0.0, 0.0)
 
@@ -62,7 +62,7 @@ def test_hop_delay_scales_with_the_attempt_count():
                   jitter_ms=0.0, queue_service_rate=1000.0, tx_delay_ms=3.0,
                   loss=0.5, max_retries=4)
     no_draws = SimpleNamespace(random=None)   # no jitter: nothing is drawn
-    delay = hop_delay(sc, 0.0, 1.0, no_draws)(deque([1.0, 1.0]))
+    delay = channel(sc, no_draws)(0.0, 1.0)(deque([1.0, 1.0]))
     for values, n in (([0.9], 1), ([0.0, 0.9], 2)):
         draws = SimpleNamespace(random=iter(values).__next__)
         assert next(attempt_counts(sc, draws)) == n

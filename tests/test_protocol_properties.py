@@ -81,6 +81,26 @@ def test_arrival_update_never_increases_budget(t_l, delay):
     assert 0.0 <= out.t_l <= t_l
 
 
+@given(st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=200),
+       st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+       st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+       st.integers(min_value=0, max_value=64), st.booleans(),
+       st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
+def test_arrival_update_charges_the_budget_and_counts_the_hop(
+        event_id, source_id, t_l, created_at, hop_count, is_duplicate, delay):
+    """The rebuilt packet is the original with two fields replaced; a
+    delay over the budget leaves none of it."""
+    pkt = DataPacket(event_id, source_id, t_l, created_at, hop_count,
+                     is_duplicate)
+    out = on_data_arrival_update(pkt, delay)
+    oracle = pkt._replace(t_l=max(0.0, pkt.t_l - delay),
+                          hop_count=pkt.hop_count + 1)
+    assert type(out) is DataPacket
+    assert out._asdict() == oracle._asdict()
+    assert out.t_l.hex() == oracle.t_l.hex()
+
+
 @given(st.integers(min_value=0, max_value=200), st.booleans(), st.booleans())
 @settings(max_examples=100)
 def test_duplication_happens_only_at_the_source(seed, at_source, dup_copy):

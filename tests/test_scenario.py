@@ -257,7 +257,7 @@ def valid_scenarios(draw):
     sc.seed = draw(st.integers())
     others = [i for i in range(n) if i != sc.sink]
     sc.cbr_sources = draw(st.none() | st.lists(st.sampled_from(others),
-                                                unique=True))
+                                                min_size=1, unique=True))
     for key in ("area_width", "area_height", "tx_range", "deadline_ms",
                 "queue_service_rate", "bootstrap_spread_s"):
         setattr(sc, key, draw(_numbers(1e-300, 1e12)))

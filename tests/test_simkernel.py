@@ -13,8 +13,9 @@ from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              write_trace)
 from dartsim.protocol import DataPacket
 from dartsim.scenario import Scenario, ScenarioError, validate
+from dartsim import simkernel
 from dartsim.simkernel import (Simulation, attempt_counts, build_topology,
-                               hop_delay, select_sources)
+                               select_sources)
 
 
 def make_scenario(**kw):
@@ -98,7 +99,7 @@ def test_tx_count_mean_matches_truncated_geometric():
 def test_link_delay_is_exact_when_nothing_is_random():
     sc = channel()
     rng = random.Random(4)
-    delay = hop_delay(sc, 0.0, 1.0, rng)(queued(0))
+    delay = simkernel.channel(sc, rng)(0.0, 1.0)(queued(0))
     n = next(attempt_counts(sc, rng))
     tx_delay = sc.tx_delay_ms / 1000.0      # the run's ms -> s conversion
     assert n == 1
@@ -110,9 +111,9 @@ def test_link_delay_is_exact_when_nothing_is_random():
 
 def test_link_delay_load_and_occupancy_terms():
     sc, rng = channel(), random.Random(5)
-    idle = hop_delay(sc, 0.0, 1.0, rng)(queued(0))
-    loaded = hop_delay(sc, 3.0, 1.0, rng)(queued(0))
-    busy = hop_delay(sc, 0.0, 1.0, rng)(queued(2))
+    idle = simkernel.channel(sc, rng)(0.0, 1.0)(queued(0))
+    loaded = simkernel.channel(sc, rng)(3.0, 1.0)(queued(0))
+    busy = simkernel.channel(sc, rng)(0.0, 1.0)(queued(2))
     assert loaded - idle == pytest.approx(0.0003, rel=1e-12)  # 3 x 0.1 ms
     assert busy - idle == pytest.approx(0.0005, rel=1e-12)    # 2 / 4000
 
@@ -120,14 +121,15 @@ def test_link_delay_load_and_occupancy_terms():
 def test_ms_settings_are_converted_with_the_runs_expressions():
     sc = channel(base_mac_delay_ms=0.37, contention_coeff_ms=0.13,
                  tx_delay_ms=0.29)
-    delay = hop_delay(sc, 3.0, 1.0, random.Random(11))(queued(0))
+    delay = simkernel.channel(sc, random.Random(11))(3.0, 1.0)(queued(0))
     mac_delay = 0.37 / 1000.0 + 0.13 / 1000.0 * 3.0
     assert delay == mac_delay + 0.0 + 0.29 / 1000.0
 
 
 def test_link_delay_mean_matches_analytic_value():
     sc, rng = channel(0.3, jitter_ms=0.05), random.Random(6)
-    delay_of, attempts = hop_delay(sc, 3.0, 1.0, rng), attempt_counts(sc, rng)
+    delay_of = simkernel.channel(sc, rng)(3.0, 1.0)
+    attempts = attempt_counts(sc, rng)
     n = 100_000
     total = 0.0
     delivered_count = 0
@@ -143,7 +145,7 @@ def test_link_delay_mean_matches_analytic_value():
 def test_queue_window_expires_old_transmissions_and_keeps_the_rest():
     sc = channel()
     q = deque([0.1, 0.5, 0.9, 1.0])
-    delay = hop_delay(sc, 0.0, 1.0, random.Random(7))(q)
+    delay = simkernel.channel(sc, random.Random(7))(0.0, 1.0)(q)
     assert q == deque([0.9, 1.0])      # 0.5 sits on the window's edge
     assert delay == 0.0003 + 2 / 4000.0 + sc.tx_delay_ms / 1000.0
 
@@ -163,7 +165,7 @@ def test_each_leg_is_the_one_way_equation_of_its_parts():
         attempts = attempt_counts(sc, random.Random(rng.random()))
         twin = random.Random()
         twin.setstate(rng.getstate())   # replays the jitter draws
-        delay_of = hop_delay(sc, load, 1.0, rng)
+        delay_of = simkernel.channel(sc, rng)(load, 1.0)
         # the broadcast leg, then five unicast legs
         legs = [(delay_of(q), 1)] + [
             (delay_of(q), attempts_or_budget(sc, attempts)) for _ in range(5)]
@@ -189,7 +191,7 @@ def test_an_ack_draws_its_attempts_and_no_mac_jitter():
 def test_a_broadcast_draws_its_jitter_and_no_attempts():
     sc = channel(0.5, jitter_ms=0.2)
     rng, twin = random.Random(10), random.Random(10)
-    delay = hop_delay(sc, 0.0, 1.0, rng)(queued(0))
+    delay = simkernel.channel(sc, rng)(0.0, 1.0)(queued(0))
     mac_delay = 0.0003 + twin.expovariate(1.0 / (0.2 / 1000.0))
     assert delay == mac_delay + 0.0 + sc.tx_delay_ms / 1000.0
     assert rng.getstate() == twin.getstate()
@@ -201,11 +203,36 @@ def test_the_jitter_is_expovariate_on_a_twin_bit_for_bit(jitter_ms):
     sc = channel(jitter_ms=jitter_ms, base_mac_delay_ms=0.0,
                  contention_coeff_ms=0.0, tx_delay_ms=0.0)
     rng, twin = random.Random(14), random.Random(14)
-    delay_of = hop_delay(sc, 0.0, 1.0, rng)
+    delay_of = simkernel.channel(sc, rng)(0.0, 1.0)
     rate = 1.0 / (jitter_ms / 1000.0)
     for _ in range(300):
         assert delay_of(queued(0)).hex() == twin.expovariate(rate).hex()
         assert rng.getstate() == twin.getstate()
+
+
+class CountingScenario:
+    """A Scenario that counts the reads of its keys."""
+
+    def __init__(self, scenario):
+        self.scenario, self.reads = scenario, 0
+
+    def __getattr__(self, key):
+        self.reads += 1
+        return getattr(self.scenario, key)
+
+
+def test_a_load_snapshot_reads_no_scenario_key():
+    """channel binds the settings once per run: building a snapshot's
+    delay and drawing hops from it read none of them."""
+    sc = CountingScenario(channel(jitter_ms=0.05))
+    hop_delay = simkernel.channel(sc, random.Random(15))
+    assert sc.reads > 0
+    sc.reads = 0
+    delay_of = hop_delay(3.0, 1.0)
+    assert sc.reads == 0
+    for q in (queued(0), queued(2), deque([0.1, 0.9])):
+        assert delay_of(q) > 0.0
+    assert sc.reads == 0
 
 
 def retry_loop(sc, twin):
