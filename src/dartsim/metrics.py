@@ -3,7 +3,8 @@
 A trace is an ordered list of TraceRecord rows.  The same records drive
 both the in-process metrics at the end of a run and offline replay from
 a trace file, so the two can never disagree.  Floats are serialized
-with repr() and therefore round-trip exactly.
+with repr() and therefore round-trip exactly.  Reading interns each
+record's kind as its module constant and rejects an unknown kind.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ RUN_END = "RUN_END"
 FORWARD = "FORWARD"
 DUPLICATE = "DUPLICATE"
 DROP = "DROP"
+# each kind a trace may hold, mapped to itself: reading interns and checks it
+_KINDS = {kind: kind for kind in (
+    HELLO_ROUND, ECHO_PROBE, ECHO_REPLY, PACKET_ARRIVAL, CBR_EMIT,
+    METRIC_SNAPSHOT, RUN_END, FORWARD, DUPLICATE, DROP)}
 
 # drop reasons appearing in DROP record details
 REASON_NO_ROUTE = "no_route"
@@ -91,31 +96,38 @@ def _scan(records):
     """
     created = {}        # event_id -> (created_at, t_set)
     first_arrival = {}  # event_id -> arrival time
+    tsets, is_loss = {}, {}   # each detail text, parsed once: t_set / loss?
     no_route = 0
     loss = 0
-    for rec in records:
-        if rec.kind == CBR_EMIT:
-            try:
-                t_set = float(detail_fields(rec.detail)["tset"])
-            except (KeyError, ValueError):
-                raise TraceError(f"CBR_EMIT of event {rec.event_id} has no "
-                                 f"numeric tset in {rec.detail!r}") from None
-            created[rec.event_id] = (rec.time, t_set)
-        elif rec.kind in (PACKET_ARRIVAL, DROP):
-            if rec.event_id not in created:
-                raise TraceError(f"{rec.kind} of event {rec.event_id} comes "
+    for time, kind, _, event_id, detail in records:
+        if kind == CBR_EMIT:
+            t_set = tsets.get(detail)
+            if t_set is None:
+                try:
+                    t_set = tsets[detail] = float(detail_fields(detail)["tset"])
+                except (KeyError, ValueError):
+                    raise TraceError(f"CBR_EMIT of event {event_id} has no "
+                                     f"numeric tset in {detail!r}") from None
+            created[event_id] = (time, t_set)
+        elif kind == PACKET_ARRIVAL or kind == DROP:
+            if event_id not in created:
+                raise TraceError(f"{kind} of event {event_id} comes "
                                  f"before any CBR_EMIT of it")
-            if rec.kind == DROP:
-                reason = detail_fields(rec.detail).get("reason")
-                if reason == REASON_LOSS:
+            if kind == DROP:
+                lost = is_loss.get(detail)
+                if lost is None:
+                    reason = detail_fields(detail).get("reason")
+                    if reason not in (REASON_LOSS, REASON_NO_ROUTE,
+                                      REASON_NO_BUDGET):
+                        raise TraceError(f"DROP of event {event_id} has the "
+                                         f"unknown reason {reason!r}")
+                    lost = is_loss[detail] = reason == REASON_LOSS
+                if lost:
                     loss += 1
-                elif reason in (REASON_NO_ROUTE, REASON_NO_BUDGET):
-                    no_route += 1     # routing-layer drops: voids and budgets
                 else:
-                    raise TraceError(f"DROP of event {rec.event_id} has the "
-                                     f"unknown reason {reason!r}")
-            elif rec.event_id not in first_arrival:
-                first_arrival[rec.event_id] = rec.time
+                    no_route += 1     # routing-layer drops: voids and budgets
+            elif event_id not in first_arrival:
+                first_arrival[event_id] = time
     return created, first_arrival, no_route, loss
 
 
@@ -214,16 +226,15 @@ def write_trace(path, meta: dict, records) -> None:
         fh.write("# meta " + " ".join(f"{k}={_cell(v)}" for k, v in meta.items())
                  + "\n")
         fh.write(TRACE_HEADER + "\n")
-        for rec in records:
-            fh.write(f"{rec.time!r},{rec.kind},{rec.node},{rec.event_id},"
-                     f"{rec.detail}\n")
+        for time, kind, node, event_id, detail in records:
+            fh.write(f"{time!r},{kind},{node},{event_id},{detail}\n")
 
 
 def read_trace(path):
     """Parse a trace file back into (meta, records).
 
-    Raises TraceError with the offending line number on malformed input.
-    An empty file is a valid, empty trace.
+    Raises TraceError with the offending line number on malformed input
+    or an unknown kind.  An empty file is a valid, empty trace.
     """
     meta: dict = {}
     records = []
@@ -232,33 +243,36 @@ def read_trace(path):
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
-    body_started = False
+    append, new = records.append, tuple.__new__
+    kinds = {}                  # no line parses as a record before the header
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
+        try:
+            time, kind, node, event_id, detail = line.split(",", 4)
+            append(new(TraceRecord, (float(time), kinds[kind], int(node),
+                                     int(event_id), detail)))
+        except (KeyError, ValueError) as exc:
+            # only a line that is not a record is looked at again
             if line.startswith("# meta "):
                 for part in line[len("# meta "):].split():
                     key, _, value = part.partition("=")
                     try:
                         meta[key] = RUN_META.get(key, str)(value)
                     except ValueError:
-                        raise TraceError(
-                            f"{path}:{lineno}: bad meta value {part!r}") from None
-            continue
-        if not body_started:
-            if line != TRACE_HEADER:
-                raise TraceError(f"{path}:{lineno}: expected header "
-                                 f"{TRACE_HEADER!r}, got {line!r}")
-            body_started = True
-            continue
-        parts = line.split(",", 4)
-        if len(parts) != 5:
-            raise TraceError(f"{path}:{lineno}: expected 5 fields, "
-                             f"got {len(parts)}")
-        try:
-            records.append(TraceRecord(float(parts[0]), parts[1],
-                                       int(parts[2]), int(parts[3]), parts[4]))
-        except ValueError as exc:
-            raise TraceError(f"{path}:{lineno}: {exc}") from None
+                        raise TraceError(f"{path}:{lineno}: bad meta value "
+                                         f"{part!r}") from None
+            elif line.startswith("#") or not line.strip():
+                pass
+            elif not kinds:
+                if line != TRACE_HEADER:
+                    raise TraceError(f"{path}:{lineno}: expected header "
+                                     f"{TRACE_HEADER!r}, got {line!r}") from None
+                kinds = _KINDS
+            elif isinstance(exc, KeyError):
+                raise TraceError(f"{path}:{lineno}: unknown record kind "
+                                 f"{kind!r}") from None
+            else:
+                fields = line.count(",") + 1
+                raise TraceError(f"{path}:{lineno}: " + (
+                    str(exc) if fields >= 5
+                    else f"expected 5 fields, got {fields}")) from None
     return meta, records

@@ -170,6 +170,7 @@ class Simulation:
     def __init__(self, scenario):
         validate(scenario)
         self.scenario = scenario
+        self.sink = scenario.sink
         self.rng = random.Random(scenario.seed)
         self.attempts = attempt_counts(scenario, self.rng)
         self.hop_delay = channel(scenario, self.rng)
@@ -260,8 +261,8 @@ class Simulation:
         return float(recent[i] + sum(map(recent.__getitem__,
                                          self.nodes[i].neighbors)))
 
-    def _record(self, time, kind, node, event_id, detail):
-        self.records.append(TraceRecord(time, kind, node, event_id, detail))
+    def _record(self, *fields):         # time, kind, node, event_id, detail
+        self.records.append(tuple.__new__(TraceRecord, fields))
 
     # -- handlers -------------------------------------------------------
 
@@ -378,7 +379,7 @@ class Simulation:
 
     def _on_packet_arrival(self, now, j, pkt, link_delay):
         updated = on_data_arrival_update(pkt, link_delay)
-        if j == self.scenario.sink:
+        if j == self.sink:
             self.arrived += 1
             e2e = now - updated.created_at
             self._record(now, PACKET_ARRIVAL, j, updated.event_id,

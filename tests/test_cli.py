@@ -259,12 +259,15 @@ def test_replay_cbr_emit_without_numeric_tset_fails_with_code_1(
     assert "CBR_EMIT" in err and "17" in err
 
 
-@pytest.mark.parametrize("line, event", [
+@pytest.mark.parametrize("line, named", [
     ("0.5,PACKET_ARRIVAL,0,7,delay=0.001 tl=0.0 dup=0 hops=1", "event 7"),
     ("0.5,DROP,3,7,reason=no_route dup=0", "event 7"),
-    ("0.5,DROP,3,0,reason=bogus dup=0", "event 0")],
-    ids=["arrival-never-emitted", "drop-never-emitted", "unknown-reason"])
-def test_replay_impossible_trace_fails_with_code_1(line, event, tmp_path,
+    ("0.5,DROP,3,0,reason=bogus dup=0", "event 0"),
+    ("0.001,PACKET_ARIVAL,0,0,delay=0.001 tl=0.0 dup=0 hops=1",
+     "impossible.csv:3: unknown record kind 'PACKET_ARIVAL'")],
+    ids=["arrival-never-emitted", "drop-never-emitted", "unknown-reason",
+         "unknown-kind"])
+def test_replay_impossible_trace_fails_with_code_1(line, named, tmp_path,
                                                     capsys):
     path = tmp_path / "impossible.csv"
     path.write_text("time,kind,node,event_id,detail\n"
@@ -272,7 +275,7 @@ def test_replay_impossible_trace_fails_with_code_1(line, event, tmp_path,
     code, out, err = run_cli(capsys, "replay", str(path))
     assert code == 1
     assert out == ""
-    assert event in err
+    assert named in err
 
 
 def test_validate_prints_normalized_settings(line_file, capsys):

@@ -7,8 +7,10 @@ import pytest
 from dartsim.metrics import (
     CBR_EMIT,
     DROP,
+    HELLO_ROUND,
     PACKET_ARRIVAL,
     RUN_CSV_COLUMNS,
+    TRACE_HEADER,
     RunMetrics,
     TraceError,
     TraceRecord,
@@ -227,4 +229,59 @@ def test_bad_header_reports_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("time;kind\n")
     with pytest.raises(TraceError, match=r":1:"):
+        read_trace(path)
+
+
+def body_of(tmp_path, *lines, newline="\n"):
+    """A trace file whose body is lines, after a meta line and the header."""
+    path = tmp_path / "trace.txt"
+    text = newline.join(["# meta nodes=2", TRACE_HEADER, *lines, ""])
+    path.write_bytes(text.encode())
+    return path
+
+
+def test_comment_and_blank_body_lines_are_skipped(tmp_path):
+    path = body_of(tmp_path, "0.0,CBR_EMIT,5,1,tset=0.006", "# a note",
+                   "   \t", "", "0.002,PACKET_ARRIVAL,0,1,delay=0.002")
+    _, records = read_trace(path)
+    assert [rec.kind for rec in records] == [CBR_EMIT, PACKET_ARRIVAL]
+
+
+def test_meta_line_after_the_header_is_still_read(tmp_path):
+    path = body_of(tmp_path, "0.0,CBR_EMIT,5,1,tset=0.006",
+                   "# meta seed=9 note=x")
+    meta, records = read_trace(path)
+    assert meta == {"nodes": 2, "seed": 9, "note": "x"}
+    assert len(records) == 1
+
+
+def test_detail_holding_commas_round_trips(tmp_path):
+    path = tmp_path / "trace.txt"
+    records = [TraceRecord(0.5, HELLO_ROUND, 1, -1, "a=1,b=2,,c=3,")]
+    write_trace(path, {}, records)
+    assert read_trace(path)[1] == records
+
+
+def test_crlf_trace_reads_the_same_records(tmp_path):
+    lines = ("0.0,CBR_EMIT,5,1,tset=0.006", "0.25,DROP,3,1,reason=loss dup=0")
+    lf = read_trace(body_of(tmp_path, *lines))
+    crlf = read_trace(body_of(tmp_path, *lines, newline="\r\n"))
+    assert crlf == lf
+    assert crlf[1][1].detail == "reason=loss dup=0"
+
+
+def test_short_line_reports_its_field_count_and_line(tmp_path):
+    path = body_of(tmp_path, "0.0,CBR_EMIT,5,1,tset=0.006", "0.1,DROP,3")
+    with pytest.raises(TraceError, match=r":4: expected 5 fields, got 3$"):
+        read_trace(path)
+    path = body_of(tmp_path, "0.1,DROP,3,1")
+    with pytest.raises(TraceError, match=r":3: expected 5 fields, got 4$"):
+        read_trace(path)
+
+
+def test_non_numeric_node_reports_the_value_error_and_line(tmp_path):
+    path = body_of(tmp_path, "0.0,CBR_EMIT,5,1,tset=0.006",
+                   "0.1,DROP,x,1,reason=loss")
+    with pytest.raises(TraceError, match=r":4: invalid literal for int\(\) "
+                                         r"with base 10: 'x'$"):
         read_trace(path)
