@@ -221,9 +221,18 @@ def format_aggregate_row(key, metrics: dict) -> list[str]:
 # -------------------------------------------------------------- trace I/O
 
 def write_trace(path, meta: dict, records) -> None:
-    """Write a run trace: a meta comment, the header, then one row per record."""
+    """Write a run trace: a meta comment, the header, then one row per record.
+
+    A meta key or value text holding whitespace or '=' raises ValueError.
+    """
+    cells = {k: _cell(v) for k, v in meta.items()}
+    for k, text in cells.items():
+        pair = f"{k}={text}"
+        if pair.count("=") > 1 or pair.split() != [pair]:
+            raise ValueError(f"meta key {k!r} or its value {text!r} holds "
+                             "whitespace or '='")
     with open(path, "w") as fh:
-        fh.write("# meta " + " ".join(f"{k}={_cell(v)}" for k, v in meta.items())
+        fh.write("# meta " + " ".join(f"{k}={v}" for k, v in cells.items())
                  + "\n")
         fh.write(TRACE_HEADER + "\n")
         for time, kind, node, event_id, detail in records:
@@ -240,7 +249,7 @@ def read_trace(path):
     records = []
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")   # a detail may hold other breaks
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
     append, new = records.append, tuple.__new__

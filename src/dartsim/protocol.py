@@ -1,19 +1,20 @@
 """Node-local routing state and the deadline-driven forwarding rule.
 
-Each node learns its neighbors from the beacons exchanged in HELLO
-rounds (a node's HELLO and its ACKs carry the same constant beacon) and
-keeps a per-neighbor link delay estimate refreshed by periodic echo
-probes.  A data packet carries a shrinking time budget; it is handed to
-the neighbor that is closer to the sink and offers the highest progress
+Each node learns its neighbors in HELLO rounds: a node's HELLO and its
+ACKs carry its id and sink distance, and a receiver that does not know
+the sender yet inserts an unmeasured ForwardingEntry for it.  It keeps
+a per-neighbor link delay estimate refreshed by periodic echo probes.
+A data packet carries a shrinking time budget; it is handed to the
+neighbor that is closer to the sink and offers the highest progress
 speed, provided that speed covers what the remaining budget demands.
 At the packet's source a second copy goes to the runner-up neighbor.
 A link delay changes only when an echo reply is folded in, so each node
 ranks its closer neighbors once per echo reply, not once per packet.
 
-Packets and beacons are NamedTuples, cheap to build on every hop; a
-changed copy of a packet is built positionally from the unpacked
-original, which costs less than _replace.  Distances are meters, times
-are seconds, speeds are meters per second.
+Packets are NamedTuples, cheap to build on every hop; a changed copy of
+a packet is built positionally from the unpacked original, which costs
+less than _replace.  Distances are meters, times are seconds, speeds
+are meters per second.
 """
 
 from __future__ import annotations
@@ -23,17 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 NodeId = int
-
-
-class Beacon(NamedTuple):
-    """What a node advertises to its neighbors: its id and sink distance.
-
-    Nodes never move, so each node's beacon is a constant; it serves as
-    both the HELLO broadcast and the ACK that answers one.
-    """
-
-    node_id: NodeId
-    dist_to_sink: float
 
 
 class DataPacket(NamedTuple):
@@ -99,23 +89,6 @@ class ForwardDecision(NamedTuple):
 SPENT = ForwardDecision(None, None, math.inf)
 
 
-def make_beacon(state: NodeState) -> Beacon:
-    """Build this node's beacon, sent as its HELLO and as its ACKs."""
-    return Beacon(state.my_id, state.dist_to_sink)
-
-
-def learn_neighbor(state: NodeState, beacon: Beacon) -> None:
-    """Insert an unknown sender as an unmeasured row; a known row is kept.
-
-    A beacon never changes, so a row already holds what a repeat would
-    carry, and its link delay estimate is left alone.  The sender must
-    not be the node itself.
-    """
-    table = state.forwarding_table
-    if beacon.node_id not in table:
-        table[beacon.node_id] = ForwardingEntry(beacon.dist_to_sink)
-
-
 def record_echo_rtts(state: NodeState, pending: set, measurements,
                      alpha: float) -> int:
     """Fold one echo reply's (neighbor_id, rtt) samples; return the count.
@@ -124,16 +97,15 @@ def record_echo_rtts(state: NodeState, pending: set, measurements,
     known neighbor's positive sample is stored, exponentially smoothed
     with weight alpha on it once the neighbor has an estimate.
     """
-    table, before = state.forwarding_table, len(pending)
+    table, before, beta = state.forwarding_table, len(pending), 1.0 - alpha
     for neighbor_id, rtt in measurements:
         if neighbor_id in pending:
             pending.remove(neighbor_id)
             entry = table.get(neighbor_id)
             if entry is not None and rtt > 0.0:
-                sample = rtt / 2.0            # one way: half the round trip
-                if entry.link_delay > 0.0:
-                    sample = alpha * sample + (1.0 - alpha) * entry.link_delay
-                entry.link_delay = sample
+                old = entry.link_delay        # one way: half the round trip
+                entry.link_delay = (alpha * (rtt / 2.0) + beta * old
+                                    if old > 0.0 else rtt / 2.0)
     state.best = None                     # rank again at the next packet
     return before - len(pending)
 

@@ -25,12 +25,13 @@ Draws: channel() binds the MAC and queue constants once per run.  An
 echo probe and a forward each take one load snapshot and build one delay
 closure from it with hop_delay(load, now): the one home of the MAC delay
 (its jitter is CPython's expovariate body, written out), the queue-window
-expiry and the per-attempt delay.  A unicast's attempts come from the
-run's one attempt_counts generator; its one-way delay is the per-attempt
-delay times the attempts.  Order, fixed for replay: a receiver's
-broadcast loss (drawn by the caller), the hop's jitter, its attempts.
-An ACK draws attempts only and a broadcast draws jitter only; an echo
-reply draws nothing and folds its samples in one record_echo_rtts call.
+expiry and the per-attempt delay.  A unicast draws its first try inline
+as random() >= loss and calls the run's one retry() from retries() only
+when that try fails; its one-way delay is the per-attempt delay times
+the try that got through.  Order, fixed for replay: a receiver's
+broadcast loss, the hop's jitter, its tries.  An ACK draws tries only
+and a broadcast draws jitter only; an echo reply draws nothing and folds
+its samples in one record_echo_rtts call.
 """
 
 from __future__ import annotations
@@ -47,16 +48,14 @@ from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
                       REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
                       TraceRecord, compute_run_metrics)
-from .protocol import (SPENT, DataPacket, NodeState, decide_forward,
-                       learn_neighbor, make_beacon, on_data_arrival_update,
+from .protocol import (SPENT, DataPacket, ForwardingEntry, NodeState,
+                       decide_forward, on_data_arrival_update,
                        record_echo_rtts)
 from .scenario import validate
 
 log = logging.getLogger(__name__)
 
 
-# Constants bind once per run and a snapshot's closure needs no priming;
-# a live generator's next() beats a call, hence one attempt_counts per run.
 def channel(sc, rng):
     """Bind a run's MAC and queue constants; returns hop_delay(load, now).
 
@@ -76,26 +75,28 @@ def channel(sc, rng):
         def delay(q):
             while q and q[0] <= cut:
                 q.popleft()
-            mac_delay = contention
-            if jitter > 0.0:
-                mac_delay += -_log(1.0 - random()) / lambd
+            mac_delay = (contention - _log(1.0 - random()) / lambd
+                         if jitter > 0.0 else contention)
             return mac_delay + len(q) / rate + tx_delay
         return delay
     return hop_delay
 
 
-def attempt_counts(sc, rng):
-    """Yield the attempts of one unicast per next(), 0 when it gives up.
+def retries(sc, rng):
+    """Bind a unicast's retries; returns retry().
 
-    Each attempt fails with probability sc.loss; max_retries + 1
-    failures give up.
+    The caller draws the first try as random() >= sc.loss.  Only when it
+    fails, retry() draws tries 2 to max_retries + 1 and returns the try
+    that got through, or 0 when every one failed.
     """
-    random, loss, retries = rng.random, sc.loss, range(2, sc.max_retries + 2)
-    while True:
-        if random() >= loss:              # most unicasts need one try
-            yield 1
-        else:                             # the first retry through, or 0
-            yield next((n for n in retries if random() >= loss), 0)
+    random, loss, tries = rng.random, sc.loss, range(2, sc.max_retries + 2)
+
+    def retry():
+        for n in tries:
+            if random() >= loss:
+                return n
+        return 0
+    return retry
 
 
 def build_topology(scenario, rng) -> tuple:
@@ -158,7 +159,6 @@ def _reachable_from(adjacency, start) -> set:
 class _SimNode:
     state: NodeState
     neighbors: list
-    beacon: object                       # HELLO and ACK: nodes never move
     dist_text: str = ""                  # repr(dist_to_sink), at first send
     own_tx_times: deque = field(default_factory=deque)
     probes: set = field(default_factory=set)  # neighbors with an echo pending
@@ -172,16 +172,14 @@ class Simulation:
         self.scenario = scenario
         self.sink = scenario.sink
         self.rng = random.Random(scenario.seed)
-        self.attempts = attempt_counts(scenario, self.rng)
+        self.retry = retries(scenario, self.rng)
         self.hop_delay = channel(scenario, self.rng)
         positions, adjacency = build_topology(scenario, self.rng)
         sink = scenario.sink
         dist_to_sink = [math.dist(p, positions[sink]) for p in positions]
         self.nodes = []
         for i, d in enumerate(dist_to_sink):
-            state = NodeState(i, d)
-            self.nodes.append(_SimNode(state=state, neighbors=adjacency[i],
-                                       beacon=make_beacon(state)))
+            self.nodes.append(_SimNode(NodeState(i, d), adjacency[i]))
         self.sources = select_sources(scenario, dist_to_sink)
         self.warnings = []
         reachable = _reachable_from(adjacency, sink)
@@ -267,24 +265,23 @@ class Simulation:
     # -- handlers -------------------------------------------------------
 
     def _on_hello_round(self, now, i, steady):
-        node = self.nodes[i]
-        table = node.state.forwarding_table
+        tables, queues, dists = self.tables, self.queues, self.dists
+        table, dist = tables[i], dists[i]
         self.round_log.append((now, i))
         self.recent[i] += 1
-        node.own_tx_times.append(now)
-        p = self.scenario.loss
-        attempts, random, nodes = self.attempts, self.rng.random, self.nodes
+        queues[i].append(now)
+        p, random, retry = self.scenario.loss, self.rng.random, self.retry
         acks = 0
-        for j in node.neighbors:
+        for j in self.nodes[i].neighbors:
             if random() < p:
                 continue                      # broadcast lost at j
-            peer = nodes[j]
-            if i not in peer.state.forwarding_table:
-                learn_neighbor(peer.state, node.beacon)
-            peer.own_tx_times.append(now)     # the ACK transmission
-            if next(attempts):
+            peer_table = tables[j]
+            if i not in peer_table:
+                peer_table[i] = ForwardingEntry(dist)
+            queues[j].append(now)             # the ACK transmission
+            if random() >= p or retry():
                 if j not in table:
-                    learn_neighbor(node.state, peer.beacon)
+                    table[j] = ForwardingEntry(dists[j])
                 acks += 1
         self._record(now, HELLO_ROUND, i, -1, f"acks={acks}")
         if steady:
@@ -297,21 +294,21 @@ class Simulation:
         load = self._neighborhood_load(i, now)
         self.round_log.append((now, i))
         self.recent[i] += 1
-        p = self.scenario.loss
         # reply legs share the prober's snapshot: both ends of an echo
         # share one contention region to first order
         delay_of = self.hop_delay(load, now)
         probe_delay = delay_of(node.own_tx_times)
         node.own_tx_times.append(now)
         node.probes.update(node.neighbors)
-        attempts, random, nodes = self.attempts, self.rng.random, self.nodes
-        measurements, longest = [], 0.0
+        p, random, retry = self.scenario.loss, self.rng.random, self.retry
+        queues, measurements, longest = self.queues, [], 0.0
         for j in node.neighbors:
             if random() < p:
                 continue                      # probe lost at j
-            q = nodes[j].own_tx_times
-            delay, n = delay_of(q), next(attempts)   # jitter, then attempts
+            q = queues[j]
+            delay = delay_of(q)               # jitter, then tries
             q.append(now)                     # the reply transmission
+            n = 1 if random() >= p else retry()
             if n:
                 rtt = probe_delay + delay * n
                 measurements.append((j, rtt))
@@ -363,7 +360,8 @@ class Simulation:
         for j, copy in targets:
             self.data_log.append((now, i))
             self.recent[i] += 1
-            delay, n = delay_of(node.own_tx_times), next(self.attempts)
+            delay = delay_of(node.own_tx_times)
+            n = 1 if self.rng.random() >= self.scenario.loss else self.retry()
             if not n:
                 self.dropped += 1
                 self._record(now, DROP, i, copy.event_id,
@@ -403,11 +401,18 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------
 
+    def _bind_nodes(self):
+        """List each node's table, transmission deque and sink distance."""
+        self.tables = [node.state.forwarding_table for node in self.nodes]
+        self.queues = [node.own_tx_times for node in self.nodes]
+        self.dists = [node.state.dist_to_sink for node in self.nodes]
+
     def run(self):
         """Execute the scenario; returns (records, RunMetrics)."""
         if self._ran:
             raise RuntimeError("a Simulation can only run once")
         self._ran = True
+        self._bind_nodes()              # so a table swapped in since is used
         # handlers bind here so wrappers set on the instance see every event
         self._schedule_all()
         heap = self.heap

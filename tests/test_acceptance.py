@@ -23,7 +23,7 @@ from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
 from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
                               decide_forward, record_echo_rtts)
 from dartsim.scenario import Scenario, validate
-from dartsim.simkernel import Simulation, attempt_counts, channel
+from dartsim.simkernel import Simulation, channel, retries
 from trace_invariants import criterion_8_violations
 
 NODE_COUNTS = (50, 100, 150)
@@ -192,8 +192,8 @@ def test_criterion_06_equation_oracles():
     # stub streams of random() values: none (no jitter), 5 failed tries
     per_try = channel(sc, SimpleNamespace(random=None))(0.0, 1.0)(
         deque([1.0]))
-    draws = iter([0.0] * 5 + [0.9])
-    tries = next(attempt_counts(sc, SimpleNamespace(random=draws.__next__)))
+    draws = SimpleNamespace(random=iter([0.0] * 5 + [0.9]).__next__)
+    tries = 1 if draws.random() >= sc.loss else retries(sc, draws)()
 
     # 500 m to go in 10 ms needs 50000 m/s; 100 m over the 2 ms link
     # provides 50000 m/s: taken at that requirement, refused 1e-12 above

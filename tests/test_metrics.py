@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from dartsim.metrics import (
@@ -260,6 +262,34 @@ def test_detail_holding_commas_round_trips(tmp_path):
     records = [TraceRecord(0.5, HELLO_ROUND, 1, -1, "a=1,b=2,,c=3,")]
     write_trace(path, {}, records)
     assert read_trace(path)[1] == records
+
+
+@pytest.mark.parametrize("brk", ["\x0c", "\u2028"])
+def test_detail_holding_a_line_break_other_than_newline_round_trips(
+        tmp_path, brk):
+    """str.splitlines() would break a line at these; read_trace splits at
+    '\n' alone, so a detail holding one reads back whole."""
+    path = tmp_path / "trace.txt"
+    records = [TraceRecord(0.5, HELLO_ROUND, 1, -1, f"a{brk}b"),
+               TraceRecord(0.75, HELLO_ROUND, 2, -1, "acks=0")]
+    write_trace(path, {"seed": 3}, records)
+    assert read_trace(path) == ({"seed": 3}, records)
+
+
+@pytest.mark.parametrize("value", ["a b", "a\tb", "a\nb", "a=b", " ",
+                                   "a\u2028"])
+def test_a_meta_value_the_line_cannot_carry_is_refused_by_key(tmp_path,
+                                                              value):
+    path = tmp_path / "trace.txt"
+    with pytest.raises(ValueError, match="'note'"):
+        write_trace(path, {"seed": 3, "note": value}, [])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key", ["a b", "a=b", " a", "a\x0c"])
+def test_a_meta_key_the_line_cannot_carry_is_refused(tmp_path, key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        write_trace(tmp_path / "trace.txt", {key: 1}, [])
 
 
 def test_crlf_trace_reads_the_same_records(tmp_path):

@@ -13,20 +13,18 @@ import pytest
 
 import dartsim
 from dartsim import protocol
+from dartsim.metrics import HELLO_ROUND
 from dartsim.protocol import (
     SPENT,
-    Beacon,
     DataPacket,
     ForwardingEntry,
     NodeState,
     decide_forward,
-    learn_neighbor,
-    make_beacon,
     on_data_arrival_update,
     record_echo_rtts,
 )
 from dartsim.scenario import Scenario
-from dartsim.simkernel import attempt_counts, channel
+from dartsim.simkernel import Simulation, channel, retries
 
 SINK = (0.0, 0.0)
 
@@ -65,7 +63,8 @@ def test_hop_delay_scales_with_the_attempt_count():
     delay = channel(sc, no_draws)(0.0, 1.0)(deque([1.0, 1.0]))
     for values, n in (([0.9], 1), ([0.0, 0.9], 2)):
         draws = SimpleNamespace(random=iter(values).__next__)
-        assert next(attempt_counts(sc, draws)) == n
+        # the first try inline, as the kernel draws it, then retry()
+        assert (1 if draws.random() >= sc.loss else retries(sc, draws)()) == n
         assert delay * n == (0.001 + 0.002 + 0.003) * n
     assert delay * 2 == 0.012
 
@@ -132,51 +131,61 @@ def test_public_names_resolve_and_are_sorted():
 
 # ------------------------------------------------------- table maintenance
 
+def hello_pair(loss=0.0, seed=12):
+    """Two nodes 200 m apart, node 0 the sink, ready for HELLO rounds."""
+    sim = Simulation(Scenario(nodes=2, placement="explicit", cbr_count=0,
+                              positions=[(0.0, 0.0), (200.0, 0.0)],
+                              loss=loss, seed=seed))
+    sim._bind_nodes()                     # the lists run() binds
+    return sim, [node.state.forwarding_table for node in sim.nodes]
+
+
 def test_hello_inserts_unknown_neighbor_and_acks():
-    state = make_state()
-    learn_neighbor(state, Beacon(node_id=2, dist_to_sink=100.0))
-    ack = make_beacon(state)
-    assert set(state.forwarding_table) == {2}
-    entry = state.forwarding_table[2]
-    assert entry.dist_to_sink == 100.0
-    assert entry.link_delay == 0.0
-    # the ack advertises the receiving node itself
-    assert ack == Beacon(node_id=1, dist_to_sink=300.0)
+    sim, (sink_table, table) = hello_pair()
+    sim._on_hello_round(1.0, 1, False)
+    assert sim.records[-1][1:] == (HELLO_ROUND, 1, -1, "acks=1")
+    # the HELLO teaches the sink node 1; the ACK teaches node 1 the sink
+    assert sink_table == {1: ForwardingEntry(200.0, 0.0)}
+    assert table == {0: ForwardingEntry(0.0, 0.0)}
 
 
 def test_repeated_hello_is_idempotent():
-    state = make_state()
-    beacon = Beacon(node_id=2, dist_to_sink=100.0)
-    learn_neighbor(state, beacon)
-    learn_neighbor(state, beacon)
-    assert len(state.forwarding_table) == 1
+    sim, tables = hello_pair()
+    sim._on_hello_round(1.0, 1, False)
+    rows = [dict(table) for table in tables]
+    for k, i in enumerate((1, 0, 1, 0)):
+        sim._on_hello_round(2.0 + k, i, False)
+    assert [len(table) for table in tables] == [1, 1]
+    for table, before in zip(tables, rows):
+        assert all(table[nid] is row for nid, row in before.items())
 
 
 def test_hello_refresh_keeps_link_delay():
     # a repeat leaves the known row itself alone, even if it differed
-    state = make_state()
-    add_neighbor(state, 2, 100.0, 0.003)
-    entry = state.forwarding_table[2]
-    learn_neighbor(state, Beacon(node_id=2, dist_to_sink=90.0))
-    assert state.forwarding_table[2] is entry
-    assert entry.dist_to_sink == 100.0
-    assert entry.link_delay == 0.003
+    sim, (sink_table, table) = hello_pair()
+    table[0] = entry = ForwardingEntry(dist_to_sink=7.0, link_delay=0.003)
+    for k, i in enumerate((0, 1, 0, 1)):
+        sim._on_hello_round(1.0 + k, i, False)
+    assert table == {0: entry}
+    assert (entry.dist_to_sink, entry.link_delay) == (7.0, 0.003)
+    assert sink_table[1] == ForwardingEntry(200.0, 0.0)
 
 
 def test_hello_ack_handshake_populates_both_sides():
-    a = make_state(my_id=1, dist_to_sink=300.0)
-    b = make_state(my_id=2, dist_to_sink=100.0)
-    learn_neighbor(b, make_beacon(a))
-    learn_neighbor(a, make_beacon(b))
-    assert a.forwarding_table[2].dist_to_sink == 100.0
-    assert b.forwarding_table[1].dist_to_sink == 300.0
-
-
-def test_make_beacon_distance_is_consistent():
-    for pos in ((600.0, 400.0), (123.0, 45.0)):
-        state = make_state(my_id=7, dist_to_sink=math.dist(pos, SINK))
-        assert state.dist_to_sink == math.dist(pos, SINK)
-        assert make_beacon(state) == Beacon(7, math.dist(pos, SINK))
+    """Over a lossy channel the HELLO and its ACK each teach one side:
+    the sink learns node 1 when the HELLO got through, and node 1 learns
+    the sink only when an ACK did, which then counts in acks=."""
+    sim, (sink_table, table) = hello_pair(loss=0.5)
+    acked = False
+    for k in range(40):
+        sim._on_hello_round(1.0 + k, 1, False)
+        acked = acked or sim.records[-1].detail == "acks=1"
+        assert (0 in table) == acked
+        if acked:
+            assert 1 in sink_table
+    assert acked
+    assert sink_table[1].dist_to_sink == math.dist((200.0, 0.0), SINK)
+    assert table[0].dist_to_sink == 0.0
 
 
 def test_node_state_holds_its_id_distance_and_table_only():
@@ -191,9 +200,10 @@ def test_node_state_holds_its_id_distance_and_table_only():
 
 
 def test_table_never_contains_self():
-    state = make_state(my_id=1)
-    learn_neighbor(state, Beacon(node_id=2, dist_to_sink=1.0))
-    assert 1 not in state.forwarding_table
+    sim, tables = hello_pair(loss=0.3)
+    for k in range(20):
+        sim._on_hello_round(1.0 + k, k % 2, False)
+    assert [list(table) for table in tables] == [[1], [0]]
 
 
 # --------------------------------------------------------- echo smoothing
@@ -461,8 +471,10 @@ def test_decide_forward_matches_oracle_over_table_histories():
             op = rng.random()
             if op < 0.25:
                 pos = (rng.uniform(0, 600), rng.uniform(0, 400))
-                learn_neighbor(state, Beacon(rng.randrange(12),
-                                             math.dist(pos, SINK)))
+                nid = rng.randrange(12)
+                if nid not in state.forwarding_table:  # as a HELLO inserts
+                    state.forwarding_table[nid] = ForwardingEntry(
+                        math.dist(pos, SINK))
             elif op < 0.5:
                 known = list(state.forwarding_table)
                 pending.update(rng.sample(known, rng.randint(0, len(known))))

@@ -78,7 +78,7 @@ def test_random_whole_runs_keep_invariants_replay_and_repeat(sc):
     rows = [entry for node in sim.nodes
             for entry in node.state.forwarding_table.values()]
     assert len({id(entry) for entry in rows}) == len(rows)
-    # each row holds what its radio neighbour's beacon advertised
+    # each row holds what its radio neighbour's HELLO or ACK advertised
     for node in sim.nodes:
         for nid, entry in node.state.forwarding_table.items():
             assert nid in node.neighbors

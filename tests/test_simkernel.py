@@ -6,6 +6,8 @@ import random
 from collections import Counter, defaultdict, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              FORWARD, HELLO_ROUND, METRIC_SNAPSHOT,
@@ -14,7 +16,7 @@ from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
 from dartsim.protocol import DataPacket
 from dartsim.scenario import Scenario, ScenarioError, validate
 from dartsim import simkernel
-from dartsim.simkernel import (Simulation, attempt_counts, build_topology,
+from dartsim.simkernel import (Simulation, build_topology, retries,
                                select_sources)
 
 
@@ -57,9 +59,16 @@ def channel(loss=0.0, **kw):
     return Scenario(loss=loss, **base)
 
 
+def unicast(sc, rng):
+    """Draw one unicast's tries per call as the kernel does: the first try
+    inline, the rest from retries(); 0 when every try failed."""
+    random, loss, retry = rng.random, sc.loss, retries(sc, rng)
+    return lambda: 1 if random() >= loss else retry()
+
+
 def attempts_or_budget(sc, attempts):
-    """Attempts of one unicast, a give-up counting as the whole budget."""
-    return next(attempts) or sc.max_retries + 1
+    """Tries of one unicast, a give-up counting as the whole budget."""
+    return attempts() or sc.max_retries + 1
 
 
 def queued(n):
@@ -68,18 +77,18 @@ def queued(n):
 
 
 def test_tx_count_without_loss_is_single_attempt():
-    attempts = attempt_counts(channel(), random.Random(1))
+    attempts = unicast(channel(), random.Random(1))
     for _ in range(100):
-        assert next(attempts) == 1
+        assert attempts() == 1
 
 
 def test_tx_count_support_is_capped_by_retry_budget():
     sc = channel(0.5, max_retries=3)
-    attempts = attempt_counts(sc, random.Random(2))
+    attempts = unicast(sc, random.Random(2))
     seen = Counter()
     failures_at = set()
     for _ in range(4000):
-        n = next(attempts)
+        n = attempts()
         seen[n or sc.max_retries + 1] += 1
         if not n:
             failures_at.add(sc.max_retries + 1)
@@ -90,7 +99,7 @@ def test_tx_count_support_is_capped_by_retry_budget():
 def test_tx_count_mean_matches_truncated_geometric():
     p, retries, n = 0.3, 4, 100_000
     sc = channel(p, max_retries=retries)
-    attempts = attempt_counts(sc, random.Random(3))
+    attempts = unicast(sc, random.Random(3))
     total = sum(attempts_or_budget(sc, attempts) for _ in range(n))
     expected = sum(p ** k for k in range(retries + 1))   # 1.4251
     assert abs(total / n - expected) < 0.02
@@ -100,7 +109,7 @@ def test_link_delay_is_exact_when_nothing_is_random():
     sc = channel()
     rng = random.Random(4)
     delay = simkernel.channel(sc, rng)(0.0, 1.0)(queued(0))
-    n = next(attempt_counts(sc, rng))
+    n = unicast(sc, rng)()
     tx_delay = sc.tx_delay_ms / 1000.0      # the run's ms -> s conversion
     assert n == 1
     assert tx_delay == pytest.approx(0.00026, rel=1e-12)
@@ -129,12 +138,12 @@ def test_ms_settings_are_converted_with_the_runs_expressions():
 def test_link_delay_mean_matches_analytic_value():
     sc, rng = channel(0.3, jitter_ms=0.05), random.Random(6)
     delay_of = simkernel.channel(sc, rng)(3.0, 1.0)
-    attempts = attempt_counts(sc, rng)
+    attempts = unicast(sc, rng)
     n = 100_000
     total = 0.0
     delivered_count = 0
     for _ in range(n):
-        delay, tries = delay_of(queued(2)), next(attempts)
+        delay, tries = delay_of(queued(2)), attempts()
         total += delay * (tries or sc.max_retries + 1)
         delivered_count += tries > 0
     # (base + coeff*load + jitter + occ/rate + tx) * sum(p^k, k=0..4)
@@ -162,7 +171,7 @@ def test_each_leg_is_the_one_way_equation_of_its_parts():
                      jitter_ms=rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         load = float(rng.randint(0, 40))
         q = queued(rng.randint(0, 6))
-        attempts = attempt_counts(sc, random.Random(rng.random()))
+        attempts = unicast(sc, random.Random(rng.random()))
         twin = random.Random()
         twin.setstate(rng.getstate())   # replays the jitter draws
         delay_of = simkernel.channel(sc, rng)(load, 1.0)
@@ -181,7 +190,7 @@ def test_each_leg_is_the_one_way_equation_of_its_parts():
 def test_an_ack_draws_its_attempts_and_no_mac_jitter():
     sc = channel(0.5, jitter_ms=0.2, contention_coeff_ms=1.0)
     rng, twin = random.Random(9), random.Random(9)
-    attempts = attempt_counts(sc, rng)
+    attempts = unicast(sc, rng)
     for _ in range(50):
         for _ in range(attempts_or_budget(sc, attempts)):
             twin.random()
@@ -207,6 +216,49 @@ def test_the_jitter_is_expovariate_on_a_twin_bit_for_bit(jitter_ms):
     rate = 1.0 / (jitter_ms / 1000.0)
     for _ in range(300):
         assert delay_of(queued(0)).hex() == twin.expovariate(rate).hex()
+        assert rng.getstate() == twin.getstate()
+
+
+def accumulated_delay(sc, rng, load, now, q):
+    """One attempt's delay as the MAC delay was once accumulated: the
+    contention, then `+=` of the jitter's expovariate expression."""
+    base = sc.base_mac_delay_ms / 1000.0
+    coeff = sc.contention_coeff_ms / 1000.0
+    jitter, tx_delay = sc.jitter_ms / 1000.0, sc.tx_delay_ms / 1000.0
+    lambd = 1.0 / jitter if jitter > 0.0 else math.inf
+    cut = now - sc.queue_window_s
+    while q and q[0] <= cut:
+        q.popleft()
+    mac_delay = base + coeff * load
+    if jitter > 0.0:
+        mac_delay += -math.log(1.0 - rng.random()) / lambd
+    return mac_delay + len(q) / sc.queue_service_rate + tx_delay
+
+
+_ms = st.floats(0.0, 50.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jitter_ms=st.just(0.0) | st.floats(1e-9, 100.0), base_ms=_ms,
+       coeff_ms=_ms, tx_ms=_ms, load=st.integers(0, 2000),
+       rate=st.floats(1.0, 1e5), sends=st.lists(st.floats(0.0, 2.0)),
+       seed=st.integers(0, 2 ** 32))
+def test_delay_is_the_accumulated_mac_expression_bit_for_bit(
+        jitter_ms, base_ms, coeff_ms, tx_ms, load, rate, sends, seed):
+    """delay(q) subtracts the jitter's log term in one expression; that
+    is a + (-x)/b written as a - x/b, equal in IEEE arithmetic, and it
+    draws exactly what the accumulated form drew, none at zero jitter."""
+    sc = channel(jitter_ms=jitter_ms, base_mac_delay_ms=base_ms,
+                 contention_coeff_ms=coeff_ms, tx_delay_ms=tx_ms,
+                 queue_service_rate=rate)
+    rng, twin = random.Random(seed), random.Random(seed)
+    delay_of = simkernel.channel(sc, rng)(float(load), 1.0)
+    q, twin_q = deque(sorted(sends)), deque(sorted(sends))
+    for _ in range(3):
+        got = delay_of(q)
+        want = accumulated_delay(sc, twin, float(load), 1.0, twin_q)
+        assert got.hex() == want.hex()
+        assert q == twin_q
         assert rng.getstate() == twin.getstate()
 
 
@@ -250,10 +302,10 @@ def retry_loop(sc, twin):
 def test_attempt_counts_match_the_retry_loop_on_a_twin(loss, max_retries):
     sc = channel(loss, max_retries=max_retries)
     rng, twin = random.Random(15), random.Random(15)
-    attempts = attempt_counts(sc, rng)
+    attempts = unicast(sc, rng)
     seen = set()
     for _ in range(400):
-        n = next(attempts)
+        n = attempts()
         assert n == retry_loop(sc, twin)
         assert rng.getstate() == twin.getstate()
         seen.add(n)
@@ -268,6 +320,7 @@ def lossy_pair():
                        positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
                        jitter_ms=0.2, max_retries=2, seed=12)
     sim = Simulation(sc)
+    sim._bind_nodes()                     # the lists run() binds
     twin = random.Random()
     twin.setstate(sim.rng.getstate())
     return sc, sim, twin
@@ -306,6 +359,35 @@ def test_an_echo_probe_draws_the_broadcast_jitter_and_no_attempts():
             retried += twin_attempts(sc, twin) > 1
         assert sim.rng.getstate() == twin.getstate()
     assert 0 < heard < 40 and retried > 0
+
+
+def test_a_measured_link_delay_survives_later_hello_rounds():
+    """HELLO rounds only insert rows for unknown senders, so on a lossy
+    pair a row measured by an echo reply keeps its object and its delay
+    through every later HELLO round, bootstrap and steady."""
+    sc = make_scenario(nodes=2, placement="explicit", cbr_count=0,
+                       positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
+                       jitter_ms=0.2, max_retries=2, seed=12, sim_time=60.0)
+    sim = Simulation(sc)
+    hello_round = sim._on_hello_round
+    measured_rounds = 0
+
+    def checked(now, i, steady):
+        nonlocal measured_rounds
+        rows = [(row, row.link_delay) for node in sim.nodes
+                for row in node.state.forwarding_table.values()]
+        hello_round(now, i, steady)
+        after = [row for node in sim.nodes
+                 for row in node.state.forwarding_table.values()]
+        for row, link_delay in rows:
+            assert any(row is kept for kept in after)
+            assert row.link_delay == link_delay
+        measured_rounds += any(link_delay > 0.0 for _, link_delay in rows)
+    sim._on_hello_round = checked        # bound before run() schedules
+    sim.run()
+    assert measured_rounds > 5
+    assert all(row.link_delay > 0.0 for node in sim.nodes
+               for row in node.state.forwarding_table.values())
 
 
 # -- topology -----------------------------------------------------------
