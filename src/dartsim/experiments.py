@@ -13,6 +13,7 @@ is appended, and the failures are reported to the caller.
 from __future__ import annotations
 
 import copy
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -62,7 +63,7 @@ def expand_sweep(base, axes, seeds):
         if seed in seeds[:n]:
             raise ScenarioError(f"--seeds lists the seed {seed} more "
                                 f"than once")
-    points, probe = [copy.deepcopy(base)], copy.deepcopy(base)
+    probe, parsed = copy.deepcopy(base), []
     for n, (key, raws) in enumerate(axes):
         if not raws:
             raise ScenarioError(f"--axis {key} has no values")
@@ -78,20 +79,14 @@ def expand_sweep(base, axes, seeds):
                 raise ScenarioError(f"--axis {key} lists the value "
                                     f"{raw} more than once")
             values.append(getattr(probe, key))
-        grown = []
-        for point in points:
-            for raw in raws:
-                child = copy.deepcopy(point)
-                apply_setting(child, key, raw)
-                grown.append(child)
-        points = grown
+        parsed.append([(key, value) for value in values])
     out = []
-    for point in points:
-        for seed in seeds:
-            child = copy.deepcopy(point)
-            child.seed = seed
-            validate(child)
-            out.append(child)
+    for settings in itertools.product(*parsed, [("seed", s) for s in seeds]):
+        for key, value in settings:
+            setattr(probe, key, value)
+        point = copy.deepcopy(probe)    # no two points share a list value
+        validate(point)
+        out.append(point)
     return out
 
 

@@ -223,7 +223,8 @@ def format_aggregate_row(key, metrics: dict) -> list[str]:
 def write_trace(path, meta: dict, records) -> None:
     """Write a run trace: a meta comment, the header, then one row per record.
 
-    A meta key or value text holding whitespace or '=' raises ValueError.
+    A meta key or value holding whitespace or '=', an unknown kind or a
+    detail holding '\\r' or '\\n' raises ValueError; no file is written.
     """
     cells = {k: _cell(v) for k, v in meta.items()}
     for k, text in cells.items():
@@ -231,12 +232,22 @@ def write_trace(path, meta: dict, records) -> None:
         if pair.count("=") > 1 or pair.split() != [pair]:
             raise ValueError(f"meta key {k!r} or its value {text!r} holds "
                              "whitespace or '='")
+    rows, kinds = [], _KINDS
+    try:
+        for time, kind, node, event_id, detail in records:
+            rows.append(f"{time!r},{kinds[kind]},{node},{event_id},{detail}\n")
+    except KeyError:
+        raise ValueError(f"record {len(rows)} has the unknown kind "
+                         f"{kind!r}") from None
+    body = "".join(rows)
+    if "\r" in body or body.count("\n") != len(rows):
+        n = next(n for n, row in enumerate(rows)
+                 if "\r" in row or row.count("\n") > 1)
+        raise ValueError(f"record {n} holds a line break: {rows[n]!r}")
     with open(path, "w") as fh:
         fh.write("# meta " + " ".join(f"{k}={v}" for k, v in cells.items())
-                 + "\n")
-        fh.write(TRACE_HEADER + "\n")
-        for time, kind, node, event_id, detail in records:
-            fh.write(f"{time!r},{kind},{node},{event_id},{detail}\n")
+                 + "\n" + TRACE_HEADER + "\n")
+        fh.write(body)
 
 
 def read_trace(path):

@@ -3,11 +3,13 @@
 Event loop design: one heap event per node round (hello or echo), with
 the per-neighbor exchanges processed inline so the heap stays small.
 Heap entries are (fire_at, seq, handler, args) tuples and run() calls
-handler(now, *args).  Pending entries never share a seq, so ties fire
-in scheduling order.  Only packet arrivals are scheduled past sim_time.
-All randomness comes from a single random.Random(seed) stream, and
-neighbors are always visited in ascending id order, so a scenario
-replays byte-identically.
+handler(now, *args).  Pending entries never share a seq, so ties fire in
+scheduling order.  _schedule is the one horizon test: an event due after
+sim_time is dropped before it takes a seq; only packet arrivals, pushed
+directly, land past it.  Per-node state is one list per field, indexed
+by node id and built in __init__.  All randomness comes from a single
+random.Random(seed) stream, and neighbors are always visited in
+ascending id order, so a scenario replays byte-identically.
 
 Load model: contention at a node is the count of control rounds
 started in its closed neighborhood within ctl_window_s, plus the count
@@ -42,7 +44,6 @@ import logging
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 
 from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
@@ -155,32 +156,25 @@ def _reachable_from(adjacency, start) -> set:
     return seen
 
 
-@dataclass(slots=True)
-class _SimNode:
-    state: NodeState
-    neighbors: list
-    dist_text: str = ""                  # repr(dist_to_sink), at first send
-    own_tx_times: deque = field(default_factory=deque)
-    probes: set = field(default_factory=set)  # neighbors with an echo pending
-
-
 class Simulation:
     """One scenario run.  Build, then call run() once."""
 
     def __init__(self, scenario):
         validate(scenario)
         self.scenario = scenario
-        self.sink = scenario.sink
+        self.sink = sink = scenario.sink
         self.rng = random.Random(scenario.seed)
         self.retry = retries(scenario, self.rng)
         self.hop_delay = channel(scenario, self.rng)
         positions, adjacency = build_topology(scenario, self.rng)
-        sink = scenario.sink
-        dist_to_sink = [math.dist(p, positions[sink]) for p in positions]
-        self.nodes = []
-        for i, d in enumerate(dist_to_sink):
-            self.nodes.append(_SimNode(NodeState(i, d), adjacency[i]))
-        self.sources = select_sources(scenario, dist_to_sink)
+        self.dists = [math.dist(p, positions[sink]) for p in positions]
+        self.states = [NodeState(i, d) for i, d in enumerate(self.dists)]
+        self.tables = [state.forwarding_table for state in self.states]
+        self.neighbors = adjacency
+        self.queues = [deque() for _ in adjacency]  # own transmission times
+        self.probes = [set() for _ in adjacency]    # neighbors yet to reply
+        self.dist_texts = [""] * scenario.nodes     # repr(dist), at first send
+        self.sources = select_sources(scenario, self.dists)
         self.warnings = []
         reachable = _reachable_from(adjacency, sink)
         for s in self.sources:
@@ -196,7 +190,8 @@ class Simulation:
                         (self.data_log, scenario.flow_window_s))
         self.t_set = scenario.t_set()
         self.emit_detail = f"tset={self.t_set!r}"
-        self.cbr_end = min(scenario.cbr_stop(), scenario.sim_time)
+        self.end = scenario.sim_time
+        self.cbr_end = scenario.cbr_stop()
         self.records = []
         self.heap = []
         self.seq = itertools.count(1)
@@ -208,11 +203,12 @@ class Simulation:
     # -- scheduling ---------------------------------------------------
 
     def _schedule(self, fire_at, handler, args=()):
-        heapq.heappush(self.heap, (fire_at, next(self.seq), handler, args))
+        if fire_at <= self.end:
+            heapq.heappush(self.heap, (fire_at, next(self.seq), handler, args))
 
     def _schedule_all(self):
         sc = self.scenario
-        end = sc.sim_time
+        end = self.end
         self._schedule(end, self._on_run_end)
         n = sc.nodes
         for i in range(n):
@@ -225,16 +221,13 @@ class Simulation:
                     break
                 self._schedule(t_hello, self._on_hello_round, (i, False))
                 t_echo = offset + sc.bootstrap_spread_s + k * sc.bootstrap_gap_s
-                if t_echo <= end:
-                    self._schedule(t_echo, self._on_echo_probe, (i, False))
+                self._schedule(t_echo, self._on_echo_probe, (i, False))
             # steady refresh rounds, staggered so nodes never align
             stagger = (i + 0.5) / n
-            t_hello = sc.hello_period_s * (1.0 + stagger)
-            if t_hello <= end:
-                self._schedule(t_hello, self._on_hello_round, (i, True))
-            t_echo = sc.echo_period_s * (0.5 + stagger)
-            if t_echo <= end:
-                self._schedule(t_echo, self._on_echo_probe, (i, True))
+            self._schedule(sc.hello_period_s * (1.0 + stagger),
+                           self._on_hello_round, (i, True))
+            self._schedule(sc.echo_period_s * (0.5 + stagger),
+                           self._on_echo_probe, (i, True))
         for idx, s in enumerate(self.sources):
             # sources interleave their emissions across the interval
             first = sc.cbr_start_s + idx / len(self.sources) * sc.interval_s
@@ -257,7 +250,7 @@ class Simulation:
             while entries and entries[0][0] <= cut:
                 recent[entries.popleft()[1]] -= 1
         return float(recent[i] + sum(map(recent.__getitem__,
-                                         self.nodes[i].neighbors)))
+                                         self.neighbors[i])))
 
     def _record(self, *fields):         # time, kind, node, event_id, detail
         self.records.append(tuple.__new__(TraceRecord, fields))
@@ -272,7 +265,7 @@ class Simulation:
         queues[i].append(now)
         p, random, retry = self.scenario.loss, self.rng.random, self.retry
         acks = 0
-        for j in self.nodes[i].neighbors:
+        for j in self.neighbors[i]:
             if random() < p:
                 continue                      # broadcast lost at j
             peer_table = tables[j]
@@ -285,24 +278,23 @@ class Simulation:
                 acks += 1
         self._record(now, HELLO_ROUND, i, -1, f"acks={acks}")
         if steady:
-            nxt = now + self.scenario.hello_period_s
-            if nxt <= self.scenario.sim_time:
-                self._schedule(nxt, self._on_hello_round, (i, True))
+            self._schedule(now + self.scenario.hello_period_s,
+                           self._on_hello_round, (i, True))
 
     def _on_echo_probe(self, now, i, steady):
-        node = self.nodes[i]
+        neighbors, own = self.neighbors[i], self.queues[i]
         load = self._neighborhood_load(i, now)
         self.round_log.append((now, i))
         self.recent[i] += 1
         # reply legs share the prober's snapshot: both ends of an echo
         # share one contention region to first order
         delay_of = self.hop_delay(load, now)
-        probe_delay = delay_of(node.own_tx_times)
-        node.own_tx_times.append(now)
-        node.probes.update(node.neighbors)
+        probe_delay = delay_of(own)
+        own.append(now)
+        self.probes[i].update(neighbors)
         p, random, retry = self.scenario.loss, self.rng.random, self.retry
         queues, measurements, longest = self.queues, [], 0.0
-        for j in node.neighbors:
+        for j in neighbors:
             if random() < p:
                 continue                      # probe lost at j
             q = queues[j]
@@ -315,19 +307,17 @@ class Simulation:
                 if rtt > longest:
                     longest = rtt
         self._record(now, ECHO_PROBE, i, -1,
-                     f"neighbors={len(node.neighbors)} replies={len(measurements)}")
-        reply_at = now + longest
-        if measurements and reply_at <= self.scenario.sim_time:
-            self._schedule(reply_at, self._on_echo_reply, (i, measurements))
+                     f"neighbors={len(neighbors)} replies={len(measurements)}")
+        if measurements:
+            self._schedule(now + longest, self._on_echo_reply,
+                           (i, measurements))
         if steady:
-            nxt = now + self.scenario.echo_period_s
-            if nxt <= self.scenario.sim_time:
-                self._schedule(nxt, self._on_echo_probe, (i, True))
+            self._schedule(now + self.scenario.echo_period_s,
+                           self._on_echo_probe, (i, True))
 
     def _on_echo_reply(self, now, i, measurements):
-        node = self.nodes[i]
-        applied = record_echo_rtts(node.state, node.probes, measurements,
-                                   self.scenario.echo_alpha)
+        applied = record_echo_rtts(self.states[i], self.probes[i],
+                                   measurements, self.scenario.echo_alpha)
         self._record(now, ECHO_REPLY, i, -1, f"measured={applied}")
 
     def _on_cbr_emit(self, now, nid):
@@ -340,8 +330,7 @@ class Simulation:
             self._schedule(nxt, self._on_cbr_emit, (nid,))
 
     def _forward_from(self, i, pkt, now):
-        node = self.nodes[i]
-        decision = decide_forward(node.state, pkt)
+        decision = decide_forward(self.states[i], pkt)
         primary, duplicate, _ = decision
         if primary is None:
             reason = REASON_NO_BUDGET if decision is SPENT else REASON_NO_ROUTE
@@ -354,13 +343,14 @@ class Simulation:
         if duplicate is not None:
             self._record(now, DUPLICATE, i, pkt.event_id, f"to={duplicate}")
             targets += ((duplicate, DataPacket(*pkt[:5], True)),)
-        if not node.dist_text:            # FORWARD's d=, once per node
-            node.dist_text = repr(node.state.dist_to_sink)
-        delay_of = self.hop_delay(load, now)
+        dist_text = self.dist_texts[i]
+        if not dist_text:                 # FORWARD's d=, once per node
+            dist_text = self.dist_texts[i] = repr(self.dists[i])
+        own, delay_of = self.queues[i], self.hop_delay(load, now)
         for j, copy in targets:
             self.data_log.append((now, i))
             self.recent[i] += 1
-            delay = delay_of(node.own_tx_times)
+            delay = delay_of(own)
             n = 1 if self.rng.random() >= self.scenario.loss else self.retry()
             if not n:
                 self.dropped += 1
@@ -369,11 +359,12 @@ class Simulation:
                 continue
             self._record(now, FORWARD, i, copy.event_id,
                          f"to={j} dup={copy.is_duplicate:d} "
-                         f"d={node.dist_text} tl={copy.t_l!r}")
-            delay *= n
-            self._schedule(now + delay, self._on_packet_arrival,
-                           (j, copy, delay))
-        node.own_tx_times.extend([now] * len(targets))  # after both sends
+                         f"d={dist_text} tl={copy.t_l!r}")
+            delay *= n                    # arrivals may land past sim_time
+            heapq.heappush(self.heap, (now + delay, next(self.seq),
+                                       self._on_packet_arrival,
+                                       (j, copy, delay)))
+        own.extend([now] * len(targets))  # after both sends
 
     def _on_packet_arrival(self, now, j, pkt, link_delay):
         updated = on_data_arrival_update(pkt, link_delay)
@@ -392,7 +383,7 @@ class Simulation:
                      f"emitted={self.next_event_id} arrived={self.arrived} "
                      f"dropped={self.dropped}")
         nxt = now + self.scenario.snapshot_period_s
-        if nxt <= self.scenario.sim_time:
+        if nxt <= self.end:
             # only one snapshot is ever pending, so its seq stays unique
             heapq.heappush(self.heap, (nxt, seq, self._on_snapshot, (seq,)))
 
@@ -401,18 +392,11 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------
 
-    def _bind_nodes(self):
-        """List each node's table, transmission deque and sink distance."""
-        self.tables = [node.state.forwarding_table for node in self.nodes]
-        self.queues = [node.own_tx_times for node in self.nodes]
-        self.dists = [node.state.dist_to_sink for node in self.nodes]
-
     def run(self):
         """Execute the scenario; returns (records, RunMetrics)."""
         if self._ran:
             raise RuntimeError("a Simulation can only run once")
         self._ran = True
-        self._bind_nodes()              # so a table swapped in since is used
         # handlers bind here so wrappers set on the instance see every event
         self._schedule_all()
         heap = self.heap

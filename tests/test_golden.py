@@ -208,8 +208,8 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
     settings, _, row = GOLDEN["data-heavy-100"]
     scenario = scenario_from(settings)
     sim = simkernel.Simulation(scenario)
-    for node in sim.nodes:
-        node.state.forwarding_table = ScanCountingTable()
+    for i, state in enumerate(sim.states):
+        state.forwarding_table = sim.tables[i] = ScanCountingTable()
     calls = Counter()
 
     def counted(state, pkt):
@@ -218,7 +218,7 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
     monkeypatch.setattr(simkernel, "decide_forward", counted)
     records, metrics = sim.run()
     assert ",".join(format_run_row(run_meta(scenario), metrics)) == row
-    scans = sum(node.state.forwarding_table.scans for node in sim.nodes)
+    scans = sum(state.forwarding_table.scans for state in sim.states)
     replies = sum(r.kind == ECHO_REPLY for r in records)
     # scanning once per decision would pass neither bound
     assert 0 < scans <= scenario.nodes + replies < calls["decide_forward"]

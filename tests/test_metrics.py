@@ -276,6 +276,24 @@ def test_detail_holding_a_line_break_other_than_newline_round_trips(
     assert read_trace(path) == ({"seed": 3}, records)
 
 
+@pytest.mark.parametrize("record, error", [
+    (TraceRecord(0.5, HELLO_ROUND, 1, -1, "a\rb"), "record 1 holds a line"),
+    (TraceRecord(0.5, HELLO_ROUND, 1, -1, "a\nb"), "record 1 holds a line"),
+    (TraceRecord(0.5, HELLO_ROUND, 1, -1, "a\r\n"), "record 1 holds a line"),
+    (TraceRecord(0.5, "HELLO", 1, -1, "acks=0"),
+     "record 1 has the unknown kind 'HELLO'"),
+], ids=["cr", "lf", "crlf", "unknown-kind"])
+def test_a_record_read_trace_would_refuse_is_not_written(tmp_path, record,
+                                                         error):
+    """read_trace splits at line breaks and checks kinds, so write_trace
+    refuses such a record by its index and writes no file."""
+    path = tmp_path / "trace.txt"
+    good = TraceRecord(0.25, HELLO_ROUND, 2, -1, "acks=0")
+    with pytest.raises(ValueError, match=re.escape(error)):
+        write_trace(path, {"seed": 3}, [good, record, good])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("value", ["a b", "a\tb", "a\nb", "a=b", " ",
                                    "a\u2028"])
 def test_a_meta_value_the_line_cannot_carry_is_refused_by_key(tmp_path,

@@ -136,8 +136,7 @@ def hello_pair(loss=0.0, seed=12):
     sim = Simulation(Scenario(nodes=2, placement="explicit", cbr_count=0,
                               positions=[(0.0, 0.0), (200.0, 0.0)],
                               loss=loss, seed=seed))
-    sim._bind_nodes()                     # the lists run() binds
-    return sim, [node.state.forwarding_table for node in sim.nodes]
+    return sim, [state.forwarding_table for state in sim.states]
 
 
 def test_hello_inserts_unknown_neighbor_and_acks():

@@ -75,14 +75,14 @@ def test_random_whole_runs_keep_invariants_replay_and_repeat(sc):
             and rec.kind in HORIZON_KINDS] == []
 
     # rows are updated in place, so no two tables may hold the same one
-    rows = [entry for node in sim.nodes
-            for entry in node.state.forwarding_table.values()]
+    rows = [entry for state in sim.states
+            for entry in state.forwarding_table.values()]
     assert len({id(entry) for entry in rows}) == len(rows)
     # each row holds what its radio neighbour's HELLO or ACK advertised
-    for node in sim.nodes:
-        for nid, entry in node.state.forwarding_table.items():
-            assert nid in node.neighbors
-            assert entry.dist_to_sink == sim.nodes[nid].state.dist_to_sink
+    for i, state in enumerate(sim.states):
+        for nid, entry in state.forwarding_table.items():
+            assert nid in sim.neighbors[i]
+            assert entry.dist_to_sink == sim.states[nid].dist_to_sink
 
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.trace"), Path(tmp, "b.trace")

@@ -320,7 +320,6 @@ def lossy_pair():
                        positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
                        jitter_ms=0.2, max_retries=2, seed=12)
     sim = Simulation(sc)
-    sim._bind_nodes()                     # the lists run() binds
     twin = random.Random()
     twin.setstate(sim.rng.getstate())
     return sc, sim, twin
@@ -374,11 +373,11 @@ def test_a_measured_link_delay_survives_later_hello_rounds():
 
     def checked(now, i, steady):
         nonlocal measured_rounds
-        rows = [(row, row.link_delay) for node in sim.nodes
-                for row in node.state.forwarding_table.values()]
+        rows = [(row, row.link_delay) for state in sim.states
+                for row in state.forwarding_table.values()]
         hello_round(now, i, steady)
-        after = [row for node in sim.nodes
-                 for row in node.state.forwarding_table.values()]
+        after = [row for state in sim.states
+                 for row in state.forwarding_table.values()]
         for row, link_delay in rows:
             assert any(row is kept for kept in after)
             assert row.link_delay == link_delay
@@ -386,8 +385,8 @@ def test_a_measured_link_delay_survives_later_hello_rounds():
     sim._on_hello_round = checked        # bound before run() schedules
     sim.run()
     assert measured_rounds > 5
-    assert all(row.link_delay > 0.0 for node in sim.nodes
-               for row in node.state.forwarding_table.values())
+    assert all(row.link_delay > 0.0 for state in sim.states
+               for row in state.forwarding_table.values())
 
 
 # -- topology -----------------------------------------------------------
@@ -596,9 +595,9 @@ def test_echo_rounds_measure_the_configured_link_delay():
     sim = Simulation(sc)
     sim.run()
     expected = (sc.base_mac_delay_ms + sc.tx_delay_ms) / 1000.0
-    assert sim.nodes[1].state.forwarding_table[0].link_delay == \
+    assert sim.states[1].forwarding_table[0].link_delay == \
         pytest.approx(expected, abs=1e-12)
-    assert sim.nodes[0].state.forwarding_table[1].link_delay == \
+    assert sim.states[0].forwarding_table[1].link_delay == \
         pytest.approx(expected, abs=1e-12)
 
 
@@ -623,11 +622,13 @@ def test_echo_reply_past_the_horizon_is_not_recorded(after_probe,
     assert records[-1].kind == RUN_END
 
 
-@pytest.mark.parametrize("kind", [HELLO_ROUND, ECHO_REPLY])
+@pytest.mark.parametrize("kind", [HELLO_ROUND, ECHO_REPLY, CBR_EMIT,
+                                  ECHO_PROBE])
 def test_a_record_due_exactly_at_the_horizon_is_recorded(kind):
-    """sim_time is inclusive: a bootstrap HELLO round, and an echo reply,
-    that fall exactly on it still happen.  Events before the horizon do
-    not depend on it, so a shorter run replays the long one up to there."""
+    """sim_time is inclusive: a bootstrap HELLO round, an echo reply, a
+    CBR emission and a steady echo probe that fall exactly on it still
+    happen.  Events before the horizon do not depend on it, so a shorter
+    run replays the long one up to there."""
     kw = dict(nodes=10, cbr_count=2, seed=5)
     records, _ = Simulation(make_scenario(sim_time=30.0, **kw)).run()
     hello_period_s = Scenario().hello_period_s
@@ -747,7 +748,7 @@ def test_neighborhood_load_matches_a_recount_of_the_trace(kw):
     seen = []
 
     def recount(i, now):
-        nbhd = {i, *sim.nodes[i].neighbors}
+        nbhd = {i, *sim.neighbors[i]}
         ctl_cut = now - sc.ctl_window_s
         flow_cut = now - sc.flow_window_s
         rounds = data = 0
