@@ -19,6 +19,7 @@ ECHO_PROBE = "ECHO_PROBE"
 ECHO_REPLY = "ECHO_REPLY"
 PACKET_ARRIVAL = "PACKET_ARRIVAL"
 CBR_EMIT = "CBR_EMIT"
+# no run writes it; kept for older traces and perfbench/gate.py's import
 METRIC_SNAPSHOT = "METRIC_SNAPSHOT"
 RUN_END = "RUN_END"
 # kinds recorded while forwarding

@@ -40,8 +40,8 @@ _HOLDS = {
     PROBABILITY: lambda v, sc: 0.0 <= v < 1.0,
     WEIGHT: lambda v, sc: 0.0 < v <= 1.0,
     AT_LEAST_ONE: lambda v, sc: v >= 1,
-    # sim_time is declared, and so checked, before every period
-    PERIOD: lambda v, sc: not (v > 0 and sc.sim_time / v > MAX_PERIODS),
+    # sim_time, and each period's POSITIVE bound, are checked before PERIOD
+    PERIOD: lambda v, sc: sc.sim_time / v <= MAX_PERIODS,
 }
 
 Point = tuple[float, float]
@@ -88,8 +88,6 @@ class Scenario:
     ctl_window_s: Annotated[float, NON_NEGATIVE] = 0.25
     flow_window_s: Annotated[float, NON_NEGATIVE] = 0.5
     queue_window_s: Annotated[float, NON_NEGATIVE] = 0.05
-    # misc; 0 disables periodic snapshots
-    snapshot_period_s: Annotated[float, NON_NEGATIVE, PERIOD] = 0.0
 
     def t_set(self) -> float:
         """The per-packet deadline in seconds."""

@@ -3,7 +3,7 @@
 Event loop design: one heap event per node round (hello or echo), with
 the per-neighbor exchanges processed inline so the heap stays small.
 Heap entries are (fire_at, seq, handler, args) tuples and run() calls
-handler(now, *args).  Pending entries never share a seq, so ties fire in
+handler(now, *args).  Each push takes a fresh seq, so ties fire in
 scheduling order.  _schedule is the one horizon test: an event due after
 sim_time is dropped before it takes a seq; only packet arrivals, pushed
 directly, land past it.  Per-node state is one list per field, indexed
@@ -46,9 +46,9 @@ import random
 from collections import deque
 
 from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
-                      FORWARD, HELLO_ROUND, METRIC_SNAPSHOT, PACKET_ARRIVAL,
-                      REASON_LOSS, REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END,
-                      TraceRecord, compute_run_metrics)
+                      FORWARD, HELLO_ROUND, PACKET_ARRIVAL, REASON_LOSS,
+                      REASON_NO_BUDGET, REASON_NO_ROUTE, RUN_END, TraceRecord,
+                      compute_run_metrics)
 from .protocol import (SPENT, DataPacket, ForwardingEntry, NodeState,
                        decide_forward, on_data_arrival_update,
                        record_echo_rtts)
@@ -196,8 +196,6 @@ class Simulation:
         self.heap = []
         self.seq = itertools.count(1)
         self.next_event_id = 0
-        self.arrived = 0
-        self.dropped = 0
         self._ran = False
 
     # -- scheduling ---------------------------------------------------
@@ -233,12 +231,6 @@ class Simulation:
             first = sc.cbr_start_s + idx / len(self.sources) * sc.interval_s
             if first <= self.cbr_end:
                 self._schedule(first, self._on_cbr_emit, (s,))
-        if 0 < sc.snapshot_period_s <= end:
-            # every snapshot keeps this seq, so each sorts after set-up
-            # events and before run-time events that fire at its time
-            seq = next(self.seq)
-            heapq.heappush(self.heap, (sc.snapshot_period_s, seq,
-                                       self._on_snapshot, (seq,)))
 
     # -- load accounting ----------------------------------------------
 
@@ -334,7 +326,6 @@ class Simulation:
         primary, duplicate, _ = decision
         if primary is None:
             reason = REASON_NO_BUDGET if decision is SPENT else REASON_NO_ROUTE
-            self.dropped += 1
             self._record(now, DROP, i, pkt.event_id,
                          f"reason={reason} dup={pkt.is_duplicate:d}")
             return
@@ -353,7 +344,6 @@ class Simulation:
             delay = delay_of(own)
             n = 1 if self.rng.random() >= self.scenario.loss else self.retry()
             if not n:
-                self.dropped += 1
                 self._record(now, DROP, i, copy.event_id,
                              f"reason={REASON_LOSS} dup={copy.is_duplicate:d}")
                 continue
@@ -369,7 +359,6 @@ class Simulation:
     def _on_packet_arrival(self, now, j, pkt, link_delay):
         updated = on_data_arrival_update(pkt, link_delay)
         if j == self.sink:
-            self.arrived += 1
             e2e = now - updated.created_at
             self._record(now, PACKET_ARRIVAL, j, updated.event_id,
                          f"delay={e2e!r} tl={updated.t_l!r} "
@@ -377,15 +366,6 @@ class Simulation:
                          f"hops={updated.hop_count}")
         else:
             self._forward_from(j, updated, now)
-
-    def _on_snapshot(self, now, seq):
-        self._record(now, METRIC_SNAPSHOT, -1, -1,
-                     f"emitted={self.next_event_id} arrived={self.arrived} "
-                     f"dropped={self.dropped}")
-        nxt = now + self.scenario.snapshot_period_s
-        if nxt <= self.end:
-            # only one snapshot is ever pending, so its seq stays unique
-            heapq.heappush(self.heap, (nxt, seq, self._on_snapshot, (seq,)))
 
     def _on_run_end(self, now):
         self._record(now, RUN_END, -1, -1, "-")

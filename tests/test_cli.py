@@ -124,8 +124,7 @@ def test_run_rejects_nan_deadline_instead_of_running(capsys):
     assert "deadline_ms" in err
 
 
-@pytest.mark.parametrize("setting", ["snapshot_period_s=1e-9",
-                                     "interval_s=1e-9",
+@pytest.mark.parametrize("setting", ["interval_s=1e-9",
                                      "hello_period_s=1e-9",
                                      "echo_period_s=1e-9"])
 def test_run_rejects_a_period_too_short_for_the_horizon(setting, capsys):
@@ -135,6 +134,21 @@ def test_run_rejects_a_period_too_short_for_the_horizon(setting, capsys):
     assert code == 1
     assert out == ""
     assert f"{setting.partition('=')[0]} must be >= sim_time /" in err
+
+
+@pytest.mark.parametrize("where", ["--set", "file"])
+def test_the_deleted_snapshot_key_is_refused_by_name(where, tmp_path, capsys):
+    # snapshots restated counts of records the trace already holds
+    if where == "file":
+        path = tmp_path / "old.scn"
+        path.write_text("snapshot_period_s = 1\n")
+        argv = ["--scenario", str(path)]
+    else:
+        argv = ["--set", "snapshot_period_s=1"]
+    code, out, err = run_cli(capsys, "run", *argv, "--set", "sim_time=5")
+    assert code == 1
+    assert out == ""
+    assert "unknown key 'snapshot_period_s'" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -2,14 +2,17 @@
 
 A name referenced only from its own body, from __init__.py or from the
 tests is code no run executes; an equation oracle belongs in the tests,
-written inline.
+written inline.  Likewise every Scenario key is read by a run, not only
+checked by validate.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import dartsim
+from dartsim.scenario import Scenario
 
 PACKAGE = Path(dartsim.__file__).parent
 
@@ -38,3 +41,23 @@ def unreferenced_definitions() -> list:
 
 def test_every_definition_is_referenced_outside_itself():
     assert unreferenced_definitions() == []
+
+
+def unread_scenario_keys() -> list:
+    """Each Scenario key that no package module but scenario.py, and no
+    Scenario method, reads as an attribute: a key only validate reads
+    changes no run."""
+    scenario = ast.parse((PACKAGE / "scenario.py").read_text())
+    readers = [node for node in scenario.body
+               if isinstance(node, ast.ClassDef) and node.name == "Scenario"]
+    readers += [ast.parse(path.read_text())
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name not in ("__init__.py", "scenario.py")]
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f.name for f in fields(Scenario) if f.name not in read]
+
+
+def test_every_scenario_key_is_read_by_a_run():
+    assert unread_scenario_keys() == []

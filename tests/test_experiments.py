@@ -1,15 +1,18 @@
 """Experiment driver tests: sweeps, CSV outputs, and trace replay."""
 
 import csv
+from collections import Counter
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
 import dartsim.experiments as experiments
 from dartsim.experiments import (expand_sweep, replay_trace, run_scenario,
                                  run_sweep)
-from dartsim.metrics import (AGGREGATE_CSV_COLUMNS, RUN_CSV_COLUMNS,
-                             format_run_row, read_trace)
+from dartsim.metrics import (AGGREGATE_CSV_COLUMNS, CBR_EMIT, DROP,
+                             METRIC_SNAPSHOT, PACKET_ARRIVAL, RUN_CSV_COLUMNS,
+                             detail_fields, format_run_row, read_trace)
 from dartsim.scenario import (Scenario, ScenarioError, apply_setting,
                               validate)
 from dartsim.simkernel import Simulation
@@ -41,6 +44,37 @@ def test_replay_reproduces_the_metrics_row(tmp_path):
     r_meta, _, r_metrics, row = replay_trace(trace)
     assert r_metrics == metrics
     assert row == format_run_row(meta, metrics)
+
+
+# Written by this scenario with snapshot_period_s = 1, when runs still
+# wrote a METRIC_SNAPSHOT record every period.
+SNAPSHOTS_V1 = Path(__file__).parent / "data" / "snapshots-v1.trace"
+SNAPSHOTS_V1_SETTINGS = dict(nodes=6, sim_time=6.0, seed=5, area_width=250.0,
+                             area_height=250.0, loss=0.2, interval_s=0.5)
+
+
+def test_a_trace_with_snapshots_replays_and_they_restate_its_records(
+        tmp_path):
+    """Each snapshot's three counts are those of the CBR_EMIT,
+    PACKET_ARRIVAL and DROP records before it, and the rest of the file
+    is what the same run writes today."""
+    trace = tmp_path / "run.trace"
+    meta, _, metrics = run_scenario(small_scenario(**SNAPSHOTS_V1_SETTINGS),
+                                    trace_path=trace)
+    assert replay_trace(SNAPSHOTS_V1)[3] == format_run_row(meta, metrics)
+    lines = SNAPSHOTS_V1.read_bytes().splitlines(keepends=True)
+    assert b"".join(line for line in lines
+                    if b",METRIC_SNAPSHOT," not in line) == trace.read_bytes()
+    seen, snapshots = Counter(), 0
+    for rec in read_trace(SNAPSHOTS_V1)[1]:
+        if rec.kind == METRIC_SNAPSHOT:
+            snapshots += 1
+            assert detail_fields(rec.detail) == {
+                "emitted": str(seen[CBR_EMIT]),
+                "arrived": str(seen[PACKET_ARRIVAL]),
+                "dropped": str(seen[DROP])}
+        seen[rec.kind] += 1
+    assert snapshots == 6
 
 
 def test_expand_sweep_orders_points_with_seeds_fastest():

@@ -61,10 +61,10 @@ GOLDEN = {
          ("seed", "4")),
         "27bbc93c285f1487709470da76cf71bc92764ae19e144e51ea4090ca0e06f6be",
         "50,30.0,6.0,1.0,4,4.620248062373727,0.5231788079470199,0.5231788079470199,124,0"),
-    "snapshots": (
-        (("snapshot_period_s", "2.5"), ("cbr_stop_s", "20"),
-         ("sim_time", "30"), ("seed", "5")),
-        "c35781f9c5b038ea4b1dce01c599896958de2a6066a95a5f0e93a3956bd9dd54",
+    # CBR stops 10 s before the horizon; the control plane runs on
+    "cbr-stop": (
+        (("cbr_stop_s", "20"), ("sim_time", "30"), ("seed", "5")),
+        "3ab43be48f174b3bdb56e38144672cc2036e134b0cb50dc155fbe6f8624f0686",
         "50,30.0,6.0,1.0,5,4.601154425208418,0.5643564356435643,0.49504950495049505,72,0"),
     # fast lossy CBR: the data-transmission window stays busy
     "data-heavy-100": (
@@ -161,7 +161,8 @@ def corpus_scenario(rng) -> Scenario:
     sc.jitter_ms = rng.choice([0.0, 0.05, rng.uniform(0.0, 0.5)])
     sc.bootstrap_rounds = rng.randint(1, 4)
     sc.bootstrap_spread_s = spread = rng.choice([0.5, 1.0, 2.0])
-    sc.bootstrap_gap_s = rng.choice([spread, spread * rng.randint(1, 3) / (n + 1),
+    sc.bootstrap_gap_s = rng.choice([spread,
+                                     spread * rng.randint(1, 3) / (n + 1),
                                      rng.uniform(0.2, 3.0)])
     if rng.random() < 0.3:
         sc.hello_period_s = rng.uniform(0.5, 3.0)

@@ -7,14 +7,10 @@ This test loads that file by path, installs every hook, attaches to a
 Simulation and checks that nothing beyond the known dead names is missing.
 """
 
-import importlib.util
-from pathlib import Path
-
 import dartsim
 from dartsim import simkernel
 from dartsim.scenario import Scenario
-
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+from trace_invariants import load_perfbench
 
 # hooked names the simulator no longer has; their metrics read zero
 DEAD = {"dartsim.protocol.replace"} | {
@@ -23,15 +19,8 @@ DEAD = {"dartsim.protocol.replace"} | {
         "sample_link_delay", "sample_tx_count", "synthesize_one_way_delay")}
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_live_hook_finds_its_target():
-    layers = load_layers()
+    layers = load_perfbench("layers")
     tracer = layers.Tracer()
     originals = {name: getattr(simkernel, name)
                  for name in ("decide_forward", "build_topology")}

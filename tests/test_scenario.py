@@ -148,10 +148,8 @@ POSITIVE = ["area_width", "area_height", "tx_range", "sim_time",
             "bootstrap_gap_s"]
 NON_NEGATIVE = ["cbr_count", "max_retries", "cbr_start_s", "jitter_ms",
                 "base_mac_delay_ms", "tx_delay_ms", "contention_coeff_ms",
-                "ctl_window_s", "flow_window_s", "queue_window_s",
-                "snapshot_period_s"]
-PERIODS = ["interval_s", "hello_period_s", "echo_period_s",
-           "snapshot_period_s"]
+                "ctl_window_s", "flow_window_s", "queue_window_s"]
+PERIODS = ["interval_s", "hello_period_s", "echo_period_s"]
 
 
 def rejection(key, value):
@@ -263,8 +261,6 @@ def valid_scenarios(draw):
         setattr(sc, key, draw(_numbers(1e-300, 1e12)))
     for key in ("interval_s", "hello_period_s", "echo_period_s"):
         setattr(sc, key, draw(_numbers(sc.sim_time / 1e5, 1e12)))
-    sc.snapshot_period_s = draw(st.just(0.0) | _numbers(sc.sim_time / 1e5,
-                                                        1e12))
     sc.bootstrap_gap_s = draw(_numbers(sc.sim_time / 1e5, 1e12))
     for key in ("cbr_count", "max_retries"):
         setattr(sc, key, draw(st.integers(0, 10**6)))

@@ -1,12 +1,29 @@
 """Trace invariants every run must keep, shared by the tests that check
 them: acceptance criterion 8 on one 100-node run, and the property test
-over randomized whole runs.
+over randomized whole runs.  Per-copy conservation is the benchmark's own
+check, gate.trace_invariants, loaded from perfbench/gate.py.
 """
 
-from collections import Counter, defaultdict
+import importlib.util
+from collections import defaultdict
+from pathlib import Path
 
 from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, FORWARD,
                              PACKET_ARRIVAL, detail_fields)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a fresh module: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate = load_perfbench("gate")
 
 
 def criterion_8_violations(records):
@@ -52,33 +69,3 @@ def criterion_8_violations(records):
         if any(b > a for a, b in zip(budgets, budgets[1:])):
             violations.append(f"copy {key}: budget increased")
     return len(emitted_by), violations
-
-
-def copy_conservation_violations(records, sink):
-    """Copies (event, dup flag, node) that do not leave one outcome each.
-
-    A copy reaches its source by emission (the duplicate only where a
-    DUPLICATE record says so) and any other node only by a FORWARD
-    addressed to it.  Each node it reaches records exactly one outcome
-    for it: a FORWARD, a DROP or, at the sink only, a PACKET_ARRIVAL.
-    """
-    reached = Counter()
-    outcomes = Counter()
-    violations = []
-    for rec in records:
-        if rec.kind == CBR_EMIT:
-            reached[(rec.event_id, "0", rec.node)] += 1
-        elif rec.kind == DUPLICATE:
-            reached[(rec.event_id, "1", rec.node)] += 1
-        elif rec.kind in (FORWARD, DROP, PACKET_ARRIVAL):
-            f = detail_fields(rec.detail)
-            outcomes[(rec.event_id, f["dup"], rec.node)] += 1
-            if rec.kind == FORWARD:
-                reached[(rec.event_id, f["dup"], int(f["to"]))] += 1
-            elif rec.kind == PACKET_ARRIVAL and rec.node != sink:
-                violations.append(f"arrival away from the sink: {rec}")
-    for key in reached.keys() | outcomes.keys():
-        if reached[key] != 1 or outcomes[key] != 1:
-            violations.append(f"copy {key}: reached {reached[key]} times, "
-                              f"{outcomes[key]} outcomes")
-    return violations
