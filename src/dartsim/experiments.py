@@ -1,13 +1,13 @@
-"""Experiment drivers: single runs, seeded sweeps, and trace replay.
+"""Experiment drivers: single runs, point batches, sweeps and replay.
 
 A sweep is the cartesian product of axis value lists applied to a base
 scenario, each point run once per seed.  Results land in two CSV files:
 runs.csv with one row per (point, seed) and aggregate.csv with the
 per-point mean and standard deviation across seeds.  Each swept key
 that the run meta does not name gets a column of its own in both files,
-right after the meta columns, so its points stay apart.  If any run fails,
-the completed rows are still written, a trailing `# incomplete` marker
-is appended, and the failures are reported to the caller.
+right after the meta columns, so its points stay apart.  If any run
+fails, the other rows are still written, both files end with an
+`# incomplete` marker, and the failures go back to the caller.
 """
 
 from __future__ import annotations
@@ -41,10 +41,33 @@ def run_scenario(scenario, trace_path=None):
 
 
 def _run_point(scenario):
-    """Sweep worker: run one point and return only the compact results."""
+    """Batch worker: run one point and return only the compact results."""
     sim = Simulation(scenario)
     _, metrics = sim.run()
     return run_meta(scenario), metrics
+
+
+def run_points(points, jobs=1):
+    """Run scenario points; one result per point, in point order: its
+    (meta, metrics) or the exception it raised.  Up to jobs processes, no
+    more than there are points or usable CPUs, run the longest (nodes x
+    sim_time) first; with one, the points run in-process and in order.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, len(points), cpus)
+    futures, results = {}, []
+    if workers > 1:     # a fork pool forks all workers before any thread
+        with ProcessPoolExecutor(workers) as pool:
+            for i in sorted(range(len(points)), key=lambda i:
+                            -points[i].nodes * points[i].sim_time):
+                futures[i] = pool.submit(_run_point, points[i])
+    for i, p in enumerate(points):
+        try:
+            results.append(futures[i].result() if futures else _run_point(p))
+        except Exception as exc:
+            results.append(exc)
+    return results
 
 
 def expand_sweep(base, axes, seeds):
@@ -90,19 +113,11 @@ def expand_sweep(base, axes, seeds):
     return out
 
 
-def _swept_cell(point, key) -> str:
-    """A swept setting in the scenario grammar, quoted if it holds a comma."""
-    text = format_setting(key, getattr(point, key))
-    return f'"{text}"' if "," in text else text
-
-
 def run_sweep(base, axes, seeds, out_dir, jobs=1):
     """Run a sweep and write runs.csv and aggregate.csv under out_dir.
 
-    Up to jobs processes run the points, no more than there are points
-    or CPUs this process may use; with one, the points run in-process.
-    Bad input (see expand_sweep, or jobs < 1) is a ScenarioError raised
-    before out_dir is made.
+    run_points runs the points with jobs.  Bad input (see expand_sweep,
+    or jobs < 1) is a ScenarioError raised before out_dir is made.
 
     Returns (runs_path, aggregate_path, failures) where failures is a
     list of (scenario, exception) for points that did not finish.
@@ -110,24 +125,9 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     if jobs < 1:
         raise ScenarioError(f"--jobs must be at least 1, got {jobs}")
     points = expand_sweep(base, axes, seeds)
-    results = [None] * len(points)
-    failures = []
-    # a fork pool starts every worker at the first submit
-    workers = min(jobs, len(points), len(os.sched_getaffinity(0)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_point, p) for p in points]
-            for idx, fut in enumerate(futures):
-                try:
-                    results[idx] = fut.result()
-                except Exception as exc:
-                    failures.append((points[idx], exc))
-    else:
-        for idx, point in enumerate(points):
-            try:
-                results[idx] = _run_point(point)
-            except Exception as exc:
-                failures.append((point, exc))
+    results = run_points(points, jobs)
+    failures = [(point, result) for point, result in zip(points, results)
+                if isinstance(result, Exception)]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,10 +142,12 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
         fh.write(",".join(RUN_CSV_COLUMNS[:cut] + swept
                           + RUN_CSV_COLUMNS[cut:]) + "\n")
         for point, result in zip(points, results):
-            if result is None:
+            if isinstance(result, Exception):
                 continue
             meta, metrics = result
-            cells = [_swept_cell(point, key) for key in swept]
+            # swept settings in the scenario grammar, quoted if holding a comma
+            texts = [format_setting(key, getattr(point, key)) for key in swept]
+            cells = [f'"{t}"' if "," in t else t for t in texts]
             row = format_run_row(meta, metrics)
             fh.write(",".join(row[:cut] + cells + row[cut:]) + "\n")
             key = tuple(meta[k] for k in GROUP_KEY_COLUMNS) + tuple(cells)

@@ -2,39 +2,44 @@
 
 Criteria 1-5 reproduce the headline trends on fixed seed sets; 6-10 are
 exact oracles, invariants, determinism, and a hand-walked topology.
-Runs are cached across criteria, and each trend criterion runs its
-grid ahead on every core the process may use, so the whole suite stays
+The grids of the trend criteria a session selects go to one run_points
+batch, on every core the process may use, so the whole suite stays
 inside a few minutes.
 """
 
 import math
-import os
 import random
 import statistics
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from types import SimpleNamespace
 
 import pytest
 
-from dartsim.experiments import _run_point, run_scenario
+from dartsim.experiments import run_points, run_scenario
 from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
 from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
                               decide_forward, record_echo_rtts)
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import Simulation, channel, retries
-from trace_invariants import criterion_8_violations
+from trace_invariants import criterion_8_violations, gate
 
 NODE_COUNTS = (50, 100, 150)
 SEEDS = (11, 12, 13, 14, 15)
-SEEDS_INTERVAL = tuple(range(11, 19))
-DEADLINES_MS = (6.0, 7.0, 8.0, 9.0, 10.0)
-INTERVALS_S = (1.0, 2.0, 3.0, 4.0, 5.0)
-SIM_TIMES = (100.0, 200.0, 300.0, 400.0, 500.0)
 SLACK = 0.02
 
-_CACHE = {}
+# Each trend criterion's grid, declared once: the settings it holds
+# fixed, the node counts of its rows, the swept key and values of its
+# columns, and the seeds each cell is the mean over.
+GRIDS = {
+    1: ({}, NODE_COUNTS, ("deadline_ms", (6.0, 7.0, 8.0, 9.0, 10.0)), SEEDS),
+    2: (dict(sim_time=150.0, cbr_start_s=10.0), NODE_COUNTS,
+        ("interval_s", (1.0, 2.0, 3.0, 4.0, 5.0)), tuple(range(11, 19))),
+    3: ({}, (50, 150), ("deadline_ms", (6.0,)), SEEDS),
+    4: (dict(deadline_ms=50.0), NODE_COUNTS,
+        ("sim_time", (100.0, 200.0, 300.0, 400.0, 500.0)), SEEDS),
+    5: (dict(deadline_ms=50.0), NODE_COUNTS, ("sim_time", (100.0, 500.0)),
+        SEEDS),
+}
 
 
 def scenario(**kw):
@@ -45,39 +50,47 @@ def scenario(**kw):
     return sc
 
 
-def metrics_for(**kw):
-    run_ahead([kw])
-    return _CACHE[repr(scenario(**kw))]
+def grid(criterion):
+    """Per row: its node count and, per column, each seed's settings."""
+    fixed, node_counts, (key, values), seeds = GRIDS[criterion]
+    return [(n, [[dict(fixed, nodes=n, **{key: v}, seed=s) for s in seeds]
+                 for v in values]) for n in node_counts]
 
 
-def run_ahead(grid):
-    """Cache the runs of a criterion's grid, on every core available.
+@pytest.fixture(scope="session")
+def means(request):
+    """Runs the grids of the trend criteria this session selected, in one
+    run_points batch, and returns means(criterion, metric): per row of
+    the criterion's grid, its node count and the mean over the seeds of
+    each column.  A point that raised fails the criterion, naming it.
 
-    Runs are deterministic, so each cached metric equals a serial run's.
-    The longest runs start first, so the workers finish together.
+    Runs are keyed on the whole scenario, so criteria 3 and 5 share the
+    runs of criteria 1 and 4.  They are deterministic, so each mean
+    equals a serial run's.
     """
-    todo = {}
-    for kw in grid:
-        sc = scenario(**kw)
-        # keyed on the whole scenario, so settings spelled out at their
-        # defaults share a run with the points that leave them out
-        if repr(sc) not in _CACHE:
-            todo[repr(sc)] = sc
-    points = sorted(todo.values(), key=lambda sc: -sc.nodes * sc.sim_time)
-    workers = min(len(os.sched_getaffinity(0)), len(points))
-    if workers > 1:
-        with ProcessPoolExecutor(workers,
-                                 mp_context=get_context("spawn")) as pool:
-            results = list(pool.map(_run_point, points))
-    else:
-        results = map(_run_point, points)
-    for sc, (_, metrics) in zip(points, results):
-        _CACHE[repr(sc)] = metrics
+    chosen = {int(item.name.split("_")[2]) for item in request.session.items
+              if item.name.startswith("test_criterion_")} & GRIDS.keys()
+    points = {}
+    for criterion in sorted(chosen):
+        for _, row in grid(criterion):
+            for cell in row:
+                for kw in cell:
+                    sc = scenario(**kw)
+                    points.setdefault(repr(sc), sc)
+    runs = dict(zip(points, run_points(list(points.values()), len(points))))
 
+    def metric_of(criterion, metric, kw):
+        result = runs[repr(scenario(**kw))]
+        if isinstance(result, Exception):
+            check(False, f"criterion {criterion}: the point {kw} raised "
+                         f"{result!r}")
+        return getattr(result[1], metric)
 
-def mean_over_seeds(metric, seeds, **kw):
-    return statistics.mean(
-        getattr(metrics_for(seed=s, **kw), metric) for s in seeds)
+    def table(criterion, metric):
+        return [(n, [statistics.mean(metric_of(criterion, metric, kw)
+                                     for kw in cell) for cell in row])
+                for n, row in grid(criterion)]
+    return table
 
 
 def check(ok, line):
@@ -88,14 +101,10 @@ def check(ok, line):
 # -- criterion 1: miss ratio falls as the deadline grows ----------------
 
 @pytest.mark.slow
-def test_criterion_01_miss_ratio_falls_with_deadline():
-    run_ahead(dict(seed=s, nodes=n, deadline_ms=d)
-              for n in NODE_COUNTS for d in DEADLINES_MS for s in SEEDS)
+def test_criterion_01_miss_ratio_falls_with_deadline(means):
     ok = True
     detail = []
-    for n in NODE_COUNTS:
-        row = [mean_over_seeds("deadline_miss_ratio", SEEDS, nodes=n,
-                               deadline_ms=d) for d in DEADLINES_MS]
+    for n, row in means(1, "deadline_miss_ratio"):
         rises = [b - a for a, b in zip(row, row[1:]) if b > a]
         row_ok = len(rises) <= 1 and all(r <= SLACK for r in rises)
         ok = ok and row_ok
@@ -107,17 +116,10 @@ def test_criterion_01_miss_ratio_falls_with_deadline():
 # -- criterion 2: miss ratio falls as the packet interval grows ---------
 
 @pytest.mark.slow
-def test_criterion_02_miss_ratio_falls_with_packet_interval():
-    run_ahead(dict(seed=s, nodes=n, interval_s=iv, sim_time=150.0,
-                   cbr_start_s=10.0)
-              for n in NODE_COUNTS for iv in INTERVALS_S
-              for s in SEEDS_INTERVAL)
+def test_criterion_02_miss_ratio_falls_with_packet_interval(means):
     ok = True
     detail = []
-    for n in NODE_COUNTS:
-        row = [mean_over_seeds("deadline_miss_ratio", SEEDS_INTERVAL,
-                               nodes=n, interval_s=iv, sim_time=150.0,
-                               cbr_start_s=10.0) for iv in INTERVALS_S]
+    for n, row in means(2, "deadline_miss_ratio"):
         row_ok = (row[-1] <= row[0]
                   and all(b <= a + SLACK for a, b in zip(row, row[1:])))
         ok = ok and row_ok
@@ -130,10 +132,8 @@ def test_criterion_02_miss_ratio_falls_with_packet_interval():
 # -- criterion 3: more nodes, more missed deadlines ---------------------
 
 @pytest.mark.slow
-def test_criterion_03_miss_ratio_grows_with_node_count():
-    run_ahead(dict(seed=s, nodes=n) for n in (50, 150) for s in SEEDS)
-    sparse = mean_over_seeds("deadline_miss_ratio", SEEDS, nodes=50)
-    dense = mean_over_seeds("deadline_miss_ratio", SEEDS, nodes=150)
+def test_criterion_03_miss_ratio_grows_with_node_count(means):
+    (_, [sparse]), (_, [dense]) = means(3, "deadline_miss_ratio")
     check(dense > sparse,
           f"criterion 3: miss ratio at 150 nodes ({dense:.3f}) strictly "
           f"above 50 nodes ({sparse:.3f}) at the 6 ms deadline")
@@ -142,14 +142,10 @@ def test_criterion_03_miss_ratio_grows_with_node_count():
 # -- criterion 4: delivery ratio grows with simulation time -------------
 
 @pytest.mark.slow
-def test_criterion_04_pdr_grows_with_simulation_time():
-    run_ahead(dict(seed=s, nodes=n, sim_time=t, deadline_ms=50.0)
-              for n in NODE_COUNTS for t in SIM_TIMES for s in SEEDS)
+def test_criterion_04_pdr_grows_with_simulation_time(means):
     ok = True
     detail = []
-    for n in NODE_COUNTS:
-        row = [mean_over_seeds("pdr", SEEDS, nodes=n, sim_time=t,
-                               deadline_ms=50.0) for t in SIM_TIMES]
+    for n, row in means(4, "pdr"):
         row_ok = (row[-1] >= row[0]
                   and all(b >= a - SLACK for a, b in zip(row, row[1:])))
         ok = ok and row_ok
@@ -161,16 +157,10 @@ def test_criterion_04_pdr_grows_with_simulation_time():
 # -- criterion 5: average delay falls with simulation time --------------
 
 @pytest.mark.slow
-def test_criterion_05_delay_falls_with_simulation_time():
-    run_ahead(dict(seed=s, nodes=n, sim_time=t, deadline_ms=50.0)
-              for n in NODE_COUNTS for t in (100.0, 500.0) for s in SEEDS)
+def test_criterion_05_delay_falls_with_simulation_time(means):
     ok = True
     detail = []
-    for n in NODE_COUNTS:
-        first = mean_over_seeds("avg_e2e_delay", SEEDS, nodes=n,
-                                sim_time=100.0, deadline_ms=50.0)
-        last = mean_over_seeds("avg_e2e_delay", SEEDS, nodes=n,
-                               sim_time=500.0, deadline_ms=50.0)
+    for n, (first, last) in means(5, "avg_e2e_delay"):
         ok = ok and last <= first
         detail.append(f"n={n}: {first*1000:.3f}ms->{last*1000:.3f}ms")
     check(ok, "criterion 5: average end-to-end delay at 500 s is at most "
@@ -288,6 +278,7 @@ def test_criterion_08_trace_invariants():
     validate(sc)
     records, _ = Simulation(sc).run()
     emitted, violations = criterion_8_violations(records)
+    violations += gate.trace_invariants(records, sc.sink)
     check(not violations and emitted > 400,
           f"criterion 8: loop freedom, budget decay, copy bound and "
           f"conservation over {emitted} events "

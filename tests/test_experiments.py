@@ -1,9 +1,11 @@
 """Experiment driver tests: sweeps, CSV outputs, and trace replay."""
 
 import csv
+import threading
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,14 +155,18 @@ def test_sweep_parallel_results_match_serial(tmp_path):
     assert serial.read_text() == parallel.read_text()
 
 
-def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
-    started = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Puts InlinePool in place of the process pool; returns its log."""
+    log = SimpleNamespace(started=[], threads=[], submitted=[])
 
     class InlinePool:
-        """Records its size and runs each task at once, in this process."""
+        """Records its size, the threads alive when it starts and the
+        points it gets, and runs each task at once, in this process."""
 
         def __init__(self, max_workers):
-            started.append(max_workers)
+            log.started.append(max_workers)
+            log.threads.append(threading.active_count())
 
         def __enter__(self):
             return self
@@ -168,12 +174,22 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
+        def submit(self, fn, point):
+            log.submitted.append(point)
             fut = Future()
-            fut.set_result(fn(*args))
+            try:
+                fut.set_result(fn(point))
+            except Exception as exc:
+                fut.set_exception(exc)
             return fut
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return log
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch,
+                                                  inline_pool):
+    started = inline_pool.started
     monkeypatch.setattr(experiments.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2})    # three usable CPUs
     runs_path, _, failures = run_sweep(
@@ -187,6 +203,60 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
         tmp_path / "cpus", jobs=8)
     assert started == [2, 3] and not failures
     assert len(runs_path.read_text().splitlines()) == 5
+
+    # the pool gets the longest points first; runs.csv keeps point order
+    inline_pool.submitted.clear()
+    runs_path, _, failures = run_sweep(
+        small_scenario(), [("nodes", ["8", "12"])], [4, 5],
+        tmp_path / "nodes", jobs=8)
+    assert not failures
+    assert [(p.nodes, p.seed) for p in inline_pool.submitted] == [
+        (12, 4), (12, 5), (8, 4), (8, 5)]
+    with open(runs_path) as fh:
+        assert [(row["nodes"], row["seed"]) for row in csv.DictReader(fh)] == [
+            ("8", "4"), ("8", "5"), ("12", "4"), ("12", "5")]
+
+    # a point that raises in the pool comes back in its own slot
+    real = experiments._run_point
+
+    def flaky(scenario):
+        if scenario.nodes == 12 and scenario.seed == 5:
+            raise RuntimeError("synthetic failure")
+        return real(scenario)
+
+    monkeypatch.setattr(experiments, "_run_point", flaky)
+    points = expand_sweep(small_scenario(), [("nodes", ["8", "12"])], [4, 5])
+    results = experiments.run_points(points, jobs=8)
+    assert [type(r).__name__ for r in results] == [
+        "tuple", "tuple", "tuple", "RuntimeError"]
+    assert [meta["seed"] for meta, _ in results[:3]] == [4, 5, 4]
+    _, _, failures = run_sweep(small_scenario(), [("nodes", ["8", "12"])],
+                               [4, 5], tmp_path / "flaky", jobs=8)
+    assert [(p.nodes, p.seed, str(e)) for p, e in failures] == [
+        (12, 5, "synthetic failure")]
+    # no other thread is alive when a pool starts, so its fork() is safe
+    assert inline_pool.threads == [1] * len(started) and len(started) == 5
+
+
+def test_sweep_without_sched_getaffinity_counts_cpus(tmp_path, monkeypatch,
+                                                     inline_pool):
+    """Where os has no sched_getaffinity (macOS, Windows), os.cpu_count()
+    caps the pool, and one job still runs the points in-process."""
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    axes = [("deadline_ms", ["6", "8"])]
+    _, _, failures = run_sweep(small_scenario(), axes, [4, 5],
+                               tmp_path / "serial", jobs=1)
+    assert inline_pool.started == [] and not failures
+    runs_path, _, failures = run_sweep(small_scenario(), axes, [4, 5],
+                                       tmp_path / "pool", jobs=8)
+    assert inline_pool.started == [3] and not failures
+    assert len(inline_pool.submitted) == 4
+    assert len(runs_path.read_text().splitlines()) == 5
+    # an unknown CPU count means one CPU
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    run_sweep(small_scenario(), axes, [4, 5], tmp_path / "none", jobs=8)
+    assert inline_pool.started == [3]
 
 
 def test_swept_cell_with_a_comma_is_quoted(tmp_path):
