@@ -42,9 +42,8 @@ def run_scenario(scenario, trace_path=None):
 
 def _run_point(scenario):
     """Batch worker: run one point and return only the compact results."""
-    sim = Simulation(scenario)
-    _, metrics = sim.run()
-    return run_meta(scenario), metrics
+    meta, _, metrics = run_scenario(scenario)
+    return meta, metrics
 
 
 def run_points(points, jobs=1):
@@ -117,7 +116,8 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     """Run a sweep and write runs.csv and aggregate.csv under out_dir.
 
     run_points runs the points with jobs.  Bad input (see expand_sweep,
-    or jobs < 1) is a ScenarioError raised before out_dir is made.
+    or jobs < 1) is a ScenarioError raised before out_dir is made, and
+    an out_dir that cannot be made is one raised before any point runs.
 
     Returns (runs_path, aggregate_path, failures) where failures is a
     list of (scenario, exception) for points that did not finish.
@@ -125,12 +125,14 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     if jobs < 1:
         raise ScenarioError(f"--jobs must be at least 1, got {jobs}")
     points = expand_sweep(base, axes, seeds)
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot make {out}: {exc.strerror}") from None
     results = run_points(points, jobs)
     failures = [(point, result) for point, result in zip(points, results)
                 if isinstance(result, Exception)]
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     runs_path = out / "runs.csv"
     agg_path = out / "aggregate.csv"
     marker = f"# incomplete: {len(failures)} of {len(points)} runs failed"

@@ -191,11 +191,7 @@ def aggregate_runs(rows):
 # ------------------------------------------------------------ CSV shaping
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def run_meta(scenario_like) -> dict:

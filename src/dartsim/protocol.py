@@ -1,9 +1,9 @@
 """Node-local routing state and the deadline-driven forwarding rule.
 
-Each node learns its neighbors in HELLO rounds: a node's HELLO and its
-ACKs carry its id and sink distance, and a receiver that does not know
-the sender yet inserts an unmeasured ForwardingEntry for it.  It keeps
-a per-neighbor link delay estimate refreshed by periodic echo probes.
+The kernel (simkernel) fills a node's table in HELLO rounds, where the
+sender and each receiver insert an unmeasured ForwardingEntry for a peer
+they do not know yet, and probes link delays with periodic echoes that
+record_echo_rtts folds in; NodeState also holds the echoes still due.
 A data packet carries a shrinking time budget; it is handed to the
 neighbor that is closer to the sink and offers the highest progress
 speed, provided that speed covers what the remaining budget demands.
@@ -55,9 +55,9 @@ class ForwardingEntry:
     link_delay: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
-    """Everything one node knows: its id, sink distance and neighbor table.
+    """Everything one node knows: id, sink distance, table, pending echoes.
 
     The forwarding table is keyed by neighbor id, so there is never more
     than one row per neighbor, and the node itself is never inserted.
@@ -68,12 +68,14 @@ class NodeState:
     rows closer to the sink, built by decide_forward on first use and
     reset to None by record_echo_rtts, the only writer of a link delay.
     Code that writes a link_delay by hand must set best to None.
+    pending holds the probed neighbors whose echo sample is still due.
     """
 
     my_id: NodeId
     dist_to_sink: float
     forwarding_table: dict[NodeId, ForwardingEntry] = field(default_factory=dict)
     best: Optional[list] = field(default=None, compare=False, repr=False)
+    pending: set = field(default_factory=set, compare=False, repr=False)
 
 
 class ForwardDecision(NamedTuple):
@@ -89,15 +91,15 @@ class ForwardDecision(NamedTuple):
 SPENT = ForwardDecision(None, None, math.inf)
 
 
-def record_echo_rtts(state: NodeState, pending: set, measurements,
-                     alpha: float) -> int:
+def record_echo_rtts(state: NodeState, measurements, alpha: float) -> int:
     """Fold one echo reply's (neighbor_id, rtt) samples; return the count.
 
-    Each neighbor still in pending is removed from it and counted.  A
-    known neighbor's positive sample is stored, exponentially smoothed
+    Each neighbor still in state.pending is removed from it and counted.
+    A known neighbor's positive sample is stored, exponentially smoothed
     with weight alpha on it once the neighbor has an estimate.
     """
-    table, before, beta = state.forwarding_table, len(pending), 1.0 - alpha
+    table, pending = state.forwarding_table, state.pending
+    before, beta = len(pending), 1.0 - alpha
     for neighbor_id, rtt in measurements:
         if neighbor_id in pending:
             pending.remove(neighbor_id)

@@ -237,6 +237,8 @@ def validate(scenario: Scenario) -> None:
         if len(sc.positions) != sc.nodes:
             raise ScenarioError(f"positions lists {len(sc.positions)} points "
                                 f"but nodes = {sc.nodes}")
+    elif sc.positions is not None:
+        raise ScenarioError("positions is read only when placement = explicit")
     if sc.cbr_sources is not None:
         if not sc.cbr_sources:
             raise ScenarioError("cbr_sources is empty; use cbr_count = 0")

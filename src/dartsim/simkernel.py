@@ -6,8 +6,8 @@ Heap entries are (fire_at, seq, handler, args) tuples and run() calls
 handler(now, *args).  Each push takes a fresh seq, so ties fire in
 scheduling order.  _schedule is the one horizon test: an event due after
 sim_time is dropped before it takes a seq; only packet arrivals, pushed
-directly, land past it.  Per-node state is one list per field, indexed
-by node id and built in __init__.  All randomness comes from a single
+directly, land past it.  A node's protocol state is its NodeState,
+channel state one list per field.  All randomness comes from a single
 random.Random(seed) stream, and neighbors are always visited in
 ascending id order, so a scenario replays byte-identically.
 
@@ -118,7 +118,7 @@ def build_topology(scenario, rng) -> tuple:
     elif scenario.placement == "grid":
         cols = math.ceil(math.sqrt(n))
         rows = math.ceil(n / cols)
-        sx = scenario.area_width / (cols - 1) if cols > 1 else 0.0
+        sx = scenario.area_width / (cols - 1)      # nodes >= 2: cols >= 2
         sy = scenario.area_height / (rows - 1) if rows > 1 else 0.0
         positions = [((k % cols) * sx, (k // cols) * sy) for k in range(n)]
     else:
@@ -167,14 +167,12 @@ class Simulation:
         self.retry = retries(scenario, self.rng)
         self.hop_delay = channel(scenario, self.rng)
         positions, adjacency = build_topology(scenario, self.rng)
-        self.dists = [math.dist(p, positions[sink]) for p in positions]
-        self.states = [NodeState(i, d) for i, d in enumerate(self.dists)]
-        self.tables = [state.forwarding_table for state in self.states]
+        dists = [math.dist(p, positions[sink]) for p in positions]
+        self.states = [NodeState(i, d) for i, d in enumerate(dists)]
         self.neighbors = adjacency
         self.queues = [deque() for _ in adjacency]  # own transmission times
-        self.probes = [set() for _ in adjacency]    # neighbors yet to reply
         self.dist_texts = [""] * scenario.nodes     # repr(dist), at first send
-        self.sources = select_sources(scenario, self.dists)
+        self.sources = select_sources(scenario, dists)
         self.warnings = []
         reachable = _reachable_from(adjacency, sink)
         for s in self.sources:
@@ -250,8 +248,8 @@ class Simulation:
     # -- handlers -------------------------------------------------------
 
     def _on_hello_round(self, now, i, steady):
-        tables, queues, dists = self.tables, self.queues, self.dists
-        table, dist = tables[i], dists[i]
+        states, queues = self.states, self.queues
+        table, dist = states[i].forwarding_table, states[i].dist_to_sink
         self.round_log.append((now, i))
         self.recent[i] += 1
         queues[i].append(now)
@@ -260,13 +258,13 @@ class Simulation:
         for j in self.neighbors[i]:
             if random() < p:
                 continue                      # broadcast lost at j
-            peer_table = tables[j]
-            if i not in peer_table:
-                peer_table[i] = ForwardingEntry(dist)
+            peer = states[j]
+            if i not in peer.forwarding_table:
+                peer.forwarding_table[i] = ForwardingEntry(dist)
             queues[j].append(now)             # the ACK transmission
             if random() >= p or retry():
                 if j not in table:
-                    table[j] = ForwardingEntry(dists[j])
+                    table[j] = ForwardingEntry(peer.dist_to_sink)
                 acks += 1
         self._record(now, HELLO_ROUND, i, -1, f"acks={acks}")
         if steady:
@@ -283,7 +281,7 @@ class Simulation:
         delay_of = self.hop_delay(load, now)
         probe_delay = delay_of(own)
         own.append(now)
-        self.probes[i].update(neighbors)
+        self.states[i].pending.update(neighbors)
         p, random, retry = self.scenario.loss, self.rng.random, self.retry
         queues, measurements, longest = self.queues, [], 0.0
         for j in neighbors:
@@ -308,8 +306,8 @@ class Simulation:
                            self._on_echo_probe, (i, True))
 
     def _on_echo_reply(self, now, i, measurements):
-        applied = record_echo_rtts(self.states[i], self.probes[i],
-                                   measurements, self.scenario.echo_alpha)
+        applied = record_echo_rtts(self.states[i], measurements,
+                                   self.scenario.echo_alpha)
         self._record(now, ECHO_REPLY, i, -1, f"measured={applied}")
 
     def _on_cbr_emit(self, now, nid):
@@ -336,7 +334,7 @@ class Simulation:
             targets += ((duplicate, DataPacket(*pkt[:5], True)),)
         dist_text = self.dist_texts[i]
         if not dist_text:                 # FORWARD's d=, once per node
-            dist_text = self.dist_texts[i] = repr(self.dists[i])
+            dist_text = self.dist_texts[i] = repr(self.states[i].dist_to_sink)
         own, delay_of = self.queues[i], self.hop_delay(load, now)
         for j, copy in targets:
             self.data_log.append((now, i))

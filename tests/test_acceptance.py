@@ -173,7 +173,8 @@ def test_criterion_06_equation_oracles():
     # a 4 ms echo round trip is a 2 ms one-way link delay
     state = NodeState(my_id=1, dist_to_sink=500.0)
     state.forwarding_table[2] = ForwardingEntry(dist_to_sink=400.0)
-    record_echo_rtts(state, {2}, [(2, 0.004)], alpha=0.5)
+    state.pending.add(2)
+    record_echo_rtts(state, [(2, 0.004)], alpha=0.5)
     link = state.forwarding_table[2].link_delay
     # (1 ms MAC + 1 queued send at 2000/s + 0.5 ms transmission) x 6 tries
     sc = Scenario(base_mac_delay_ms=1.0, contention_coeff_ms=0.0,

@@ -205,6 +205,17 @@ def test_validate_rejects_a_bad_value_naming_its_key(setting, capsys):
     assert setting.partition("=")[0] in err
 
 
+@pytest.mark.parametrize("placement", ["uniform", "grid"])
+def test_run_rejects_positions_its_placement_would_ignore(placement, capsys):
+    # unchecked, the nodes are placed by the placement and the run exits 0
+    code, out, err = run_cli(capsys, "run", "--set", "nodes=3",
+                             "--set", f"placement={placement}",
+                             "--set", "positions=0,0; 100,0; 200,0")
+    assert code == 1
+    assert out == ""
+    assert "positions is read only when placement = explicit" in err
+
+
 @pytest.mark.parametrize("command", ["run", "replay"])
 @pytest.mark.parametrize("kind", ["directory", "binary"])
 def test_unreadable_input_fails_with_code_1_naming_the_path(command, kind,
@@ -415,6 +426,21 @@ def test_sweep_rejects_an_axis_that_drops_or_repeats_points(axis, named,
     assert out == ""
     assert named in err
     assert not out_dir.exists()
+
+
+def test_sweep_to_an_out_path_that_cannot_be_a_directory_runs_nothing(
+        tmp_path, capsys, monkeypatch):
+    # unchecked, every point runs before the directory fails to be made
+    calls = []
+    monkeypatch.setattr(experiments, "_run_point", calls.append)
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=8",
+                             "--set", "sim_time=2", "--axis", "deadline_ms=6",
+                             "--seeds", "1,2", "--out", str(out_file))
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith(f"error: cannot make {out_file}: ")
+    assert out_file.read_text() == ""
 
 
 def test_sweep_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):

@@ -282,8 +282,8 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
     settings, _, row = GOLDEN["data-heavy-100"]
     scenario = scenario_from(settings)
     sim = simkernel.Simulation(scenario)
-    for i, state in enumerate(sim.states):
-        state.forwarding_table = sim.tables[i] = ScanCountingTable()
+    for state in sim.states:
+        state.forwarding_table = ScanCountingTable()
     calls = Counter()
 
     def counted(state, pkt):

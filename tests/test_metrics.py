@@ -72,10 +72,16 @@ def test_miss_ratio_counts_late_and_lost():
     trace = [emit(0.0, 1), emit(1.0, 2), emit(2.0, 3), emit(3.0, 4),
              arrive(0.004, 1),            # on time
              arrive(1.009, 2),            # late: 9 ms > 6 ms
-             arrive(3.006, 4)]            # exactly at the deadline: on time
+             arrive(3.006, 4)]            # 5.99...9783 ms in floats: on time
     # event 3 never arrives
     assert compute_run_metrics(trace).deadline_miss_ratio == pytest.approx(
         0.5, rel=1e-12)
+
+
+def test_an_arrival_exactly_at_the_deadline_is_not_a_miss():
+    # exact binary values: the delay 0.25 equals t_set, which is on time
+    trace = [emit(1.0, 1, tset=0.25), arrive(1.25, 1)]
+    assert compute_run_metrics(trace).deadline_miss_ratio == 0.0
 
 
 def test_miss_ratio_at_least_loss_share():

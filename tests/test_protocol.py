@@ -187,13 +187,17 @@ def test_hello_ack_handshake_populates_both_sides():
     assert table[0].dist_to_sink == 0.0
 
 
-def test_node_state_holds_its_id_distance_and_table_only():
+def test_node_state_holds_its_id_distance_table_and_pending_echoes():
     """The rule is distance-based: a node keeps no position of its own;
-    best only caches the ranking of its table."""
+    best only caches the ranking of its table, and pending holds the
+    echoes still due, so two states compare by id, distance and table."""
     assert [f.name for f in fields(NodeState)] == [
-        "my_id", "dist_to_sink", "forwarding_table", "best"]
-    best = fields(NodeState)[-1]
+        "my_id", "dist_to_sink", "forwarding_table", "best", "pending"]
+    best, pending = fields(NodeState)[-2:]
     assert best.default is None and not best.compare and not best.repr
+    assert pending.default_factory is set
+    assert not pending.compare and not pending.repr
+    assert not hasattr(make_state(), "__dict__")          # slots
     assert not hasattr(protocol, "distance")
     assert not hasattr(protocol, "NodePos")
 
@@ -209,8 +213,8 @@ def test_table_never_contains_self():
 
 def reply(state, *samples, alpha=0.5):
     """One echo reply whose (neighbor, rtt) samples are all still pending."""
-    return record_echo_rtts(state, {j for j, _ in samples}, list(samples),
-                            alpha)
+    state.pending.update(j for j, _ in samples)
+    return record_echo_rtts(state, list(samples), alpha)
 
 
 def test_first_echo_sample_is_stored_directly():
@@ -248,16 +252,15 @@ def test_echo_sample_for_a_neighbor_no_longer_pending_is_skipped():
     state = make_state()
     add_neighbor(state, 2, 100.0, 0.0)
     add_neighbor(state, 3, 120.0, 0.001)
-    pending = {2}
-    applied = record_echo_rtts(state, pending, [(3, 0.004), (2, 0.006)],
-                               alpha=0.5)
+    state.pending.add(2)
+    applied = record_echo_rtts(state, [(3, 0.004), (2, 0.006)], alpha=0.5)
     assert applied == 1
-    assert pending == set()
+    assert state.pending == set()
     assert state.forwarding_table[3].link_delay == 0.001   # untouched
     assert state.forwarding_table[2].link_delay == 0.003
     # a second reply finds nothing pending: no state, no count
-    assert record_echo_rtts(state, pending, [(2, 0.008)], alpha=0.5) == 0
-    assert pending == set()
+    assert record_echo_rtts(state, [(2, 0.008)], alpha=0.5) == 0
+    assert state.pending == set()
     assert state.forwarding_table[2].link_delay == 0.003
 
 
@@ -268,14 +271,14 @@ def test_echo_reply_counts_exactly_the_probes_it_removes():
         for nid in range(2, 10):
             if rng.random() < 0.7:
                 add_neighbor(state, nid, 100.0, rng.choice([0.0, 0.002]))
-        pending = {nid for nid in range(2, 12) if rng.random() < 0.6}
-        before = set(pending)
+        state.pending = {nid for nid in range(2, 12) if rng.random() < 0.6}
+        before = set(state.pending)
         sampled = rng.sample(range(2, 12), rng.randint(0, 10))
         measurements = [(j, rng.choice([-1.0, 0.0, rng.uniform(1e-4, 1e-2)]))
                         for j in sampled]
-        applied = record_echo_rtts(state, pending, measurements, alpha=0.3)
-        assert pending == before - set(sampled)
-        assert applied == len(before) - len(pending)
+        applied = record_echo_rtts(state, measurements, alpha=0.3)
+        assert state.pending == before - set(sampled)
+        assert applied == len(before) - len(state.pending)
 
 
 def test_first_echo_sample_is_half_the_rtt_exactly():
@@ -307,6 +310,15 @@ def test_decide_forward_source_duplicates_to_runner_up():
     d = decide_forward(state, make_packet(source_id=1))
     assert d.primary_next_hop == 5
     assert d.duplicate_next_hop == 2
+
+
+def test_decide_forward_duplicates_to_a_runner_up_at_exactly_the_speed():
+    # exact binary values: v_req = 256 / 0.5 = 512 = (256 - 192) / 0.125
+    state = make_state(dist_to_sink=256.0)
+    add_neighbor(state, 5, 128.0, 0.125)   # 1024 m/s
+    add_neighbor(state, 2, 192.0, 0.125)   # 512 m/s, the required speed
+    d = decide_forward(state, make_packet(source_id=1, t_l=0.5))
+    assert d == (5, 2, 512.0)
 
 
 def test_decide_forward_intermediate_never_duplicates():
@@ -465,7 +477,6 @@ def test_decide_forward_matches_oracle_over_table_histories():
         my_pos = (rng.uniform(0, 600), rng.uniform(0, 400))
         d_here = math.dist(my_pos, SINK)
         state = make_state(my_id=100, dist_to_sink=d_here)
-        pending = set()
         for _ in range(40):
             op = rng.random()
             if op < 0.25:
@@ -476,10 +487,11 @@ def test_decide_forward_matches_oracle_over_table_histories():
                         math.dist(pos, SINK))
             elif op < 0.5:
                 known = list(state.forwarding_table)
-                pending.update(rng.sample(known, rng.randint(0, len(known))))
+                state.pending.update(
+                    rng.sample(known, rng.randint(0, len(known))))
                 samples = [(nid, rng.choice([0.0, rng.uniform(1e-4, 1e-2)]))
                            for nid in rng.sample(range(12), rng.randint(0, 4))]
-                record_echo_rtts(state, pending, samples, alpha=0.3)
+                record_echo_rtts(state, samples, alpha=0.3)
             else:
                 pkt = make_packet(source_id=rng.choice([100, 55]),
                                   t_l=rng.choice([0.0, rng.uniform(1e-3, 2e-2)]),

@@ -247,8 +247,7 @@ def valid_scenarios(draw):
     point = st.tuples(coordinate, coordinate)
     sc.placement = draw(st.sampled_from(["uniform", "grid", "explicit"]))
     sc.positions = draw(st.lists(point, min_size=n, max_size=n)
-                        if sc.placement == "explicit"
-                        else st.none() | st.lists(point, min_size=1))
+                        if sc.placement == "explicit" else st.none())
     sc.sink = draw(st.integers(0, n - 1))
     sc.sink_pos = draw(point)
     sc.sim_time = draw(_numbers(1e-3, 1e9))

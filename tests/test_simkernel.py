@@ -1,5 +1,6 @@
 """Simulator kernel tests: channel draws, topology, and whole small runs."""
 
+import logging
 import math
 import random
 from collections import Counter, defaultdict, deque
@@ -436,6 +437,14 @@ def test_grid_topology_fills_the_area():
     assert positions[5] == (100.0, 100.0)
 
 
+def test_a_two_node_grid_is_one_row():
+    # cols = 2, rows = 1: the row spacing must not divide by rows - 1
+    sc = make_scenario(nodes=2, placement="grid", area_width=100.0)
+    positions, adjacency = build_topology(sc, random.Random(sc.seed))
+    assert positions == [(0.0, 0.0), (100.0, 0.0)]
+    assert adjacency == [[1], [0]]
+
+
 def test_explicit_positions_pass_through():
     pts = [(1.0, 2.0), (3.0, 4.0)]
     sc = make_scenario(nodes=2, placement="explicit", positions=pts)
@@ -572,16 +581,39 @@ def test_zero_cbr_run_completes_with_undefined_ratios():
     assert metrics.pdr is None and metrics.avg_e2e_delay is None
 
 
-def test_disconnected_source_warns_and_drops_everything():
-    sc = make_scenario(nodes=3, placement="explicit",
-                       positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)],
-                       sink=0, cbr_sources=[2], sim_time=4.0, interval_s=1.0)
+def test_a_cbr_window_of_one_instant_emits_once():
+    """cbr_start_s == cbr_stop_s: the first source emits at that instant,
+    the others' interleaved first emissions fall after it."""
+    sc = make_scenario(nodes=8, seed=1, sim_time=6.0, cbr_count=3,
+                       cbr_start_s=2.5, cbr_stop_s=2.5)
     sim = Simulation(sc)
-    assert sim.warnings and "source 2" in sim.warnings[0]
-    records, metrics = sim.run()
-    assert metrics.sent_events == 5
-    assert metrics.pdr == 0.0
-    assert metrics.no_route_drops == 5
+    records, _ = sim.run()
+    emits = [(rec.time, rec.node) for rec in records if rec.kind == CBR_EMIT]
+    assert emits == [(2.5, sim.sources[0])]
+
+
+def test_disconnected_source_warns_and_drops_everything(caplog):
+    """Source 2 is cut off; source 3 reaches the sink through node 1, two
+    hops, so it does not warn, in the list or in the log."""
+    sc = make_scenario(nodes=4, placement="explicit",
+                       positions=[(0.0, 0.0), (200.0, 0.0), (1000.0, 0.0),
+                                  (400.0, 0.0)],
+                       sink=0, cbr_sources=[2, 3], sim_time=4.0,
+                       interval_s=1.0)
+    with caplog.at_level(logging.WARNING, logger="dartsim.simkernel"):
+        sim = Simulation(sc)
+    want = "source 2 has no path to sink 0; its packets will all be dropped"
+    assert sim.warnings == [want]
+    assert [(rec.name, rec.levelname, rec.getMessage())
+            for rec in caplog.records] == [("dartsim.simkernel", "WARNING",
+                                            want)]
+    records, _ = sim.run()
+    emitted = {rec.event_id for rec in records
+               if rec.kind == CBR_EMIT and rec.node == 2}
+    assert len(emitted) == 5
+    assert [(rec.event_id, rec.kind, rec.detail) for rec in records
+            if rec.event_id in emitted and rec.kind != CBR_EMIT] == [
+                (eid, DROP, "reason=no_route dup=0") for eid in sorted(emitted)]
 
 
 def test_echo_rounds_measure_the_configured_link_delay():
