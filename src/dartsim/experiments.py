@@ -29,9 +29,15 @@ from .simkernel import Simulation
 def run_scenario(scenario, trace_path=None):
     """Run one scenario; returns (meta, records, metrics).
 
-    When trace_path is given the full event trace is written there,
-    ready for later replay.
+    When trace_path is given the full event trace is written there, ready
+    for replay; a path it cannot open is a ScenarioError before the run.
     """
+    if trace_path is not None:
+        try:
+            open(trace_path, "a").close()
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {trace_path}: "
+                                f"{exc.strerror}") from None
     sim = Simulation(scenario)
     records, metrics = sim.run()
     meta = run_meta(scenario)

@@ -3,8 +3,11 @@
 A trace is an ordered list of TraceRecord rows.  The same records drive
 both the in-process metrics at the end of a run and offline replay from
 a trace file, so the two can never disagree.  Floats are serialized
-with repr() and therefore round-trip exactly.  Reading interns each
-record's kind as its module constant and rejects an unknown kind.
+with repr() and therefore round-trip exactly.  Writing renders a time
+once for consecutive records holding the same float object, and reading
+parses a time or event-id text once for consecutive lines holding the
+same text.  Reading interns each record's kind as its module constant
+and rejects an unknown kind.
 """
 
 from __future__ import annotations
@@ -229,10 +232,12 @@ def write_trace(path, meta: dict, records) -> None:
         if pair.count("=") > 1 or pair.split() != [pair]:
             raise ValueError(f"meta key {k!r} or its value {text!r} holds "
                              "whitespace or '='")
-    rows, kinds = [], _KINDS
+    rows, kinds, last = [], _KINDS, object()
     try:
         for time, kind, node, event_id, detail in records:
-            rows.append(f"{time!r},{kinds[kind]},{node},{event_id},{detail}\n")
+            if time is not last:        # not ==: 0.0 and -0.0 render apart
+                text, last = repr(time), time
+            rows.append(f"{text},{kinds[kind]},{node},{event_id},{detail}\n")
     except KeyError:
         raise ValueError(f"record {len(rows)} has the unknown kind "
                          f"{kind!r}") from None
@@ -262,11 +267,16 @@ def read_trace(path):
         raise TraceError(f"cannot read trace {path}: {exc}") from None
     append, new = records.append, tuple.__new__
     kinds = {}                  # no line parses as a record before the header
+    last_time = last_id = None  # the texts that now and eid were parsed from
     for lineno, line in enumerate(lines, start=1):
         try:
             time, kind, node, event_id, detail = line.split(",", 4)
-            append(new(TraceRecord, (float(time), kinds[kind], int(node),
-                                     int(event_id), detail)))
+            if time != last_time:
+                now, last_time = float(time), time
+            append(new(TraceRecord, (now, kinds[kind], int(node), eid
+                                     if event_id == last_id
+                                     else (eid := int(event_id)), detail)))
+            last_id = event_id
         except (KeyError, ValueError) as exc:
             # only a line that is not a record is looked at again
             if line.startswith("# meta "):

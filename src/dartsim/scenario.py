@@ -239,6 +239,8 @@ def validate(scenario: Scenario) -> None:
                                 f"but nodes = {sc.nodes}")
     elif sc.positions is not None:
         raise ScenarioError("positions is read only when placement = explicit")
+    if sc.sink_pos != (0.0, 0.0) and sc.placement != "uniform":
+        raise ScenarioError("sink_pos is read only when placement = uniform")
     if sc.cbr_sources is not None:
         if not sc.cbr_sources:
             raise ScenarioError("cbr_sources is empty; use cbr_count = 0")

@@ -216,6 +216,36 @@ def test_run_rejects_positions_its_placement_would_ignore(placement, capsys):
     assert "positions is read only when placement = explicit" in err
 
 
+@pytest.mark.parametrize("placement, setting", [
+    ("grid", "sim_time=5"), ("explicit", "positions=0,0; 100,0; 200,0")])
+def test_run_rejects_a_sink_pos_its_placement_would_ignore(placement, setting,
+                                                           capsys):
+    # unchecked, the sink sits where the placement puts it and the run exits 0
+    code, out, err = run_cli(capsys, "run", "--set", "nodes=3",
+                             "--set", f"placement={placement}",
+                             "--set", setting, "--set", "sink_pos=300,200")
+    assert code == 1
+    assert out == ""
+    assert "sink_pos is read only when placement = uniform" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+def test_run_to_a_trace_path_it_cannot_write_runs_nothing(kind, tmp_path,
+                                                         capsys, monkeypatch):
+    # unchecked, the whole run went first: a directory then exited 2 with a
+    # bare IsADirectoryError, and a missing parent directory exited 1
+    calls = []
+    monkeypatch.setattr(experiments.Simulation, "run",
+                        lambda sim: calls.append(sim))
+    trace = tmp_path / "taken" if kind == "directory" else tmp_path / "no" / "t"
+    if kind == "directory":
+        trace.mkdir()
+    code, out, err = run_cli(capsys, "run", "--set", "nodes=3",
+                             "--set", "sim_time=2", "--trace", str(trace))
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith(f"error: cannot write {trace}: ")
+
+
 @pytest.mark.parametrize("command", ["run", "replay"])
 @pytest.mark.parametrize("kind", ["directory", "binary"])
 def test_unreadable_input_fails_with_code_1_naming_the_path(command, kind,

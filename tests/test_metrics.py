@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -338,4 +339,63 @@ def test_non_numeric_node_reports_the_value_error_and_line(tmp_path):
                    "0.1,DROP,x,1,reason=loss")
     with pytest.raises(TraceError, match=r":4: invalid literal for int\(\) "
                                          r"with base 10: 'x'$"):
+        read_trace(path)
+
+
+# Records written by one handler call share its time object, so
+# write_trace renders a time once per run of identical objects and
+# read_trace parses a time or event-id text once per run of equal texts.
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (1, 1.0)],
+                         ids=["signed-zero", "int-and-float"])
+def test_equal_but_distinct_times_each_render_their_own_text(tmp_path,
+                                                             first, second):
+    """Kills a write memo that tests == instead of identity: it would
+    write the second time with the first one's text."""
+    path = tmp_path / "trace.txt"
+    records = [TraceRecord(first, HELLO_ROUND, 1, -1, "acks=0"),
+               TraceRecord(second, HELLO_ROUND, 2, -1, "acks=0")]
+    write_trace(path, {}, records)
+    assert path.read_text().splitlines()[2:] == [
+        f"{first!r},HELLO_ROUND,1,-1,acks=0",
+        f"{second!r},HELLO_ROUND,2,-1,acks=0"]
+
+
+def test_one_time_object_at_two_non_adjacent_records(tmp_path):
+    """Kills a memo, on either side, that compares each record with the
+    first time object or event-id text it saw instead of the previous
+    one: the last record would take the middle one's time or event id."""
+    path = tmp_path / "trace.txt"
+    now, later = 0.1 + 0.2, 0.5
+    records = [emit(now, 1), emit(later, 2), arrive(now, 1)]
+    write_trace(path, {"seed": 3}, records)
+    assert [line.split(",")[:4] for line in path.read_text().splitlines()[2:]] \
+        == [["0.30000000000000004", CBR_EMIT, "5", "1"],
+            ["0.5", CBR_EMIT, "5", "2"],
+            ["0.30000000000000004", PACKET_ARRIVAL, "0", "1"]]
+    assert read_trace(path) == ({"seed": 3}, records)
+
+
+def test_rewriting_a_read_trace_reproduces_its_bytes(tmp_path):
+    """Kills a read memo that parses the previous line's time text
+    instead of this line's: the rewritten file would differ."""
+    original = Path(__file__).parent / "data" / "snapshots-v1.trace"
+    path = tmp_path / "trace.txt"
+    write_trace(path, *read_trace(original))
+    assert path.read_bytes() == original.read_bytes()
+
+
+@pytest.mark.parametrize("lines, lineno", [
+    (["time,DROP,3,1,reason=loss", "time,DROP,3,1,reason=loss"], 3),
+    (["0.0,CBR_EMIT,5,1,tset=0.006", "x,DROP,3,1,reason=loss",
+      "x,DROP,3,1,reason=loss"], 4),
+], ids=["header-text", "after-a-record"])
+def test_a_repeated_bad_time_reports_the_first_bad_line(tmp_path, lines,
+                                                        lineno):
+    """Kills a read memo that records a time text before float() accepts
+    it: the header's 'time' would then pass on the next line."""
+    path = body_of(tmp_path, *lines)
+    bad = lines[-1].split(",")[0]
+    with pytest.raises(TraceError, match=rf":{lineno}: could not convert "
+                                         rf"string to float: '{bad}'$"):
         read_trace(path)

@@ -249,7 +249,8 @@ def valid_scenarios(draw):
     sc.positions = draw(st.lists(point, min_size=n, max_size=n)
                         if sc.placement == "explicit" else st.none())
     sc.sink = draw(st.integers(0, n - 1))
-    sc.sink_pos = draw(point)
+    # grid and explicit placement refuse any sink_pos but the default
+    sc.sink_pos = draw(point) if sc.placement == "uniform" else (0.0, 0.0)
     sc.sim_time = draw(_numbers(1e-3, 1e9))
     sc.seed = draw(st.integers())
     others = [i for i in range(n) if i != sc.sink]
