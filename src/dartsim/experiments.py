@@ -29,12 +29,15 @@ from .simkernel import Simulation
 def run_scenario(scenario, trace_path=None):
     """Run one scenario; returns (meta, records, metrics).
 
-    When trace_path is given the full event trace is written there, ready
-    for replay; a path it cannot open is a ScenarioError before the run.
+    When trace_path is given the full trace is written there once the run
+    is done; a path it cannot open is a ScenarioError before the run.
     """
     if trace_path is not None:
         try:
+            created = not os.path.lexists(trace_path)
             open(trace_path, "a").close()
+            if created:
+                os.remove(trace_path)
         except OSError as exc:
             raise ScenarioError(f"cannot write {trace_path}: "
                                 f"{exc.strerror}") from None

@@ -12,6 +12,7 @@ and rejects an unknown kind.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -255,8 +256,8 @@ def write_trace(path, meta: dict, records) -> None:
 def read_trace(path):
     """Parse a trace file back into (meta, records).
 
-    Raises TraceError with the offending line number on malformed input
-    or an unknown kind.  An empty file is a valid, empty trace.
+    Raises TraceError with the line number of malformed input, an unknown
+    kind or a non-finite or backward time.  An empty file is an empty trace.
     """
     meta: dict = {}
     records = []
@@ -265,14 +266,16 @@ def read_trace(path):
             lines = fh.read().split("\n")   # a detail may hold other breaks
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
-    append, new = records.append, tuple.__new__
-    kinds = {}                  # no line parses as a record before the header
+    append, new, isfinite = records.append, tuple.__new__, math.isfinite
+    kinds, now = {}, -math.inf  # no record before the header, nor back in time
     last_time = last_id = None  # the texts that now and eid were parsed from
     for lineno, line in enumerate(lines, start=1):
         try:
             time, kind, node, event_id, detail = line.split(",", 4)
             if time != last_time:
-                now, last_time = float(time), time
+                if not (isfinite(t := float(time)) and t >= now):
+                    raise ValueError(f"time {time} is not finite or runs backwards")
+                now, last_time = t, time
             append(new(TraceRecord, (now, kinds[kind], int(node), eid
                                      if event_id == last_id
                                      else (eid := int(event_id)), detail)))

@@ -23,25 +23,34 @@ MAX_PERIODS = 1_000_000
 # and 30 MB to build at 1,000 nodes, 0.63 s and 66 MB at 2,000, and
 # 2.28 s and 210 MB at 4,000 on a 2-vCPU machine; the bound is 2,000.
 MAX_NODE_PAIRS = 2_000 * 1_999
+# most neighbour exchanges, rounds in sim_time * nodes * (nodes - 1), that
+# a HELLO, echo or bootstrap chain may ask for (4e7 at 2,000 nodes)
+MAX_EXCHANGES = 100_000_000
 
 
 class ScenarioError(Exception):
     """A scenario key, value or combination is invalid."""
 
 
-# A bound is the text completing "KEY must be ..."; _HOLDS tests it.  It is
+# A bound is the text completing "KEY must ..."; _HOLDS tests it.  It is
 # text, not a function: typing's Annotated cache would keep its module alive
-POSITIVE, NON_NEGATIVE = "finite and > 0.0", "finite and >= 0"
-PROBABILITY, WEIGHT, AT_LEAST_ONE = "in [0, 1)", "in (0, 1]", ">= 1"
-PERIOD = f">= sim_time / {MAX_PERIODS}"
+POSITIVE, NON_NEGATIVE = "be finite and > 0.0", "be finite and >= 0"
+PROBABILITY, WEIGHT, AT_LEAST_ONE = "be in [0, 1)", "be in (0, 1]", "be >= 1"
+PERIOD = f"be >= sim_time / {MAX_PERIODS}"
+NODES, PAIRS = "be at least 2", f"keep nodes * (nodes - 1) <= {MAX_NODE_PAIRS}"
+EXCHANGES = f"be >= sim_time * nodes * (nodes - 1) / {MAX_EXCHANGES}"
 _HOLDS = {
     POSITIVE: lambda v, sc: 0.0 < v < math.inf,
     NON_NEGATIVE: lambda v, sc: 0 <= v < math.inf,
     PROBABILITY: lambda v, sc: 0.0 <= v < 1.0,
     WEIGHT: lambda v, sc: 0.0 < v <= 1.0,
     AT_LEAST_ONE: lambda v, sc: v >= 1,
-    # sim_time, and each period's POSITIVE bound, are checked before PERIOD
+    NODES: lambda v, sc: v >= 2,
+    PAIRS: lambda v, sc: v * (v - 1) <= MAX_NODE_PAIRS,
+    # nodes, sim_time and each period's POSITIVE bound are checked first
     PERIOD: lambda v, sc: sc.sim_time / v <= MAX_PERIODS,
+    EXCHANGES: lambda v, sc: (sc.sim_time / v * sc.nodes * (sc.nodes - 1)
+                              <= MAX_EXCHANGES),
 }
 
 Point = tuple[float, float]
@@ -51,7 +60,7 @@ Placement = Literal["uniform", "grid", "explicit"]
 @dataclass
 class Scenario:
     # topology
-    nodes: int = 50
+    nodes: Annotated[int, NODES, PAIRS] = 50
     area_width: Annotated[float, POSITIVE] = 600.0
     area_height: Annotated[float, POSITIVE] = 400.0
     tx_range: Annotated[float, POSITIVE] = 250.0
@@ -78,8 +87,8 @@ class Scenario:
     max_retries: Annotated[int, NON_NEGATIVE] = 4
     jitter_ms: Annotated[float, NON_NEGATIVE] = 0.05
     # control plane cadence
-    hello_period_s: Annotated[float, POSITIVE, PERIOD] = 10.0
-    echo_period_s: Annotated[float, POSITIVE, PERIOD] = 10.0
+    hello_period_s: Annotated[float, POSITIVE, PERIOD, EXCHANGES] = 10.0
+    echo_period_s: Annotated[float, POSITIVE, PERIOD, EXCHANGES] = 10.0
     echo_alpha: Annotated[float, WEIGHT] = 0.5
     bootstrap_rounds: Annotated[int, AT_LEAST_ONE] = 2
     bootstrap_spread_s: Annotated[float, POSITIVE] = 1.0
@@ -222,12 +231,7 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError(f"{key} {expects}, got {value!r}")
         for holds, text in bounds:
             if not holds(value, sc):
-                raise ScenarioError(f"{key} must be {text}, got {value}")
-    if sc.nodes < 2:
-        raise ScenarioError(f"nodes must be at least 2, got {sc.nodes}")
-    if sc.nodes * (sc.nodes - 1) > MAX_NODE_PAIRS:
-        raise ScenarioError(f"nodes must keep nodes * (nodes - 1) <= "
-                            f"{MAX_NODE_PAIRS}, got {sc.nodes}")
+                raise ScenarioError(f"{key} must {text}, got {value}")
     if not (0 <= sc.sink < sc.nodes):
         raise ScenarioError(f"sink must be a node id in [0, {sc.nodes}), "
                             f"got {sc.sink}")
@@ -252,9 +256,11 @@ def validate(scenario: Scenario) -> None:
         if len(set(sc.cbr_sources)) < len(sc.cbr_sources):
             raise ScenarioError("cbr_sources lists a node id more than once")
     # every bootstrap round that fits in sim_time is scheduled up front
-    if min(sc.bootstrap_rounds, sc.sim_time / sc.bootstrap_gap_s) > MAX_PERIODS:
+    rounds = min(sc.bootstrap_rounds, sc.sim_time / sc.bootstrap_gap_s)
+    if rounds > min(MAX_PERIODS, MAX_EXCHANGES / sc.nodes / (sc.nodes - 1)):
         raise ScenarioError(f"bootstrap_rounds must fit at most {MAX_PERIODS} "
-                            f"rounds in sim_time, got {sc.bootstrap_rounds}")
+                            f"rounds in sim_time, and rounds * nodes * (nodes "
+                            f"- 1) <= {MAX_EXCHANGES}, got {sc.bootstrap_rounds}")
     stop = sc.cbr_stop_s
     if stop is not None and not sc.cbr_start_s <= stop < math.inf:
         raise ScenarioError(f"cbr_stop_s must be finite and >= cbr_start_s, "

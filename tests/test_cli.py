@@ -179,11 +179,30 @@ def test_bootstrap_rounds_past_the_horizon_are_not_looped_over():
     assert done.stdout.splitlines()[1].startswith("5,10.0,")
 
 
+@pytest.mark.parametrize("settings, key", [
+    (["nodes=2000", "hello_period_s=0.0001"], "hello_period_s"),
+    (["nodes=150", "echo_period_s=0.0001"], "echo_period_s"),
+    (["nodes=50", "sim_time=1000000"], "hello_period_s"),
+    (["nodes=50", "bootstrap_rounds=100000", "bootstrap_gap_s=0.001",
+      "sim_time=1000"], "bootstrap_rounds")],
+    ids=["hello", "echo", "long-run", "bootstrap"])
+def test_validate_bounds_the_neighbour_exchanges_of_each_control_chain(
+        settings, key, capsys):
+    # unchecked, each validated and its run went on for minutes or more
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate",
+                             *[arg for s in settings for arg in ("--set", s)])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert all(name in err for name in (key, "sim_time", "nodes")), err
+
+
 @pytest.mark.parametrize("rounds, code", [("2000000", 1), ("1000000", 0)])
 def test_validate_bounds_the_bootstrap_rounds_within_sim_time(rounds, code,
                                                               capsys):
-    # 1e7 rounds of 1 us would fit in 10 s; the run schedules each up front
-    got, out, err = run_cli(capsys, "validate",
+    # 1e7 rounds of 1 us would fit in 10 s; the run schedules each up front.
+    # Two nodes keep the rounds' exchanges under their own bound
+    got, out, err = run_cli(capsys, "validate", "--set", "nodes=2",
                             "--set", f"bootstrap_rounds={rounds}",
                             "--set", "bootstrap_gap_s=1e-6",
                             "--set", "sim_time=10")
@@ -244,6 +263,21 @@ def test_run_to_a_trace_path_it_cannot_write_runs_nothing(kind, tmp_path,
                              "--set", "sim_time=2", "--trace", str(trace))
     assert (code, out, calls) == (1, "", [])
     assert err.startswith(f"error: cannot write {trace}: ")
+
+
+def test_an_interrupted_run_leaves_no_trace_file_it_made(tmp_path,
+                                                        monkeypatch):
+    # unchecked, the path check left an empty file that replayed with exit 0
+    def interrupted(sim):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(experiments.Simulation, "run", interrupted)
+    made, kept = tmp_path / "made.trace", tmp_path / "kept.trace"
+    kept.write_text("an older trace")
+    for trace in (made, kept):
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--set", "nodes=3", "--trace", str(trace)])
+    assert not made.exists()
+    assert kept.read_text() == "an older trace"
 
 
 @pytest.mark.parametrize("command", ["run", "replay"])
@@ -319,9 +353,14 @@ def test_replay_cbr_emit_without_numeric_tset_fails_with_code_1(
     ("0.5,DROP,3,7,reason=no_route dup=0", "event 7"),
     ("0.5,DROP,3,0,reason=bogus dup=0", "event 0"),
     ("0.001,PACKET_ARIVAL,0,0,delay=0.001 tl=0.0 dup=0 hops=1",
-     "impossible.csv:3: unknown record kind 'PACKET_ARIVAL'")],
+     "impossible.csv:3: unknown record kind 'PACKET_ARIVAL'"),
+    # unchecked, these replayed with exit 0: a nan delay, a negative one
+    ("nan,PACKET_ARRIVAL,0,0,delay=0.001 tl=0.0 dup=0 hops=1",
+     "impossible.csv:3: time nan is not finite or runs backwards"),
+    ("-0.5,PACKET_ARRIVAL,0,0,delay=0.001 tl=0.0 dup=0 hops=1",
+     "impossible.csv:3: time -0.5 is not finite or runs backwards")],
     ids=["arrival-never-emitted", "drop-never-emitted", "unknown-reason",
-         "unknown-kind"])
+         "unknown-kind", "nan-time", "backward-time"])
 def test_replay_impossible_trace_fails_with_code_1(line, named, tmp_path,
                                                     capsys):
     path = tmp_path / "impossible.csv"

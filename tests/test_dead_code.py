@@ -1,8 +1,9 @@
-"""Every top-level function and class in the package is used by the package.
+"""Every top-level function, class and module-level name in the package
+is used by the package.
 
-A name referenced only from its own body, from __init__.py or from the
-tests is code no run executes; an equation oracle belongs in the tests,
-written inline.  Likewise every Scenario key is read by a run, not only
+A name referenced only from its own body or assignment, from __init__.py
+or from the tests is code no run executes; an equation oracle belongs in
+the tests, written inline.  Likewise every Scenario key is read by a run, not only
 checked by validate.
 """
 
@@ -24,8 +25,20 @@ def _names(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _defined(node) -> list:
+    """The names a top-level statement binds: its def or class, or the
+    names its assignment targets (not a comprehension's variables)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def unreferenced_definitions() -> list:
-    """'module.name' of each top-level def or class used nowhere else."""
+    """'module.name' of each top-level def, class or module-level name
+    used nowhere else."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
@@ -33,9 +46,8 @@ def unreferenced_definitions() -> list:
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and used[node.name] == _names(node)[node.name]):
-                unused.append(f"{module}.{node.name}")
+            unused += [f"{module}.{name}" for name in _defined(node)
+                       if used[name] == _names(node)[name]]
     return unused
 
 

@@ -12,6 +12,8 @@ and adds new pins.
 from __future__ import annotations
 
 import hashlib
+import json
+import logging
 import math
 import os
 import platform
@@ -19,7 +21,9 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,8 @@ import dartsim
 from dartsim import protocol, simkernel
 from dartsim.experiments import run_scenario, run_sweep
 from dartsim.metrics import ECHO_REPLY, format_run_row, run_meta
-from dartsim.scenario import Scenario, apply_overrides, validate
+from dartsim.scenario import Scenario, apply_overrides, describe, validate
+from corpus import corpus_scenario
 
 LINE = (("nodes", "3"), ("placement", "explicit"),
         ("positions", "0,0; 250,0; 500,0"), ("sink", "0"),
@@ -94,6 +99,14 @@ SWEEP_SEEDS = [1, 2]
 SWEEP_RUNS_SHA = "04dda59b02346068757b12055a380cfd4d499b9cc6aa311691631fa96d32ccf2"
 SWEEP_AGGREGATE_SHA = "9593c925d1ffe271434be3bda531eb090d84f743bd5e61a89da864f2be55aa0a"
 
+# One sha256 per corpus trace and per BLOCK lines of each golden trace, so
+# a failing digest names the scenarios or the stretch of a run that
+# changed.  After a deliberate change, `PYTHONPATH=src python
+# tests/test_golden.py` rewrites them and prints the digests and rows to
+# pin above.
+DIGESTS = Path(__file__).parent / "data" / "digests.json"
+BLOCK = 100
+
 
 def scenario_from(settings) -> Scenario:
     sc = Scenario()
@@ -102,17 +115,62 @@ def scenario_from(settings) -> Scenario:
     return sc
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return sha256(Path(path).read_bytes())
+
+
+def golden_run(settings, path):
+    """(CSV row, trace bytes) of one golden run, traced to path."""
+    meta, _, metrics = run_scenario(scenario_from(settings), trace_path=path)
+    return ",".join(format_run_row(meta, metrics)), path.read_bytes()
+
+
+def corpus_runs(path):
+    """(scenario, trace bytes) of each corpus run, traced to path."""
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(CORPUS_SIZE):
+        sc = corpus_scenario(rng)
+        run_scenario(sc, trace_path=path)
+        yield sc, path.read_bytes()
+
+
+def block_shas(lines) -> list:
+    """The sha256 of each BLOCK lines of a trace."""
+    return [sha256("".join(lines[i:i + BLOCK]).encode())
+            for i in range(0, len(lines), BLOCK)]
+
+
+def changed_block(trace: bytes, pinned: list) -> str:
+    """'' when trace's blocks hash to pinned, else the first block that
+    differs: its lines and the time span of its records."""
+    lines = trace.decode().splitlines(keepends=True)
+    k = next((k for k, (got, want) in enumerate(
+        zip_longest(block_shas(lines), pinned)) if got != want), None)
+    if k is None:
+        return ""
+    block = lines[k * BLOCK:(k + 1) * BLOCK]
+    if not block:
+        return f"the trace ends at line {len(lines)}, before pinned block {k}"
+    # a record's line starts with its time; the meta and header lines do not
+    times = [line.split(",", 1)[0] for line in block if line[:1].isdigit()]
+    span = f"t = {times[0]}-{times[-1]} s" if times else "no records"
+    return (f"block {k} of {len(pinned)} pinned, lines {k * BLOCK + 1}-"
+            f"{k * BLOCK + len(block)}, {span}, is the first that differs")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_digest(name, tmp_path):
     settings, trace_sha, row = GOLDEN[name]
-    path = tmp_path / "run.trace"
-    meta, _, metrics = run_scenario(scenario_from(settings), trace_path=path)
-    assert ",".join(format_run_row(meta, metrics)) == row
-    assert sha256_of(path) == trace_sha
+    got, trace = golden_run(settings, tmp_path / "run.trace")
+    blocks = json.loads(DIGESTS.read_text())["blocks"][name]
+    where = changed_block(trace, blocks)
+    assert not where, f"{name}: {where}"
+    assert sha256(trace) == trace_sha
+    assert got == row
 
 
 def test_sweep_digest(tmp_path):
@@ -124,70 +182,20 @@ def test_sweep_digest(tmp_path):
     assert sha256_of(aggregate) == SWEEP_AGGREGATE_SHA
 
 
-def corpus_scenario(rng) -> Scenario:
-    """One small scenario unlike the goldens, drawn from rng.
-
-    3-25 nodes placed uniformly, on a grid or point by point; loss up to
-    0.3 with retries; bootstrap gaps equal to the spread or a multiple of
-    spread / (nodes + 1), so rounds of one node or of two nodes fall due
-    at the same time; short HELLO and echo periods, and some echo periods
-    below one round trip; zero-width load windows and early CBR stops.
-    """
-    sc = Scenario()
-    sc.nodes = n = rng.randint(3, 25)
-    sc.seed = rng.randrange(2**32)
-    sc.area_width = rng.uniform(100.0, 500.0)
-    sc.area_height = rng.uniform(100.0, 500.0)
-    sc.tx_range = rng.uniform(150.0, 300.0)
-    sc.placement = rng.choice(["uniform", "grid", "explicit"])
-    if sc.placement == "explicit":
-        sc.positions = [(rng.uniform(0.0, sc.area_width),
-                         rng.uniform(0.0, sc.area_height)) for _ in range(n)]
-    sc.sink = rng.randrange(n)
-    sc.sim_time = rng.choice([3.0, 6.0, rng.uniform(1.5, 8.0)])
-    if rng.random() < 0.5:
-        sc.cbr_count = rng.randint(1, min(5, n - 1))
-    else:
-        others = [i for i in range(n) if i != sc.sink]
-        sc.cbr_sources = sorted(rng.sample(others,
-                                           rng.randint(1, min(3, n - 1))))
-    sc.interval_s = rng.choice([1.0, 0.5, rng.uniform(0.1, 2.0)])
-    sc.deadline_ms = rng.uniform(2.0, 40.0)
-    sc.cbr_start_s = rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)])
-    if rng.random() < 0.3:
-        sc.cbr_stop_s = sc.cbr_start_s + rng.uniform(0.0, 4.0)
-    sc.loss = rng.choice([0.0, rng.uniform(0.0, 0.3)])
-    sc.max_retries = rng.randint(0, 5)
-    sc.jitter_ms = rng.choice([0.0, 0.05, rng.uniform(0.0, 0.5)])
-    sc.bootstrap_rounds = rng.randint(1, 4)
-    sc.bootstrap_spread_s = spread = rng.choice([0.5, 1.0, 2.0])
-    sc.bootstrap_gap_s = rng.choice([spread,
-                                     spread * rng.randint(1, 3) / (n + 1),
-                                     rng.uniform(0.2, 3.0)])
-    if rng.random() < 0.3:
-        sc.hello_period_s = rng.uniform(0.5, 3.0)
-    if rng.random() < 0.3:
-        sc.echo_period_s = rng.uniform(0.5, 3.0)
-    elif rng.random() < 0.1:
-        # replies come back after the next probe, so some are rejected
-        sc.echo_period_s = rng.uniform(0.0005, 0.002)
-        sc.sim_time = rng.uniform(0.2, 0.6)
-    for key in ("ctl_window_s", "flow_window_s", "queue_window_s"):
-        if rng.random() < 0.2:
-            setattr(sc, key, 0.0)
-    validate(sc)
-    return sc
-
-
 def test_corpus_digest(tmp_path):
     """Ties in time and the rarer settings show here, not in the goldens:
     the order in which events due at one time fire is pinned too."""
-    rng = random.Random(CORPUS_SEED)
-    digest = hashlib.sha256()
-    path = tmp_path / "run.trace"
-    for _ in range(CORPUS_SIZE):
-        run_scenario(corpus_scenario(rng), trace_path=path)
-        digest.update(path.read_bytes())
+    digest, changed = hashlib.sha256(), []
+    pinned = json.loads(DIGESTS.read_text())["corpus"]
+    defaults = describe(Scenario()).splitlines()
+    for i, (sc, trace) in enumerate(corpus_runs(tmp_path / "run.trace")):
+        digest.update(trace)
+        if sha256(trace) != pinned[i]:
+            changed.append(f"{i}: " + "; ".join(
+                line for line in describe(sc).splitlines()
+                if line not in defaults))
+    assert not changed, (f"{len(changed)} of {CORPUS_SIZE} corpus traces "
+                         f"changed:\n" + "\n".join(changed))
     assert digest.hexdigest() == CORPUS_SHA
 
 
@@ -296,3 +304,21 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
     replies = sum(r.kind == ECHO_REPLY for r in records)
     # scanning once per decision would pass neither bound
     assert 0 < scans <= scenario.nodes + replies < calls["decide_forward"]
+
+
+if __name__ == "__main__":
+    # a deliberate re-pin: rewrite the lists, print what to pin above
+    logging.disable()               # runs whose sources reach no sink
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "run.trace")
+        traces = [trace for _, trace in corpus_runs(path)]
+        runs = {name: golden_run(settings, path)
+                for name, (settings, _, _) in sorted(GOLDEN.items())}
+    for name, (row, trace) in runs.items():
+        print(f"{name}: {sha256(trace)}\n    {row}")
+    print(f"CORPUS_SHA: {sha256(b''.join(traces))}")
+    DIGESTS.write_text(json.dumps({
+        "corpus": list(map(sha256, traces)),
+        "blocks": {name: block_shas(trace.decode().splitlines(keepends=True))
+                   for name, (_, trace) in runs.items()}}, indent=1) + "\n")
+    print(f"wrote {DIGESTS}")

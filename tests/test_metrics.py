@@ -184,7 +184,7 @@ def test_trace_round_trip(tmp_path):
 
 def test_metrics_equal_after_round_trip(tmp_path):
     path = tmp_path / "trace.txt"
-    records = [emit(0.0, 1), emit(1.0, 2), arrive(0.0041, 1),
+    records = [emit(0.0, 1), arrive(0.0041, 1), emit(1.0, 2),
                drop(1.001, 2, "loss")]
     write_trace(path, {"nodes": 2, "seed": 0}, records)
     _, records2 = read_trace(path)
@@ -364,16 +364,19 @@ def test_equal_but_distinct_times_each_render_their_own_text(tmp_path,
 def test_one_time_object_at_two_non_adjacent_records(tmp_path):
     """Kills a memo, on either side, that compares each record with the
     first time object or event-id text it saw instead of the previous
-    one: the last record would take the middle one's time or event id."""
+    one: the last record would take the middle one's time or event id.
+    The middle time is -0.0, equal to 0.0 but written apart, so the
+    times never run backwards."""
     path = tmp_path / "trace.txt"
-    now, later = 0.1 + 0.2, 0.5
-    records = [emit(now, 1), emit(later, 2), arrive(now, 1)]
+    now, between = 0.0, -0.0
+    records = [emit(now, 1), emit(between, 2), arrive(now, 1)]
     write_trace(path, {"seed": 3}, records)
     assert [line.split(",")[:4] for line in path.read_text().splitlines()[2:]] \
-        == [["0.30000000000000004", CBR_EMIT, "5", "1"],
-            ["0.5", CBR_EMIT, "5", "2"],
-            ["0.30000000000000004", PACKET_ARRIVAL, "0", "1"]]
-    assert read_trace(path) == ({"seed": 3}, records)
+        == [["0.0", CBR_EMIT, "5", "1"], ["-0.0", CBR_EMIT, "5", "2"],
+            ["0.0", PACKET_ARRIVAL, "0", "1"]]
+    meta, back = read_trace(path)
+    assert (meta, back) == ({"seed": 3}, records)
+    assert [repr(rec.time) for rec in back] == ["0.0", "-0.0", "0.0"]
 
 
 def test_rewriting_a_read_trace_reproduces_its_bytes(tmp_path):

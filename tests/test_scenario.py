@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dartsim.scenario import (MAX_NODE_PAIRS, Scenario, ScenarioError,
-                              apply_overrides, apply_setting, describe,
-                              load_scenario, validate)
+from dartsim.scenario import (MAX_EXCHANGES, MAX_NODE_PAIRS, Scenario,
+                              ScenarioError, apply_overrides, apply_setting,
+                              describe, load_scenario, validate)
 from dartsim.simkernel import Simulation
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
@@ -240,7 +240,8 @@ def _numbers(low, high):
 def valid_scenarios(draw):
     """Scenarios that validate, each key drawn from what its type and
     bound allow: sink, sources and explicit points fit the node count, and
-    each period and the bootstrap chain fit in sim_time."""
+    each period and the bootstrap chain fit in sim_time, the HELLO, echo
+    and bootstrap chains with a tenth of MAX_EXCHANGES to spare."""
     sc = Scenario()
     sc.nodes = n = draw(st.integers(2, 40))
     coordinate = st.floats(-1e9, 1e9) | st.integers(-10**9, 10**9)
@@ -259,9 +260,10 @@ def valid_scenarios(draw):
     for key in ("area_width", "area_height", "tx_range", "deadline_ms",
                 "queue_service_rate", "bootstrap_spread_s"):
         setattr(sc, key, draw(_numbers(1e-300, 1e12)))
-    for key in ("interval_s", "hello_period_s", "echo_period_s"):
-        setattr(sc, key, draw(_numbers(sc.sim_time / 1e5, 1e12)))
-    sc.bootstrap_gap_s = draw(_numbers(sc.sim_time / 1e5, 1e12))
+    sc.interval_s = draw(_numbers(sc.sim_time / 1e5, 1e12))
+    rounds = min(1e5, MAX_EXCHANGES / 10 / (n * (n - 1)))
+    for key in ("hello_period_s", "echo_period_s", "bootstrap_gap_s"):
+        setattr(sc, key, draw(_numbers(sc.sim_time / rounds, 1e12)))
     for key in ("cbr_count", "max_retries"):
         setattr(sc, key, draw(st.integers(0, 10**6)))
     for key in ("cbr_start_s", "base_mac_delay_ms", "tx_delay_ms",

@@ -1,7 +1,7 @@
 """Property test of the trace file format: write then read is the identity.
 
-Records are drawn with any finite float time (the extremes included),
-negative node and event ids, every known kind, and details that may hold
+Records are drawn in time order with any finite float time (the extremes
+included), negative node and event ids, every known kind, and details that may hold
 ',', '=' and every line break but '\n' and '\r' (which text mode reads
 as '\n').  Reading the file back must give records
 equal to the input, and metrics (or the TraceError) identical to the
@@ -40,7 +40,7 @@ event = st.integers(-3, 3) | st.integers(-2**63, 2**63)
 records = st.lists(
     st.builds(TraceRecord, finite, st.sampled_from(KINDS), node, event, detail)
     | st.builds(TraceRecord, finite, st.just(CBR_EMIT), node, event, tset),
-    max_size=12)
+    max_size=12).map(lambda trace: sorted(trace, key=lambda rec: rec.time))
 
 
 def outcome(trace):
