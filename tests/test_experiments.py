@@ -31,6 +31,23 @@ def small_scenario(**kw):
     return sc
 
 
+def test_run_scenario_writes_a_replayable_trace(tmp_path):
+    trace = tmp_path / "trace.csv"
+    meta, records, metrics = run_scenario(small_scenario(), trace_path=trace)
+    assert meta["nodes"] == 8 and meta["seed"] == 1
+    meta2, records2 = read_trace(trace)
+    assert meta2 == meta
+    assert records2 == records
+
+
+def test_replay_reproduces_the_metrics_row(tmp_path):
+    trace = tmp_path / "trace.csv"
+    meta, _, metrics = run_scenario(small_scenario(), trace_path=trace)
+    r_meta, _, r_metrics, row = replay_trace(trace)
+    assert r_metrics == metrics
+    assert row == format_run_row(meta, metrics)
+
+
 # Written by this scenario with snapshot_period_s = 1, when runs still
 # wrote a METRIC_SNAPSHOT record every period.
 SNAPSHOTS_V1 = Path(__file__).parent / "data" / "snapshots-v1.trace"

@@ -690,6 +690,22 @@ def test_a_simulation_runs_only_once():
         sim.run()
 
 
+def test_trace_times_are_sorted():
+    sc = make_scenario(nodes=15, seed=3, sim_time=15.0)
+    records, _ = Simulation(sc).run()
+    times = [rec.time for rec in records]
+    assert times == sorted(times)
+
+
+def test_identical_scenarios_replay_identically():
+    sc_a = make_scenario(nodes=15, seed=3, sim_time=15.0)
+    sc_b = make_scenario(nodes=15, seed=3, sim_time=15.0)
+    records_a, metrics_a = Simulation(sc_a).run()
+    records_b, metrics_b = Simulation(sc_b).run()
+    assert records_a == records_b
+    assert metrics_a == metrics_b
+
+
 def test_copy_conservation_on_a_busy_run():
     sc = make_scenario(nodes=25, seed=7, sim_time=30.0)
     records, metrics = Simulation(sc).run()
