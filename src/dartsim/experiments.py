@@ -26,6 +26,17 @@ from .scenario import ScenarioError, apply_setting, format_setting, validate
 from .simkernel import Simulation
 
 
+def _check_writable(path):
+    """Raise a ScenarioError if path cannot be written; make no file."""
+    try:
+        created = not os.path.lexists(path)
+        open(path, "a").close()
+        if created:
+            os.remove(path)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def run_scenario(scenario, trace_path=None):
     """Run one scenario; returns (meta, records, metrics).
 
@@ -33,14 +44,7 @@ def run_scenario(scenario, trace_path=None):
     is done; a path it cannot open is a ScenarioError before the run.
     """
     if trace_path is not None:
-        try:
-            created = not os.path.lexists(trace_path)
-            open(trace_path, "a").close()
-            if created:
-                os.remove(trace_path)
-        except OSError as exc:
-            raise ScenarioError(f"cannot write {trace_path}: "
-                                f"{exc.strerror}") from None
+        _check_writable(trace_path)
     sim = Simulation(scenario)
     records, metrics = sim.run()
     meta = run_meta(scenario)
@@ -125,8 +129,8 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     """Run a sweep and write runs.csv and aggregate.csv under out_dir.
 
     run_points runs the points with jobs.  Bad input (see expand_sweep,
-    or jobs < 1) is a ScenarioError raised before out_dir is made, and
-    an out_dir that cannot be made is one raised before any point runs.
+    or jobs < 1) is a ScenarioError before out_dir is made, and an
+    out_dir or CSV path that cannot be written is one before any run.
 
     Returns (runs_path, aggregate_path, failures) where failures is a
     list of (scenario, exception) for points that did not finish.
@@ -139,11 +143,13 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot make {out}: {exc.strerror}") from None
+    runs_path = out / "runs.csv"
+    agg_path = out / "aggregate.csv"
+    for path in (runs_path, agg_path):
+        _check_writable(path)
     results = run_points(points, jobs)
     failures = [(point, result) for point, result in zip(points, results)
                 if isinstance(result, Exception)]
-    runs_path = out / "runs.csv"
-    agg_path = out / "aggregate.csv"
     marker = f"# incomplete: {len(failures)} of {len(points)} runs failed"
 
     swept = [key for key, _ in axes if key not in RUN_META]

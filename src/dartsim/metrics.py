@@ -96,8 +96,8 @@ def detail_fields(detail: str) -> dict[str, str]:
 def _scan(records):
     """One pass over a trace: emissions, first arrivals and drop counts.
 
-    An arrival or drop of an event not emitted before it, or a drop with
-    an unknown reason, is a TraceError naming the event.
+    A repeated CBR_EMIT, an arrival or drop not emitted before, or a drop
+    with an unknown reason, is a TraceError naming the event.
     """
     created = {}        # event_id -> (created_at, t_set)
     first_arrival = {}  # event_id -> arrival time
@@ -106,6 +106,8 @@ def _scan(records):
     loss = 0
     for time, kind, _, event_id, detail in records:
         if kind == CBR_EMIT:
+            if event_id in created:
+                raise TraceError(f"CBR_EMIT of event {event_id} is repeated")
             t_set = tsets.get(detail)
             if t_set is None:
                 try:

@@ -16,16 +16,14 @@ from dataclasses import dataclass, fields
 from typing import Annotated, Callable, Literal, NamedTuple, Optional, get_args
 
 
-# most events one periodic chain may schedule in a run
-MAX_PERIODS = 1_000_000
-# most ordered node pairs, nodes * (nodes - 1), in a run: the adjacency
-# and each round's work grow with them.  The topology alone took 0.11 s
-# and 30 MB to build at 1,000 nodes, 0.63 s and 66 MB at 2,000, and
-# 2.28 s and 210 MB at 4,000 on a 2-vCPU machine; the bound is 2,000.
+# most ordered node pairs: every run builds its topology before its first
+# event, whatever sim_time is.  That took 0.11 s and 30 MB at 1,000 nodes,
+# 0.63 s and 66 MB at 2,000 and 2.28 s and 210 MB at 4,000 on 2 vCPUs.
 MAX_NODE_PAIRS = 2_000 * 1_999
-# most neighbour exchanges, rounds in sim_time * nodes * (nodes - 1), that
-# a HELLO, echo or bootstrap chain may ask for (4e7 at 2,000 nodes)
+# most neighbour exchanges one HELLO or echo chain may ask for
 MAX_EXCHANGES = 100_000_000
+# most records a run may hold: about 1 GB at 244 B per record held
+MAX_RECORDS = 4_000_000
 
 
 class ScenarioError(Exception):
@@ -36,21 +34,15 @@ class ScenarioError(Exception):
 # text, not a function: typing's Annotated cache would keep its module alive
 POSITIVE, NON_NEGATIVE = "be finite and > 0.0", "be finite and >= 0"
 PROBABILITY, WEIGHT, AT_LEAST_ONE = "be in [0, 1)", "be in (0, 1]", "be >= 1"
-PERIOD = f"be >= sim_time / {MAX_PERIODS}"
 NODES, PAIRS = "be at least 2", f"keep nodes * (nodes - 1) <= {MAX_NODE_PAIRS}"
-EXCHANGES = f"be >= sim_time * nodes * (nodes - 1) / {MAX_EXCHANGES}"
 _HOLDS = {
-    POSITIVE: lambda v, sc: 0.0 < v < math.inf,
-    NON_NEGATIVE: lambda v, sc: 0 <= v < math.inf,
-    PROBABILITY: lambda v, sc: 0.0 <= v < 1.0,
-    WEIGHT: lambda v, sc: 0.0 < v <= 1.0,
-    AT_LEAST_ONE: lambda v, sc: v >= 1,
-    NODES: lambda v, sc: v >= 2,
-    PAIRS: lambda v, sc: v * (v - 1) <= MAX_NODE_PAIRS,
-    # nodes, sim_time and each period's POSITIVE bound are checked first
-    PERIOD: lambda v, sc: sc.sim_time / v <= MAX_PERIODS,
-    EXCHANGES: lambda v, sc: (sc.sim_time / v * sc.nodes * (sc.nodes - 1)
-                              <= MAX_EXCHANGES),
+    POSITIVE: lambda v: 0.0 < v < math.inf,
+    NON_NEGATIVE: lambda v: 0 <= v < math.inf,
+    PROBABILITY: lambda v: 0.0 <= v < 1.0,
+    WEIGHT: lambda v: 0.0 < v <= 1.0,
+    AT_LEAST_ONE: lambda v: v >= 1,
+    NODES: lambda v: v >= 2,
+    PAIRS: lambda v: v * (v - 1) <= MAX_NODE_PAIRS,
 }
 
 Point = tuple[float, float]
@@ -74,7 +66,7 @@ class Scenario:
     # traffic
     cbr_sources: Optional[list[int]] = None   # explicit source ids, or auto
     cbr_count: Annotated[int, NON_NEGATIVE] = 5
-    interval_s: Annotated[float, POSITIVE, PERIOD] = 1.0
+    interval_s: Annotated[float, POSITIVE] = 1.0
     deadline_ms: Annotated[float, POSITIVE] = 6.0
     cbr_start_s: Annotated[float, NON_NEGATIVE] = 0.0
     cbr_stop_s: Optional[float] = None  # None = run until sim_time
@@ -87,8 +79,8 @@ class Scenario:
     max_retries: Annotated[int, NON_NEGATIVE] = 4
     jitter_ms: Annotated[float, NON_NEGATIVE] = 0.05
     # control plane cadence
-    hello_period_s: Annotated[float, POSITIVE, PERIOD, EXCHANGES] = 10.0
-    echo_period_s: Annotated[float, POSITIVE, PERIOD, EXCHANGES] = 10.0
+    hello_period_s: Annotated[float, POSITIVE] = 10.0
+    echo_period_s: Annotated[float, POSITIVE] = 10.0
     echo_alpha: Annotated[float, WEIGHT] = 0.5
     bootstrap_rounds: Annotated[int, AT_LEAST_ONE] = 2
     bootstrap_spread_s: Annotated[float, POSITIVE] = 1.0
@@ -199,11 +191,9 @@ _GRAMMARS = {
 
 
 def _declared(hint):
-    """(grammar, type test, its wording, bounds) of one declared type."""
+    """(grammar, bound texts) of one declared type."""
     base, *bounds = get_args(hint) if hasattr(hint, "__metadata__") else [hint]
-    grammar = _GRAMMARS[base]
-    return (grammar, grammar.accepts, grammar.expects,
-            tuple((_HOLDS[bound], bound) for bound in bounds))
+    return _GRAMMARS[base], bounds
 
 
 # each key's grammar and checks, in declaration order, built once
@@ -223,14 +213,14 @@ def format_setting(key: str, value) -> str:
 
 
 def validate(scenario: Scenario) -> None:
-    """Check every key's type and range, then the rules across keys."""
+    """Check every key's type and range, the rules across keys, the budget."""
     sc = scenario
-    for key, (_, accepts, expects, bounds) in _KEYS.items():
+    for key, (grammar, bounds) in _KEYS.items():
         value = getattr(sc, key)
-        if not accepts(value):
-            raise ScenarioError(f"{key} {expects}, got {value!r}")
-        for holds, text in bounds:
-            if not holds(value, sc):
+        if not grammar.accepts(value):
+            raise ScenarioError(f"{key} {grammar.expects}, got {value!r}")
+        for text in bounds:
+            if not _HOLDS[text](value):
                 raise ScenarioError(f"{key} must {text}, got {value}")
     if not (0 <= sc.sink < sc.nodes):
         raise ScenarioError(f"sink must be a node id in [0, {sc.nodes}), "
@@ -255,16 +245,36 @@ def validate(scenario: Scenario) -> None:
                 raise ScenarioError("cbr_sources must not include the sink")
         if len(set(sc.cbr_sources)) < len(sc.cbr_sources):
             raise ScenarioError("cbr_sources lists a node id more than once")
-    # every bootstrap round that fits in sim_time is scheduled up front
-    rounds = min(sc.bootstrap_rounds, sc.sim_time / sc.bootstrap_gap_s)
-    if rounds > min(MAX_PERIODS, MAX_EXCHANGES / sc.nodes / (sc.nodes - 1)):
-        raise ScenarioError(f"bootstrap_rounds must fit at most {MAX_PERIODS} "
-                            f"rounds in sim_time, and rounds * nodes * (nodes "
-                            f"- 1) <= {MAX_EXCHANGES}, got {sc.bootstrap_rounds}")
     stop = sc.cbr_stop_s
     if stop is not None and not sc.cbr_start_s <= stop < math.inf:
         raise ScenarioError(f"cbr_stop_s must be finite and >= cbr_start_s, "
                             f"got {stop}")
+    chains = work_bounds(sc)
+    records = 1 + sum(chain[3] for chain in chains)     # and RUN_END
+    keys, _, exchanges, _ = next((c for c in chains if c[2] > MAX_EXCHANGES),
+                                 max(chains, key=lambda c: c[3]))
+    if exchanges > MAX_EXCHANGES or records > MAX_RECORDS:
+        raise ScenarioError(f"{keys}, sim_time and nodes need {exchanges:.3g} "
+                            f"exchanges in a chain and {records:.3g} records; "
+                            f"the caps are {MAX_EXCHANGES} and {MAX_RECORDS}")
+
+
+def work_bounds(sc: Scenario) -> list:
+    """Each event chain's (keys, events, neighbour exchanges, records),
+    bounded before the run.  A round meets up to nodes - 1 neighbours, a
+    probe writes one reply at most, and an emission CBR_EMIT, DUPLICATE
+    and per copy up to nodes records, as each hop nears the sink."""
+    n, horizon = sc.nodes, sc.sim_time
+    bootstrap = min(sc.bootstrap_rounds, horizon / sc.bootstrap_gap_s + 1)
+    hello = n * (bootstrap + horizon / sc.hello_period_s + 1)
+    echo = n * (bootstrap + horizon / sc.echo_period_s + 1)
+    sources = (min(sc.cbr_count, n - 1) if sc.cbr_sources is None
+               else len(sc.cbr_sources))
+    span = max(0.0, min(sc.cbr_stop(), horizon) - sc.cbr_start_s)
+    sent = sources * span / sc.interval_s + sources  # no nan at 0 sources
+    return [("hello_period_s, bootstrap_rounds", hello, hello * (n - 1), hello),
+            ("echo_period_s, bootstrap_rounds", echo, echo * (n - 1), 2 * echo),
+            ("interval_s, cbr_count", sent, 0, sent * 2 * (n + 1))]
 
 
 def load_scenario(path=None, overrides=None) -> Scenario:

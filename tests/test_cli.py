@@ -133,7 +133,8 @@ def test_run_rejects_a_period_too_short_for_the_horizon(setting, capsys):
                              "--set", "nodes=5")
     assert code == 1
     assert out == ""
-    assert f"{setting.partition('=')[0]} must be >= sim_time /" in err
+    assert err.startswith(f"error: {setting.partition('=')[0]}, ")
+    assert ", sim_time and nodes need " in err
 
 
 @pytest.mark.parametrize("where", ["--set", "file"])
@@ -184,11 +185,16 @@ def test_bootstrap_rounds_past_the_horizon_are_not_looped_over():
     (["nodes=150", "echo_period_s=0.0001"], "echo_period_s"),
     (["nodes=50", "sim_time=1000000"], "hello_period_s"),
     (["nodes=50", "bootstrap_rounds=100000", "bootstrap_gap_s=0.001",
-      "sim_time=1000"], "bootstrap_rounds")],
-    ids=["hello", "echo", "long-run", "bootstrap"])
+      "sim_time=1000"], "bootstrap_rounds"),
+    # under the exchange cap, over the record cap: 6.6e6 and 8e12 records
+    (["nodes=2", "sim_time=1000000"], "interval_s"),
+    (["nodes=2000", "cbr_count=1999", "interval_s=0.0001"], "interval_s")],
+    ids=["hello", "echo", "long-run", "bootstrap", "long-pair",
+         "every-source"])
 def test_validate_bounds_the_neighbour_exchanges_of_each_control_chain(
         settings, key, capsys):
-    # unchecked, each validated and its run went on for minutes or more
+    # unchecked, each validated and its run went on for minutes or more,
+    # or held more records than memory
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "validate",
                              *[arg for s in settings for arg in ("--set", s)])
@@ -197,11 +203,13 @@ def test_validate_bounds_the_neighbour_exchanges_of_each_control_chain(
     assert all(name in err for name in (key, "sim_time", "nodes")), err
 
 
-@pytest.mark.parametrize("rounds, code", [("2000000", 1), ("1000000", 0)])
+@pytest.mark.parametrize("rounds, code", [("2000000", 1), ("666000", 0)])
 def test_validate_bounds_the_bootstrap_rounds_within_sim_time(rounds, code,
                                                               capsys):
-    # 1e7 rounds of 1 us would fit in 10 s; the run schedules each up front.
-    # Two nodes keep the rounds' exchanges under their own bound
+    # 1e7 rounds of 1 us would fit in 10 s.  Two nodes keep the rounds'
+    # exchanges under their cap; each round of both nodes writes a HELLO,
+    # a probe and a reply, so 666,000 rounds ask for just under 4e6
+    # records and 2e6 for 1.2e7
     got, out, err = run_cli(capsys, "validate", "--set", "nodes=2",
                             "--set", f"bootstrap_rounds={rounds}",
                             "--set", "bootstrap_gap_s=1e-6",
@@ -209,7 +217,8 @@ def test_validate_bounds_the_bootstrap_rounds_within_sim_time(rounds, code,
     assert got == code
     if code:
         assert out == ""
-        assert "bootstrap_rounds must fit at most 1000000 rounds" in err
+        assert "bootstrap_rounds, sim_time and nodes need " in err
+        assert "records; the caps are" in err
     else:
         assert f"bootstrap_rounds = {rounds}" in out
 
@@ -372,6 +381,19 @@ def test_replay_impossible_trace_fails_with_code_1(line, named, tmp_path,
     assert named in err
 
 
+def test_replay_refuses_an_event_emitted_twice(tmp_path, capsys):
+    # unchecked, the arrival was timed from the second emission: -4999 ms
+    path = tmp_path / "twice.csv"
+    path.write_text("time,kind,node,event_id,detail\n"
+                    "0.0,CBR_EMIT,2,0,tset=0.006\n"
+                    "0.001,PACKET_ARRIVAL,0,0,delay=0.001 tl=0.005 dup=0 "
+                    "hops=1\n"
+                    "5.0,CBR_EMIT,2,0,tset=0.006\n")
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert (code, out) == (1, "")
+    assert "CBR_EMIT of event 0 is repeated" in err
+
+
 def test_validate_prints_normalized_settings(line_file, capsys):
     code, out, _ = run_cli(capsys, "validate", "--scenario", line_file,
                            "--set", "seed=9")
@@ -510,6 +532,22 @@ def test_sweep_to_an_out_path_that_cannot_be_a_directory_runs_nothing(
     assert (code, out, calls) == (1, "", [])
     assert err.startswith(f"error: cannot make {out_file}: ")
     assert out_file.read_text() == ""
+
+
+def test_sweep_to_an_unwritable_csv_runs_nothing(tmp_path, capsys,
+                                                 monkeypatch):
+    # unchecked, every point ran and then its row was lost with exit 2.
+    # A directory stands in the CSV's way: root ignores permission bits
+    calls = []
+    monkeypatch.setattr(experiments, "_run_point", calls.append)
+    out_dir = tmp_path / "out"
+    (out_dir / "runs.csv").mkdir(parents=True)
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=20",
+                             "--set", "sim_time=5", "--axis", "deadline_ms=6,8",
+                             "--seeds", "1,2", "--out", str(out_dir))
+    assert (code, out, calls) == (1, "", [])
+    assert err == f"error: cannot write {out_dir / 'runs.csv'}: Is a directory\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["runs.csv"]
 
 
 def test_sweep_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):

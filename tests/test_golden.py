@@ -31,8 +31,10 @@ import pytest
 import dartsim
 from dartsim import protocol, simkernel
 from dartsim.experiments import run_scenario, run_sweep
-from dartsim.metrics import ECHO_REPLY, format_run_row, run_meta
-from dartsim.scenario import Scenario, apply_overrides, describe, validate
+from dartsim.metrics import (CBR_EMIT, ECHO_PROBE, ECHO_REPLY, HELLO_ROUND,
+                             format_run_row, run_meta)
+from dartsim.scenario import (Scenario, apply_overrides, describe, validate,
+                              work_bounds)
 from corpus import corpus_scenario
 
 LINE = (("nodes", "3"), ("placement", "explicit"),
@@ -304,6 +306,24 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
     replies = sum(r.kind == ECHO_REPLY for r in records)
     # scanning once per decision would pass neither bound
     assert 0 < scans <= scenario.nodes + replies < calls["decide_forward"]
+
+
+def test_the_work_bounds_hold_on_every_golden_and_corpus_run():
+    """validate refuses a run by the bounds work_bounds gives before it;
+    no golden or corpus run has more rounds, emissions or records."""
+    rng = random.Random(CORPUS_SEED)
+    scenarios = [scenario_from(settings) for settings, _, _ in GOLDEN.values()]
+    scenarios += [corpus_scenario(rng) for _ in range(CORPUS_SIZE)]
+    for sc in scenarios:
+        records, _ = simkernel.Simulation(sc).run()
+        kinds = Counter(record.kind for record in records)
+        hello, echo, data = work_bounds(sc)         # (keys, events, _, records)
+        where = describe(sc)
+        assert kinds[HELLO_ROUND] <= hello[1], where
+        assert kinds[ECHO_PROBE] <= echo[1], where
+        assert kinds[ECHO_REPLY] <= echo[1], where
+        assert kinds[CBR_EMIT] <= data[1], where
+        assert len(records) <= 1 + hello[3] + echo[3] + data[3], where
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dartsim.scenario import (MAX_EXCHANGES, MAX_NODE_PAIRS, Scenario,
-                              ScenarioError, apply_overrides, apply_setting,
-                              describe, load_scenario, validate)
+from dartsim.scenario import (MAX_EXCHANGES, MAX_NODE_PAIRS, MAX_RECORDS,
+                              Scenario, ScenarioError, apply_overrides,
+                              apply_setting, describe, load_scenario,
+                              validate)
 from dartsim.simkernel import Simulation
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
@@ -173,11 +174,21 @@ def test_each_non_negative_key_rejects_minus_one_by_name(key):
                                   f"got {value}")
 
 
+# 2e6 events of one chain in sim_time: the first chain over a cap is named
+OVER_BUDGET = {
+    "interval_s": "interval_s, cbr_count, sim_time and nodes need 0 "
+                  "exchanges in a chain and 1.02e+09 records",
+    "hello_period_s": "hello_period_s, bootstrap_rounds, sim_time and nodes "
+                      "need 4.9e+09 exchanges in a chain and 1e+08 records",
+    "echo_period_s": "echo_period_s, bootstrap_rounds, sim_time and nodes "
+                     "need 4.9e+09 exchanges in a chain and 2e+08 records"}
+
+
 @pytest.mark.parametrize("key", PERIODS)
 def test_each_period_rejects_more_than_max_periods_by_name(key):
     period = Scenario().sim_time / 2e6
-    assert rejection(key, period) == (f"{key} must be >= sim_time / "
-                                      f"1000000, got {period}")
+    assert rejection(key, period) == (f"{OVER_BUDGET[key]}; the caps are "
+                                      f"{MAX_EXCHANGES} and {MAX_RECORDS}")
 
 
 def test_nodes_beyond_the_pair_bound_are_rejected_by_name():
@@ -240,8 +251,9 @@ def _numbers(low, high):
 def valid_scenarios(draw):
     """Scenarios that validate, each key drawn from what its type and
     bound allow: sink, sources and explicit points fit the node count, and
-    each period and the bootstrap chain fit in sim_time, the HELLO, echo
-    and bootstrap chains with a tenth of MAX_EXCHANGES to spare."""
+    interval_s, each period and the bootstrap gap fit at most `rounds` of
+    their events in sim_time, which keeps every chain's exchanges under a
+    tenth of MAX_EXCHANGES and the run's records under MAX_RECORDS."""
     sc = Scenario()
     sc.nodes = n = draw(st.integers(2, 40))
     coordinate = st.floats(-1e9, 1e9) | st.integers(-10**9, 10**9)
@@ -260,9 +272,11 @@ def valid_scenarios(draw):
     for key in ("area_width", "area_height", "tx_range", "deadline_ms",
                 "queue_service_rate", "bootstrap_spread_s"):
         setattr(sc, key, draw(_numbers(1e-300, 1e12)))
-    sc.interval_s = draw(_numbers(sc.sim_time / 1e5, 1e12))
-    rounds = min(1e5, MAX_EXCHANGES / 10 / (n * (n - 1)))
-    for key in ("hello_period_s", "echo_period_s", "bootstrap_gap_s"):
+    # up to 3n(2 rounds + 2) control and 2n^2(rounds + 1) data records
+    rounds = min(1e5, MAX_EXCHANGES / 10 / (n * (n - 1)),
+                 MAX_RECORDS / 10 / n**2)
+    for key in ("interval_s", "hello_period_s", "echo_period_s",
+                "bootstrap_gap_s"):
         setattr(sc, key, draw(_numbers(sc.sim_time / rounds, 1e12)))
     for key in ("cbr_count", "max_retries"):
         setattr(sc, key, draw(st.integers(0, 10**6)))

@@ -26,9 +26,10 @@ NUMBERS = st.one_of(
     st.integers().map(str),
     st.floats().map(repr),
     st.floats(min_value=0.0, max_value=1.0).map(str),
+    # 0.01 and 0.02 fall either side of the record cap for interval_s
     st.sampled_from(["0", "-0", "-0.0", "1e-6", "5e-324", "1e308", "1e999",
                      "nan", "inf", "-inf", "Infinity", "1_000", " 7 ",
-                     "0x10", "1" * 5000, "٣"]))
+                     "0x10", "1" * 5000, "٣", "0.01", "0.02"]))
 WORDS = st.sampled_from(["", "none", "auto", "uniform", "grid", "explicit"])
 ITEMS = st.one_of(NUMBERS, WORDS, st.text(max_size=6))
 LISTS = st.lists(ITEMS, max_size=5).map(",".join)
