@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import dartsim
-from dartsim import protocol, simkernel
+from dartsim import experiments, protocol, simkernel
 from dartsim.experiments import run_scenario, run_sweep
 from dartsim.metrics import (CBR_EMIT, ECHO_PROBE, ECHO_REPLY, HELLO_ROUND,
                              format_run_row, run_meta)
@@ -96,10 +96,25 @@ CORPUS_SHA = "09f01b0c8795c325a694f9b70916b39350c3203b8c1d485c085c44bceb2e5114"
 
 SWEEP_BASE = (("nodes", "30"), ("sim_time", "10"), ("loss", "0.4"),
               ("max_retries", "2"))
-SWEEP_AXES = [("deadline_ms", ["6", "8"])]
 SWEEP_SEEDS = [1, 2]
-SWEEP_RUNS_SHA = "04dda59b02346068757b12055a380cfd4d499b9cc6aa311691631fa96d32ccf2"
-SWEEP_AGGREGATE_SHA = "9593c925d1ffe271434be3bda531eb090d84f743bd5e61a89da864f2be55aa0a"
+# name -> (axes, settings of the points that raise instead of running,
+#          sha256 of runs.csv, sha256 of aggregate.csv)
+SWEEPS = {
+    # an axis the run meta names: no column of its own
+    "deadline": (
+        [("deadline_ms", ["6", "8"])], {},
+        "04dda59b02346068757b12055a380cfd4d499b9cc6aa311691631fa96d32ccf2",
+        "9593c925d1ffe271434be3bda531eb090d84f743bd5e61a89da864f2be55aa0a"),
+    # columns of their own, one quoted for its comma and one holding
+    # `none`; two points fail, so both files end `# incomplete` and one
+    # group averages a single run
+    "failed-points": (
+        [("loss", ["0", "0.3"]), ("sink_pos", ["0,0", "10,20"]),
+         ("cbr_stop_s", ["none", "6"])],
+        {"seed": 2, "sink_pos": (10.0, 20.0), "cbr_stop_s": None},
+        "7602083f16059b4da5b15114dcb35224044b3046cec64f02b1ff05fbdc728ac1",
+        "205b0e9c1b748fa24907a2aae805bb2df47a190df074dd3d538396ad42f2aa61"),
+}
 
 # One sha256 per corpus trace and per BLOCK lines of each golden trace, so
 # a failing digest names the scenarios or the stretch of a run that
@@ -129,6 +144,25 @@ def golden_run(settings, path):
     """(CSV row, trace bytes) of one golden run, traced to path."""
     meta, _, metrics = run_scenario(scenario_from(settings), trace_path=path)
     return ",".join(format_run_row(meta, metrics)), path.read_bytes()
+
+
+def sweep_run(name, out_dir):
+    """(runs.csv bytes, aggregate.csv bytes, failures) of SWEEPS[name],
+    run at jobs=1 into out_dir with its failing points raising."""
+    axes, failing, _, _ = SWEEPS[name]
+    real = experiments._run_point
+
+    def flaky(scenario):
+        if failing and all(getattr(scenario, key) == value
+                           for key, value in failing.items()):
+            raise RuntimeError("injected failure")
+        return real(scenario)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_run_point", flaky)
+        runs, aggregate, failures = run_sweep(scenario_from(SWEEP_BASE), axes,
+                                              SWEEP_SEEDS, out_dir, jobs=1)
+    return runs.read_bytes(), aggregate.read_bytes(), failures
 
 
 def corpus_runs(path):
@@ -176,12 +210,10 @@ def test_run_digest(name, tmp_path):
 
 
 def test_sweep_digest(tmp_path):
-    runs, aggregate, failures = run_sweep(scenario_from(SWEEP_BASE),
-                                          SWEEP_AXES, SWEEP_SEEDS, tmp_path,
-                                          jobs=1)
-    assert failures == []
-    assert sha256_of(runs) == SWEEP_RUNS_SHA
-    assert sha256_of(aggregate) == SWEEP_AGGREGATE_SHA
+    for name, (_, failing, runs_sha, aggregate_sha) in SWEEPS.items():
+        runs, aggregate, failures = sweep_run(name, tmp_path / name)
+        assert bool(failures) == bool(failing), name
+        assert (sha256(runs), sha256(aggregate)) == (runs_sha, aggregate_sha), name
 
 
 def test_corpus_digest(tmp_path):
@@ -334,9 +366,13 @@ if __name__ == "__main__":
         traces = [trace for _, trace in corpus_runs(path)]
         runs = {name: golden_run(settings, path)
                 for name, (settings, _, _) in sorted(GOLDEN.items())}
+        sweeps = {name: sweep_run(name, Path(tmp, name)) for name in SWEEPS}
     for name, (row, trace) in runs.items():
         print(f"{name}: {sha256(trace)}\n    {row}")
     print(f"CORPUS_SHA: {sha256(b''.join(traces))}")
+    for name, (runs_csv, aggregate, _) in sweeps.items():
+        print(f"sweep {name}: runs.csv {sha256(runs_csv)}\n"
+              f"    aggregate.csv {sha256(aggregate)}")
     DIGESTS.write_text(json.dumps({
         "corpus": list(map(sha256, traces)),
         "blocks": {name: block_shas(trace.decode().splitlines(keepends=True))
