@@ -223,10 +223,19 @@ def format_aggregate_row(key, metrics: dict) -> list[str]:
 
 # -------------------------------------------------------------- trace I/O
 
+def _meta_value(key: str, text: str):
+    """A meta text as RUN_META types key (else str); None unless finite."""
+    try:
+        value = RUN_META.get(key, str)(text)
+    except ValueError:
+        return None
+    return value if key not in RUN_META or math.isfinite(value) else None
+
+
 def write_trace(path, meta: dict, records) -> None:
     """Write a run trace: a meta comment, the header, then one row per record.
 
-    A meta key or value holding whitespace or '=', an unknown kind or a
+    A meta pair read_trace would misread or refuse, an unknown kind or a
     detail holding '\\r' or '\\n' raises ValueError; no file is written.
     """
     cells = {k: _cell(v) for k, v in meta.items()}
@@ -235,6 +244,8 @@ def write_trace(path, meta: dict, records) -> None:
         if pair.count("=") > 1 or pair.split() != [pair]:
             raise ValueError(f"meta key {k!r} or its value {text!r} holds "
                              "whitespace or '='")
+        if _meta_value(k, text) is None:
+            raise ValueError(f"bad meta value {pair!r}")
     rows, kinds, last = [], _KINDS, object()
     try:
         for time, kind, node, event_id, detail in records:
@@ -287,9 +298,8 @@ def read_trace(path):
             if line.startswith("# meta "):
                 for part in line[len("# meta "):].split():
                     key, _, value = part.partition("=")
-                    try:
-                        meta[key] = RUN_META.get(key, str)(value)
-                    except ValueError:
+                    meta[key] = _meta_value(key, value)
+                    if meta[key] is None:
                         raise TraceError(f"{path}:{lineno}: bad meta value "
                                          f"{part!r}") from None
             elif line.startswith("#") or not line.strip():

@@ -345,6 +345,18 @@ def test_replay_malformed_trace_fails_with_code_1(tmp_path, capsys):
     assert "garbage.csv:2" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_replay_refuses_a_non_finite_meta_value(value, tmp_path, capsys):
+    """Unchecked, `sim_time=nan` replayed to the row `,nan,,,,,,,0,0`."""
+    path = tmp_path / "meta.csv"
+    path.write_text(f"# meta sim_time={value}\n"
+                    "time,kind,node,event_id,detail\n")
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"meta.csv:1: bad meta value 'sim_time={value}'" in err
+
+
 @pytest.mark.parametrize("detail", ["-", "tset=abc"])
 def test_replay_cbr_emit_without_numeric_tset_fails_with_code_1(
         detail, tmp_path, capsys):

@@ -311,6 +311,22 @@ def test_a_meta_value_the_line_cannot_carry_is_refused_by_key(tmp_path,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("meta, pair", [
+    ({"nodes": None, "seed": "x"}, "'nodes='"),
+    ({"seed": "x"}, "'seed=x'"),
+    ({"seed": 3, "sim_time": float("nan")}, "'sim_time=nan'"),
+    ({"deadline_ms": -float("inf")}, "'deadline_ms=-inf'")],
+    ids=["none", "not-an-int", "nan", "infinite"])
+def test_a_meta_value_read_trace_would_refuse_is_not_written(tmp_path, meta,
+                                                             pair):
+    """A run-meta key's value must read back as its type, and a float
+    as a finite one: write_trace refuses it by key and writes no file."""
+    path = tmp_path / "trace.txt"
+    with pytest.raises(ValueError, match=re.escape(pair)):
+        write_trace(path, meta, [])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("key", ["a b", "a=b", " a", "a\x0c"])
 def test_a_meta_key_the_line_cannot_carry_is_refused(tmp_path, key):
     with pytest.raises(ValueError, match=re.escape(repr(key))):
