@@ -13,15 +13,15 @@ fails, the other rows are still written, both files end with an
 from __future__ import annotations
 
 import copy
+import csv
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .metrics import (AGGREGATE_CSV_COLUMNS, GROUP_KEY_COLUMNS,
-                      RUN_CSV_COLUMNS, RUN_META, aggregate_runs,
-                      compute_run_metrics, format_aggregate_row,
-                      format_run_row, read_trace, run_meta, write_trace)
+from .metrics import (AGGREGATE_CSV_COLUMNS, RUN_CSV_COLUMNS, RUN_META,
+                      aggregate_runs, compute_run_metrics, format_run_row,
+                      read_trace, run_meta, write_trace)
 from .scenario import ScenarioError, apply_setting, format_setting, validate
 from .simkernel import Simulation
 
@@ -54,14 +54,13 @@ def run_scenario(scenario, trace_path=None):
 
 
 def _run_point(scenario):
-    """Batch worker: run one point and return only the compact results."""
-    meta, _, metrics = run_scenario(scenario)
-    return meta, metrics
+    """Batch worker: run one point and return only its RunMetrics."""
+    return run_scenario(scenario)[2]
 
 
 def run_points(points, jobs=1):
     """Run scenario points; one result per point, in point order: its
-    (meta, metrics) or the exception it raised.  Up to jobs processes, no
+    RunMetrics or the exception it raised.  Up to jobs processes, no
     more than there are points or usable CPUs, run the longest (nodes x
     sim_time) first; with one, the points run in-process and in order.
     """
@@ -150,36 +149,30 @@ def run_sweep(base, axes, seeds, out_dir, jobs=1):
     results = run_points(points, jobs)
     failures = [(point, result) for point, result in zip(points, results)
                 if isinstance(result, Exception)]
-    marker = f"# incomplete: {len(failures)} of {len(points)} runs failed"
 
     swept = [key for key, _ in axes if key not in RUN_META]
-    cut, group_cut = len(RUN_META), len(GROUP_KEY_COLUMNS)
+    n = len(RUN_META)                   # the meta columns, the seed last
+    runs = [RUN_CSV_COLUMNS[:n] + swept + RUN_CSV_COLUMNS[n:]]
     grouped = []
-    with open(runs_path, "w") as fh:
-        fh.write(",".join(RUN_CSV_COLUMNS[:cut] + swept
-                          + RUN_CSV_COLUMNS[cut:]) + "\n")
-        for point, result in zip(points, results):
-            if isinstance(result, Exception):
-                continue
-            meta, metrics = result
-            # swept settings in the scenario grammar, quoted if holding a comma
-            texts = [format_setting(key, getattr(point, key)) for key in swept]
-            cells = [f'"{t}"' if "," in t else t for t in texts]
-            row = format_run_row(meta, metrics)
-            fh.write(",".join(row[:cut] + cells + row[cut:]) + "\n")
-            key = tuple(meta[k] for k in GROUP_KEY_COLUMNS) + tuple(cells)
-            grouped.append((key, metrics))
-        if failures:
-            fh.write(marker + "\n")
-
-    with open(agg_path, "w") as fh:
-        fh.write(",".join(GROUP_KEY_COLUMNS + swept
-                          + AGGREGATE_CSV_COLUMNS[group_cut:]) + "\n")
-        for key, metrics in aggregate_runs(grouped):
-            fh.write(",".join(format_aggregate_row(key, metrics)) + "\n")
-        if failures:
-            fh.write(marker + "\n")
-
+    for point, metrics in zip(points, results):
+        if not isinstance(metrics, Exception):
+            row = format_run_row(run_meta(point), metrics)
+            # swept settings in the scenario grammar, after the meta
+            row[n:n] = [format_setting(key, getattr(point, key))
+                        for key in swept]
+            runs.append(row)
+            # a group is the cells before the metrics but the seed
+            grouped.append((row[:n - 1] + row[n:n + len(swept)], metrics))
+    aggregate = [AGGREGATE_CSV_COLUMNS[:n - 1] + swept
+                 + AGGREGATE_CSV_COLUMNS[n - 1:]]
+    aggregate += aggregate_runs(grouped)
+    for path, rows in ((runs_path, runs), (agg_path, aggregate)):
+        with open(path, "w") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerows(rows)
+            if failures:
+                writer.writerow([f"# incomplete: {len(failures)} of "
+                                 f"{len(points)} runs failed"])
     return runs_path, agg_path, failures
 
 

@@ -42,8 +42,8 @@ REASON_LOSS = "loss"
 
 TRACE_HEADER = "time,kind,node,event_id,detail"
 
-# the identifying scenario fields of one run, with their types: the
-# trace's meta line and the first columns of the per-run CSV
+# the identifying scenario fields of one run, with their types, the seed
+# last: the trace's meta line and the first columns of the per-run CSV
 RUN_META = {"nodes": int, "sim_time": float, "deadline_ms": float,
             "interval_s": float, "seed": int}
 # per-run CSV schema; metric cells are empty when a metric is undefined
@@ -51,9 +51,9 @@ RUN_CSV_COLUMNS = list(RUN_META) + [
     "avg_e2e_delay_ms", "pdr", "deadline_miss_ratio",
     "no_route_drops", "loss_drops",
 ]
-GROUP_KEY_COLUMNS = RUN_CSV_COLUMNS[:4]
 METRIC_COLUMNS = RUN_CSV_COLUMNS[len(RUN_META):]
-AGGREGATE_CSV_COLUMNS = GROUP_KEY_COLUMNS + [
+# aggregate CSV schema: the run meta columns but the seed, then statistics
+AGGREGATE_CSV_COLUMNS = RUN_CSV_COLUMNS[:len(RUN_META) - 1] + [
     f"{m}_{suffix}" for m in METRIC_COLUMNS for suffix in ("mean", "std")
 ]
 
@@ -172,25 +172,25 @@ def _metric_values(rm: RunMetrics) -> tuple:
 def aggregate_runs(rows):
     """Per-group mean and sample standard deviation of each metric.
 
-    rows is a list of (group_key, RunMetrics); group order follows first
-    appearance.  Undefined metric values are left out of the statistics;
-    a group with fewer than two defined values has no deviation.
-    Returns a list of (group_key, {metric_column: (mean, std)}).
+    rows is a list of (key cells, RunMetrics); group order follows first
+    appearance.  Returns one row of cells per group: its key cells, then
+    each metric's mean and std in METRIC_COLUMNS order.  Undefined metric
+    values are left out of the statistics; a group with fewer than two
+    defined values has an empty std.
     """
     groups: dict = {}
     for key, rm in rows:
-        groups.setdefault(key, []).append(rm)
+        groups.setdefault(tuple(key), []).append(_metric_values(rm))
     out = []
     for key, members in groups.items():
-        metrics = {}
-        columns = zip(*(_metric_values(rm) for rm in members))
-        for column, cells in zip(METRIC_COLUMNS, columns):
+        row = list(key)
+        for cells in zip(*members):
             # float(): equal integer drop counts average to 2.0, not 2
             values = [float(v) for v in cells if v is not None]
-            mean = statistics.mean(values) if values else None
-            std = statistics.stdev(values) if len(values) >= 2 else None
-            metrics[column] = (mean, std)
-        out.append((key, metrics))
+            row.append(_cell(statistics.mean(values) if values else None))
+            row.append(_cell(statistics.stdev(values) if len(values) >= 2
+                             else None))
+        out.append(row)
     return out
 
 
@@ -210,15 +210,6 @@ def format_run_row(meta: dict, rm: RunMetrics) -> list[str]:
     """One runs-CSV row; meta keys missing (e.g. empty trace) yield blanks."""
     return ([_cell(meta.get(key)) for key in RUN_META]
             + [_cell(value) for value in _metric_values(rm)])
-
-
-def format_aggregate_row(key, metrics: dict) -> list[str]:
-    row = [_cell(v) for v in key]
-    for column in METRIC_COLUMNS:
-        mean, std = metrics[column]
-        row.append(_cell(mean))
-        row.append(_cell(std))
-    return row
 
 
 # -------------------------------------------------------------- trace I/O

@@ -84,7 +84,7 @@ def means(request):
         if isinstance(result, Exception):
             check(False, f"criterion {criterion}: the point {kw} raised "
                          f"{result!r}")
-        return getattr(result[1], metric)
+        return getattr(result, metric)
 
     def table(criterion, metric):
         return [(n, [statistics.mean(metric_of(criterion, metric, kw)

@@ -228,8 +228,8 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch,
     points = expand_sweep(small_scenario(), [("nodes", ["8", "12"])], [4, 5])
     results = experiments.run_points(points, jobs=8)
     assert [type(r).__name__ for r in results] == [
-        "tuple", "tuple", "tuple", "RuntimeError"]
-    assert [meta["seed"] for meta, _ in results[:3]] == [4, 5, 4]
+        "RunMetrics", "RunMetrics", "RunMetrics", "RuntimeError"]
+    assert results[:3] == [run_scenario(point)[2] for point in points[:3]]
     _, _, failures = run_sweep(small_scenario(), [("nodes", ["8", "12"])],
                                [4, 5], tmp_path / "flaky", jobs=8)
     assert [(p.nodes, p.seed, str(e)) for p, e in failures] == [

@@ -19,7 +19,6 @@ from dartsim.metrics import (
     TraceRecord,
     aggregate_runs,
     compute_run_metrics,
-    format_aggregate_row,
     format_run_row,
     read_trace,
     run_meta,
@@ -138,27 +137,22 @@ def test_zero_cbr_metrics_are_undefined_not_zero():
 
 
 def test_aggregate_mean_and_sample_std():
-    rows = [(("g",), RunMetrics(10, 8, None, 0.9, 0.2, 1, 0)),
-            (("g",), RunMetrics(10, 7, None, 0.7, 0.4, 3, 0))]
+    rows = [(["g"], RunMetrics(10, 8, None, 0.9, 0.2, 1, 0)),
+            (["g"], RunMetrics(10, 7, None, 0.7, 0.4, 3, 0))]
     out = aggregate_runs(rows)
     assert len(out) == 1
-    key, metrics = out[0]
-    assert key == ("g",)
-    mean, std = metrics["deadline_miss_ratio"]
-    assert mean == pytest.approx(0.30000000000000004, rel=1e-15)
-    assert std == pytest.approx(0.14142135623730953, rel=1e-12)
-    assert metrics["avg_e2e_delay_ms"] == (None, None)
+    row = out[0]
+    assert row[0] == "g" and len(row) == 1 + 2 * 5
+    assert float(row[5]) == pytest.approx(0.30000000000000004, rel=1e-15)
+    assert float(row[6]) == pytest.approx(0.14142135623730953, rel=1e-12)
+    assert row[1:3] == ["", ""]                 # no delay defined: no cells
     # integer drop counts aggregate as floats: 2.0, not 2
-    assert metrics["no_route_drops"][0] == 2.0
-    row = format_aggregate_row(key, metrics)
     assert row[-4:] == ["2.0", repr(2.0 ** 0.5), "0.0", "0.0"]
 
 
 def test_aggregate_single_run_has_no_std():
-    out = aggregate_runs([(("g",), RunMetrics(1, 1, 0.001, 1.0, 0.0, 0, 0))])
-    mean, std = out[0][1]["pdr"]
-    assert mean == 1.0
-    assert std is None
+    out = aggregate_runs([(["g"], RunMetrics(1, 1, 0.001, 1.0, 0.0, 0, 0))])
+    assert out[0][3:5] == ["1.0", ""]           # pdr's mean, empty std
 
 
 def test_run_row_matches_schema_width():
