@@ -345,18 +345,6 @@ def test_replay_malformed_trace_fails_with_code_1(tmp_path, capsys):
     assert "garbage.csv:2" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_replay_refuses_a_non_finite_meta_value(value, tmp_path, capsys):
-    """Unchecked, `sim_time=nan` replayed to the row `,nan,,,,,,,0,0`."""
-    path = tmp_path / "meta.csv"
-    path.write_text(f"# meta sim_time={value}\n"
-                    "time,kind,node,event_id,detail\n")
-    code, out, err = run_cli(capsys, "replay", str(path))
-    assert code == 1
-    assert out == ""
-    assert f"meta.csv:1: bad meta value 'sim_time={value}'" in err
-
-
 @pytest.mark.parametrize("detail", ["-", "tset=abc"])
 def test_replay_cbr_emit_without_numeric_tset_fails_with_code_1(
         detail, tmp_path, capsys):
@@ -379,9 +367,15 @@ def test_replay_cbr_emit_without_numeric_tset_fails_with_code_1(
     ("nan,PACKET_ARRIVAL,0,0,delay=0.001 tl=0.0 dup=0 hops=1",
      "impossible.csv:3: time nan is not finite or runs backwards"),
     ("-0.5,PACKET_ARRIVAL,0,0,delay=0.001 tl=0.0 dup=0 hops=1",
-     "impossible.csv:3: time -0.5 is not finite or runs backwards")],
+     "impossible.csv:3: time -0.5 is not finite or runs backwards"),
+    # and this one to the row `,nan,,,,,,,0,0`
+    ("# meta sim_time=nan",
+     "impossible.csv:3: bad meta value 'sim_time=nan'"),
+    ("# meta deadline_ms=-inf",
+     "impossible.csv:3: bad meta value 'deadline_ms=-inf'")],
     ids=["arrival-never-emitted", "drop-never-emitted", "unknown-reason",
-         "unknown-kind", "nan-time", "backward-time"])
+         "unknown-kind", "nan-time", "backward-time", "nan-meta",
+         "infinite-meta"])
 def test_replay_impossible_trace_fails_with_code_1(line, named, tmp_path,
                                                     capsys):
     path = tmp_path / "impossible.csv"

@@ -213,7 +213,8 @@ def test_sweep_digest(tmp_path):
     for name, (_, failing, runs_sha, aggregate_sha) in SWEEPS.items():
         runs, aggregate, failures = sweep_run(name, tmp_path / name)
         assert bool(failures) == bool(failing), name
-        assert (sha256(runs), sha256(aggregate)) == (runs_sha, aggregate_sha), name
+        assert sha256(runs) == runs_sha, name
+        assert sha256(aggregate) == aggregate_sha, name
 
 
 def test_corpus_digest(tmp_path):
