@@ -17,7 +17,7 @@ import sys
 
 from .experiments import replay_trace, run_scenario, run_sweep
 from .metrics import RUN_CSV_COLUMNS, TraceError, format_run_row
-from .scenario import ScenarioError, describe, load_scenario
+from .scenario import COMMA_KEYS, ScenarioError, describe, load_scenario
 
 
 def _split_pair(flag, text):
@@ -51,6 +51,9 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     scenario = _build_scenario(args)
     axes = [_split_pair("--axis", text) for text in args.axis]
+    if refused := [key for key, _ in axes if key in COMMA_KEYS]:
+        raise ScenarioError(f"--axis {refused[0]} cannot list values that "
+                            f"hold commas; use dartsim.experiments.run_sweep")
     axes = [(key, [v.strip() for v in raw.split(",") if v.strip()])
             for key, raw in axes]
     runs_path, agg_path, failures = run_sweep(scenario, axes,

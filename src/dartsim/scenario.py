@@ -198,6 +198,9 @@ def _declared(hint):
 
 # each key's grammar and checks, in declaration order, built once
 _KEYS = {f.name: _declared(f.type) for f in fields(Scenario)}
+# keys whose values are written with commas, so a comma list cannot hold them
+COMMA_KEYS = {f.name for f in fields(Scenario) if f.type in
+              (Point, Optional[list[Point]], Optional[list[int]])}
 
 
 def apply_setting(scenario: Scenario, key: str, raw: str) -> None:

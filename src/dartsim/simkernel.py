@@ -171,7 +171,7 @@ class Simulation:
         self.states = [NodeState(i, d) for i, d in enumerate(dists)]
         self.neighbors = adjacency
         self.queues = [deque() for _ in adjacency]  # own transmission times
-        self.dist_texts = [""] * scenario.nodes     # repr(dist), at first send
+        self.dist_texts = [repr(d) for d in dists]  # FORWARD's d=
         self.sources = select_sources(scenario, dists)
         self.warnings = []
         reachable = _reachable_from(adjacency, sink)
@@ -333,8 +333,6 @@ class Simulation:
             self._record(now, DUPLICATE, i, pkt.event_id, f"to={duplicate}")
             targets += ((duplicate, DataPacket(*pkt[:5], True)),)
         dist_text = self.dist_texts[i]
-        if not dist_text:                 # FORWARD's d=, once per node
-            dist_text = self.dist_texts[i] = repr(self.states[i].dist_to_sink)
         own, delay_of = self.queues[i], self.hop_delay(load, now)
         for j, copy in targets:
             self.data_log.append((now, i))

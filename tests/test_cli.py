@@ -525,6 +525,22 @@ def test_sweep_rejects_an_axis_that_drops_or_repeats_points(axis, named,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("axis", ["cbr_sources=1,2", "sink_pos=10,20",
+                                  "positions=0,0"])
+def test_sweep_refuses_an_axis_whose_values_hold_commas(axis, tmp_path, capsys):
+    # unchecked, cbr_sources=1,2 ran two single-source points and the
+    # others exited 1 blaming the value: `sink_pos expects 'x,y', got '10'`
+    key = axis.split("=")[0]
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=8",
+                             "--set", "sim_time=5", "--axis", axis,
+                             "--seeds", "1", "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == (f"error: --axis {key} cannot list values that hold "
+                   f"commas; use dartsim.experiments.run_sweep\n")
+    assert not out_dir.exists()
+
+
 def test_sweep_to_an_out_path_that_cannot_be_a_directory_runs_nothing(
         tmp_path, capsys, monkeypatch):
     # unchecked, every point runs before the directory fails to be made

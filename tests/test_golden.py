@@ -141,9 +141,12 @@ def sha256_of(path) -> str:
 
 
 def golden_run(settings, path):
-    """(CSV row, trace bytes) of one golden run, traced to path."""
-    meta, _, metrics = run_scenario(scenario_from(settings), trace_path=path)
-    return ",".join(format_run_row(meta, metrics)), path.read_bytes()
+    """(scenario, records, CSV row, trace bytes) of one golden run, traced
+    to path."""
+    sc = scenario_from(settings)
+    meta, records, metrics = run_scenario(sc, trace_path=path)
+    row = ",".join(format_run_row(meta, metrics))
+    return sc, records, row, path.read_bytes()
 
 
 def sweep_run(name, out_dir):
@@ -166,12 +169,29 @@ def sweep_run(name, out_dir):
 
 
 def corpus_runs(path):
-    """(scenario, trace bytes) of each corpus run, traced to path."""
+    """(scenario, records, trace bytes) of each corpus run, traced to
+    path."""
     rng = random.Random(CORPUS_SEED)
     for _ in range(CORPUS_SIZE):
         sc = corpus_scenario(rng)
-        run_scenario(sc, trace_path=path)
-        yield sc, path.read_bytes()
+        _, records, _ = run_scenario(sc, trace_path=path)
+        yield sc, records, path.read_bytes()
+
+
+def over_work_bounds(sc, records) -> str:
+    """'' when a run's rounds, probes, replies, emissions and records stay
+    within the bounds work_bounds gives before it, which validate refuses
+    runs by; else each count above its bound, then describe(sc)."""
+    kinds = Counter(record.kind for record in records)
+    hello, echo, data = work_bounds(sc)         # (keys, events, _, records)
+    over = [f"{name} {count} > {bound:g}" for name, count, bound in [
+        (HELLO_ROUND, kinds[HELLO_ROUND], hello[1]),
+        (ECHO_PROBE, kinds[ECHO_PROBE], echo[1]),
+        (ECHO_REPLY, kinds[ECHO_REPLY], echo[1]),
+        (CBR_EMIT, kinds[CBR_EMIT], data[1]),
+        ("records", len(records), 1 + hello[3] + echo[3] + data[3])]
+        if count > bound]
+    return f"{', '.join(over)} in the run\n{describe(sc)}" if over else ""
 
 
 def block_shas(lines) -> list:
@@ -201,12 +221,14 @@ def changed_block(trace: bytes, pinned: list) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_digest(name, tmp_path):
     settings, trace_sha, row = GOLDEN[name]
-    got, trace = golden_run(settings, tmp_path / "run.trace")
+    sc, records, got, trace = golden_run(settings, tmp_path / "run.trace")
     blocks = json.loads(DIGESTS.read_text())["blocks"][name]
     where = changed_block(trace, blocks)
     assert not where, f"{name}: {where}"
     assert sha256(trace) == trace_sha
     assert got == row
+    over = over_work_bounds(sc, records)
+    assert not over, f"{name}: {over}"
 
 
 def test_sweep_digest(tmp_path):
@@ -220,18 +242,23 @@ def test_sweep_digest(tmp_path):
 def test_corpus_digest(tmp_path):
     """Ties in time and the rarer settings show here, not in the goldens:
     the order in which events due at one time fire is pinned too."""
-    digest, changed = hashlib.sha256(), []
+    digest, changed, over = hashlib.sha256(), [], []
     pinned = json.loads(DIGESTS.read_text())["corpus"]
     defaults = describe(Scenario()).splitlines()
-    for i, (sc, trace) in enumerate(corpus_runs(tmp_path / "run.trace")):
+    runs = corpus_runs(tmp_path / "run.trace")
+    for i, (sc, records, trace) in enumerate(runs):
         digest.update(trace)
         if sha256(trace) != pinned[i]:
             changed.append(f"{i}: " + "; ".join(
                 line for line in describe(sc).splitlines()
                 if line not in defaults))
+        if where := over_work_bounds(sc, records):
+            over.append(f"corpus run {i}: {where}")
     assert not changed, (f"{len(changed)} of {CORPUS_SIZE} corpus traces "
                          f"changed:\n" + "\n".join(changed))
     assert digest.hexdigest() == CORPUS_SHA
+    assert not over, (f"{len(over)} of {CORPUS_SIZE} corpus runs exceed "
+                      f"their work bounds; the first:\n{over[0]}")
 
 
 def interpreters():
@@ -341,31 +368,13 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
     assert 0 < scans <= scenario.nodes + replies < calls["decide_forward"]
 
 
-def test_the_work_bounds_hold_on_every_golden_and_corpus_run():
-    """validate refuses a run by the bounds work_bounds gives before it;
-    no golden or corpus run has more rounds, emissions or records."""
-    rng = random.Random(CORPUS_SEED)
-    scenarios = [scenario_from(settings) for settings, _, _ in GOLDEN.values()]
-    scenarios += [corpus_scenario(rng) for _ in range(CORPUS_SIZE)]
-    for sc in scenarios:
-        records, _ = simkernel.Simulation(sc).run()
-        kinds = Counter(record.kind for record in records)
-        hello, echo, data = work_bounds(sc)         # (keys, events, _, records)
-        where = describe(sc)
-        assert kinds[HELLO_ROUND] <= hello[1], where
-        assert kinds[ECHO_PROBE] <= echo[1], where
-        assert kinds[ECHO_REPLY] <= echo[1], where
-        assert kinds[CBR_EMIT] <= data[1], where
-        assert len(records) <= 1 + hello[3] + echo[3] + data[3], where
-
-
 if __name__ == "__main__":
     # a deliberate re-pin: rewrite the lists, print what to pin above
     logging.disable()               # runs whose sources reach no sink
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "run.trace")
-        traces = [trace for _, trace in corpus_runs(path)]
-        runs = {name: golden_run(settings, path)
+        traces = [trace for _, _, trace in corpus_runs(path)]
+        runs = {name: golden_run(settings, path)[2:]
                 for name, (settings, _, _) in sorted(GOLDEN.items())}
         sweeps = {name: sweep_run(name, Path(tmp, name)) for name in SWEEPS}
     for name, (row, trace) in runs.items():
