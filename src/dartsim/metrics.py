@@ -93,17 +93,19 @@ def detail_fields(detail: str) -> dict[str, str]:
     return out
 
 
-def _scan(records):
-    """One pass over a trace: emissions, first arrivals and drop counts.
+def compute_run_metrics(records) -> RunMetrics:
+    """All per-run metrics in one pass over the trace.
 
     A repeated CBR_EMIT, an arrival or drop not emitted before, or a drop
     with an unknown reason, is a TraceError naming the event.
     """
     created = {}        # event_id -> (created_at, t_set)
-    first_arrival = {}  # event_id -> arrival time
+    arrived = set()     # events whose first arrival is counted
     tsets, is_loss = {}, {}   # each detail text, parsed once: t_set / loss?
-    no_route = 0
-    loss = 0
+    no_route = loss = late = 0
+    # delays added one by one in first-arrival order, not by sum(), whose
+    # compensated sum since CPython 3.12 can change the mean's last bit
+    total = 0.0
     for time, kind, _, event_id, detail in records:
         if kind == CBR_EMIT:
             if event_id in created:
@@ -133,28 +135,16 @@ def _scan(records):
                     loss += 1
                 else:
                     no_route += 1     # routing-layer drops: voids and budgets
-            elif event_id not in first_arrival:
-                first_arrival[event_id] = time
-    return created, first_arrival, no_route, loss
-
-
-def compute_run_metrics(records) -> RunMetrics:
-    """All per-run metrics in one pass over the trace."""
-    created, first_arrival, no_route, loss = _scan(records)
-    sent = len(created)
-    received = len(first_arrival)
-    if sent == 0:
-        pdr = miss = None
-    else:
-        pdr = received / sent
-        missed = 0
-        for eid, (created_at, t_set) in created.items():
-            arrival = first_arrival.get(eid)
-            if arrival is None or (arrival - created_at) > t_set:
-                missed += 1
-        miss = missed / sent
-    delays = [t - created[eid][0] for eid, t in first_arrival.items()]
-    avg = sum(delays) / len(delays) if delays else None
+            elif event_id not in arrived:
+                arrived.add(event_id)
+                created_at, t_set = created[event_id]
+                total += time - created_at
+                late += (time - created_at) > t_set
+    sent, received = len(created), len(arrived)
+    pdr = received / sent if sent else None
+    # a miss never arrived, or arrived late
+    miss = (sent - received + late) / sent if sent else None
+    avg = total / received if received else None
     return RunMetrics(sent_events=sent, received_events=received,
                       avg_e2e_delay=avg, pdr=pdr, deadline_miss_ratio=miss,
                       no_route_drops=no_route, loss_drops=loss)

@@ -173,14 +173,11 @@ class Simulation:
         self.queues = [deque() for _ in adjacency]  # own transmission times
         self.dist_texts = [repr(d) for d in dists]  # FORWARD's d=
         self.sources = select_sources(scenario, dists)
-        self.warnings = []
         reachable = _reachable_from(adjacency, sink)
         for s in self.sources:
             if s not in reachable:
-                msg = (f"source {s} has no path to sink {sink}; "
-                       f"its packets will all be dropped")
-                self.warnings.append(msg)
-                log.warning(msg)
+                log.warning(f"source {s} has no path to sink {sink}; "
+                            f"its packets will all be dropped")
         self.recent = [0] * scenario.nodes  # each node's entries in the logs
         self.round_log = deque()            # (time, node) per control round
         self.data_log = deque()             # (time, node) per data packet sent

@@ -21,6 +21,7 @@ from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
                               decide_forward, record_echo_rtts)
 from dartsim.scenario import Scenario, validate
 from dartsim.simkernel import Simulation, channel, retries
+from forwarding_oracle import brute_force
 from trace_invariants import criterion_8_violations, gate
 
 NODE_COUNTS = (50, 100, 150)
@@ -205,31 +206,6 @@ def test_criterion_06_equation_oracles():
 
 # -- criterion 7: forwarding decision vs brute force ---------------------
 
-def _brute_force(state, pkt, my_pos, sink, positions):
-    # every distance from a position kept here, none from the table or state
-    d_here = math.dist(my_pos, sink)
-    if pkt.t_l <= 0.0:
-        return None, None, set()
-    v_req = d_here / pkt.t_l
-    eligible = {}
-    for nid, entry in state.forwarding_table.items():
-        if entry.link_delay <= 0.0:
-            continue
-        d_n = math.dist(positions[nid], sink)
-        if d_n >= d_here:
-            continue
-        v_prov = (d_here - d_n) / entry.link_delay
-        if v_prov >= v_req:
-            eligible[nid] = v_prov
-    ranked = sorted(eligible, key=lambda nid: (-eligible[nid], nid))
-    primary = ranked[0] if ranked else None
-    duplicate = None
-    if (primary is not None and state.my_id == pkt.source_id
-            and not pkt.is_duplicate and len(ranked) >= 2):
-        duplicate = ranked[1]
-    return primary, duplicate, set(eligible)
-
-
 def test_criterion_07_forwarding_matches_brute_force():
     rng = random.Random(2024)
     mismatches = 0
@@ -252,7 +228,7 @@ def test_criterion_07_forwarding_matches_brute_force():
         pkt = DataPacket(event_id=trial, source_id=src,
                          t_l=rng.choice([0.0, rng.uniform(5e-4, 2e-2)]),
                          created_at=0.0, is_duplicate=rng.random() < 0.2)
-        want_primary, want_dup, want_set = _brute_force(
+        want_primary, want_dup, want_set = brute_force(
             state, pkt, my_pos, sink, positions)
         got = decide_forward(state, pkt)
         got_set = set()

@@ -262,7 +262,7 @@ def test_corpus_digest(tmp_path):
 
 
 def interpreters():
-    """This interpreter, then each other CPython 3.X (X >= 10) on PATH
+    """This interpreter, then each other CPython 3.X (X >= 11) on PATH
     or installed by pyenv under $PYENV_ROOT (default ~/.pyenv).
 
     A name that does not run (a pyenv shim for a version that is not
@@ -270,35 +270,48 @@ def interpreters():
     """
     found = {f"Python {platform.python_version()}": sys.executable}
     pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
-    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(11, 20)]
     candidates += sorted(map(str, pyenv.glob("versions/*/bin/python3")))
     for exe in filter(None, candidates):
         done = subprocess.run([exe, "--version"], capture_output=True,
                               text=True)
         version = done.stdout.strip()
         if (done.returncode == 0 and version.startswith("Python 3.")
-                and int(version.split(".")[1]) >= 10):
+                and int(version.split(".")[1]) >= 11):
             found.setdefault(version, exe)
     return found
 
 
+# calls the CLI once per argv list given as JSON; exits nonzero if any
+# call did
+CLI_RUNS = """
+import json, sys
+from dartsim.cli import main
+sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
 def test_digest_holds_in_a_fresh_process_with_another_hash_seed(tmp_path):
     """The CLI in a new interpreter, with string hashing salted
-    differently, writes the same bytes as the pinned in-process run,
-    under every installed CPython: the trace draws its jitter with its
-    own expression, not through the stdlib's."""
-    settings, trace_sha, row = GOLDEN["default-50"]
+    differently, writes the same bytes and rows as every pinned
+    in-process run, under every installed CPython: the trace draws its
+    jitter with its own expression, not through the stdlib's, and the
+    mean delay adds in a fixed order, not through sum()."""
     env = dict(os.environ, PYTHONHASHSEED="4242",
                PYTHONPATH=str(Path(dartsim.__file__).resolve().parent.parent))
     for n, (version, exe) in enumerate(interpreters().items()):
-        path = tmp_path / f"run{n}.trace"
-        argv = [exe, "-m", "dartsim.cli", "run", "--trace", str(path)]
-        for key, raw in settings:
-            argv += ["--set", f"{key}={raw}"]
-        out = subprocess.run(argv, env=env, capture_output=True, text=True,
-                             check=True).stdout
-        assert out.splitlines()[1] == row, version
-        assert sha256_of(path) == trace_sha, version
+        traces = {name: tmp_path / f"{n}-{name}.trace" for name in GOLDEN}
+        runs = [["run", "--trace", str(traces[name])]
+                + [f"--set={key}={raw}" for key, raw in settings]
+                for name, (settings, _, _) in GOLDEN.items()]
+        done = subprocess.run([exe, "-c", CLI_RUNS, json.dumps(runs)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, f"{version}: {done.stderr}"
+        rows = iter(done.stdout.splitlines()[1::2])  # a header, then a row
+        for name, (_, trace_sha, row) in GOLDEN.items():
+            where = f"{name} on {version}"
+            assert next(rows, None) == row, where
+            assert sha256_of(traces[name]) == trace_sha, where
 
 
 def test_the_data_path_computes_no_distance(monkeypatch):

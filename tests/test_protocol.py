@@ -25,6 +25,7 @@ from dartsim.protocol import (
 )
 from dartsim.scenario import Scenario
 from dartsim.simkernel import Simulation, channel, retries
+from forwarding_oracle import brute_force
 
 SINK = (0.0, 0.0)
 
@@ -424,36 +425,14 @@ def test_forward_decision_fields_cannot_be_assigned(name):
 
 # -------------------------------------------------- brute-force decision oracle
 
-def oracle_decide(state, pkt, d_here):
-    """Spelled-out eligibility scan used to cross-check decide_forward."""
-    if pkt.t_l <= 0.0:
-        return None, None
-    v_req = d_here / pkt.t_l
-    eligible = []
-    for nid, e in state.forwarding_table.items():
-        if e.link_delay <= 0.0 or e.dist_to_sink >= d_here:
-            continue
-        v_prov = (d_here - e.dist_to_sink) / e.link_delay
-        if v_prov >= v_req:
-            eligible.append((nid, v_prov))
-    if not eligible:
-        return None, None
-    eligible.sort(key=lambda item: (-item[1], item[0]))
-    primary = eligible[0][0]
-    duplicate = None
-    if (state.my_id == pkt.source_id and not pkt.is_duplicate
-            and len(eligible) >= 2):
-        duplicate = eligible[1][0]
-    return primary, duplicate
-
-
 def test_decide_forward_matches_oracle_on_random_tables():
     rng = random.Random(42)
     for trial in range(300):
         my_pos = (rng.uniform(0, 600), rng.uniform(0, 400))
         state = make_state(my_id=100, dist_to_sink=math.dist(my_pos, SINK))
+        positions = {}
         for nid in range(rng.randint(0, 8)):
-            pos = (rng.uniform(0, 600), rng.uniform(0, 400))
+            pos = positions[nid] = (rng.uniform(0, 600), rng.uniform(0, 400))
             delay = rng.choice([0.0, rng.uniform(1e-4, 5e-3)])
             state.forwarding_table[nid] = ForwardingEntry(
                 dist_to_sink=math.dist(pos, SINK), link_delay=delay)
@@ -462,8 +441,8 @@ def test_decide_forward_matches_oracle_on_random_tables():
                           t_l=rng.uniform(0.001, 0.02),
                           is_duplicate=rng.random() < 0.3)
         got = decide_forward(state, pkt)
-        want_primary, want_duplicate = oracle_decide(
-            state, pkt, math.dist(my_pos, SINK))
+        want_primary, want_duplicate, _ = brute_force(
+            state, pkt, my_pos, SINK, positions)
         assert got.primary_next_hop == want_primary
         assert got.duplicate_next_hop == want_duplicate
 
@@ -477,12 +456,14 @@ def test_decide_forward_matches_oracle_over_table_histories():
         my_pos = (rng.uniform(0, 600), rng.uniform(0, 400))
         d_here = math.dist(my_pos, SINK)
         state = make_state(my_id=100, dist_to_sink=d_here)
+        positions = {}
         for _ in range(40):
             op = rng.random()
             if op < 0.25:
                 pos = (rng.uniform(0, 600), rng.uniform(0, 400))
                 nid = rng.randrange(12)
                 if nid not in state.forwarding_table:  # as a HELLO inserts
+                    positions[nid] = pos
                     state.forwarding_table[nid] = ForwardingEntry(
                         math.dist(pos, SINK))
             elif op < 0.5:
@@ -497,6 +478,7 @@ def test_decide_forward_matches_oracle_over_table_histories():
                                   t_l=rng.choice([0.0, rng.uniform(1e-3, 2e-2)]),
                                   is_duplicate=rng.random() < 0.3)
                 got = decide_forward(state, pkt)
-                assert got[:2] == oracle_decide(state, pkt, d_here)
+                assert got[:2] == brute_force(state, pkt, my_pos, SINK,
+                                              positions)[:2]
                 decisions += 1
     assert decisions > 3000

@@ -288,7 +288,8 @@ def test_a_load_snapshot_reads_no_scenario_key():
 
 
 def retry_loop(sc, twin):
-    """A unicast's attempts as one for ... else loop over every try."""
+    """A unicast's attempts drawn on the twin as one for ... else loop
+    over every try; 0 when every try fails."""
     for attempts in range(1, sc.max_retries + 2):
         if twin.random() >= sc.loss:
             break
@@ -325,14 +326,6 @@ def lossy_pair():
     return sc, sim, twin
 
 
-def twin_attempts(sc, twin):
-    """Draw one unicast's attempts on the twin; returns how many were used."""
-    for n in range(1, sc.max_retries + 2):
-        if twin.random() >= sc.loss:
-            break
-    return n
-
-
 def test_a_hello_round_draws_each_acks_attempts_and_no_jitter():
     sc, sim, twin = lossy_pair()
     heard, retried = 0, 0
@@ -340,7 +333,7 @@ def test_a_hello_round_draws_each_acks_attempts_and_no_jitter():
         sim._on_hello_round(1.0 + k, 0, False)
         if twin.random() >= sc.loss:          # node 1 heard the HELLO
             heard += 1
-            retried += twin_attempts(sc, twin) > 1   # its ACK
+            retried += retry_loop(sc, twin) != 1   # its ACK
         assert sim.rng.getstate() == twin.getstate()
     assert 0 < heard < 40 and retried > 0
 
@@ -355,7 +348,7 @@ def test_an_echo_probe_draws_the_broadcast_jitter_and_no_attempts():
         if twin.random() >= sc.loss:          # node 1 heard the probe
             heard += 1
             twin.expovariate(rate)            # the reply: jitter, attempts
-            retried += twin_attempts(sc, twin) > 1
+            retried += retry_loop(sc, twin) != 1
         assert sim.rng.getstate() == twin.getstate()
     assert 0 < heard < 40 and retried > 0
 
@@ -594,7 +587,7 @@ def test_a_cbr_window_of_one_instant_emits_once():
 
 def test_disconnected_source_warns_and_drops_everything(caplog):
     """Source 2 is cut off; source 3 reaches the sink through node 1, two
-    hops, so it does not warn, in the list or in the log."""
+    hops, so it does not warn."""
     sc = make_scenario(nodes=4, placement="explicit",
                        positions=[(0.0, 0.0), (200.0, 0.0), (1000.0, 0.0),
                                   (400.0, 0.0)],
@@ -603,7 +596,6 @@ def test_disconnected_source_warns_and_drops_everything(caplog):
     with caplog.at_level(logging.WARNING, logger="dartsim.simkernel"):
         sim = Simulation(sc)
     want = "source 2 has no path to sink 0; its packets will all be dropped"
-    assert sim.warnings == [want]
     assert [(rec.name, rec.levelname, rec.getMessage())
             for rec in caplog.records] == [("dartsim.simkernel", "WARNING",
                                             want)]
