@@ -4,19 +4,24 @@ Criteria 1-5 reproduce the headline trends on fixed seed sets; 6-10 are
 exact oracles, invariants, determinism, and a hand-walked topology.
 The grids of the trend criteria a session selects go to one run_points
 batch, on every core the process may use, so the whole suite stays
-inside a few minutes.
+inside a few minutes.  One more test pins each grid point's runs row,
+so a change that keeps every trend but moves a row names the point.
 """
 
+import hashlib
+import json
 import math
 import random
 import statistics
 from collections import deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from dartsim.experiments import run_points, run_scenario
-from dartsim.metrics import PACKET_ARRIVAL, detail_fields, format_run_row
+from dartsim.metrics import (PACKET_ARRIVAL, detail_fields, format_run_row,
+                             run_meta)
 from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
                               decide_forward, record_echo_rtts)
 from dartsim.scenario import Scenario, validate
@@ -58,30 +63,65 @@ def grid(criterion):
                  for v in values]) for n in node_counts]
 
 
-@pytest.fixture(scope="session")
-def means(request):
-    """Runs the grids of the trend criteria this session selected, in one
-    run_points batch, and returns means(criterion, metric): per row of
-    the criterion's grid, its node count and the mean over the seeds of
-    each column.  A point that raised fails the criterion, naming it.
+def settings_key(kw):
+    """A grid point's settings as text, sorted by key: its name in the
+    runs and in the pins."""
+    return " ".join(f"{key}={value}" for key, value in sorted(kw.items()))
 
-    Runs are keyed on the whole scenario, so criteria 3 and 5 share the
-    runs of criteria 1 and 4.  They are deterministic, so each mean
-    equals a serial run's.
+
+def grid_points(criteria):
+    """{settings key: scenario} of every distinct point of the criteria's
+    grids; criteria 3 and 5 hold no point that 1 and 4 do not."""
+    return {settings_key(kw): scenario(**kw) for criterion in sorted(criteria)
+            for _, row in grid(criterion) for cell in row for kw in cell}
+
+
+def row_texts(points, results):
+    """{settings key: its runs row as CSV text, or what it raised}."""
+    return {key: ",".join(format_run_row(run_meta(sc), result))
+            if not isinstance(result, Exception) else f"raised {result!r}"
+            for (key, sc), result in zip(points.items(), results)}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# {"points": {settings key: sha256 of its row}, "all": sha256 of every
+# row in key order, one a line}; `PYTHONPATH=src python
+# tests/test_golden.py` rewrites them after a deliberate change
+DIGESTS = Path(__file__).parent / "data" / "digests.json"
+PIN_TEST = "test_acceptance_rows_match_their_pins"
+
+
+@pytest.fixture(scope="session")
+def grid_runs(request):
+    """Runs the grids of the trend criteria this session selected, or all
+    five when it selected the pin test, in one run_points batch; returns
+    {settings key: (scenario, RunMetrics or the exception it raised)}.
+
+    Runs are keyed on their settings, so criteria 3 and 5 share the runs
+    of criteria 1 and 4.  They are deterministic, so each equals a
+    serial run's.
     """
-    chosen = {int(item.name.split("_")[2]) for item in request.session.items
-              if item.name.startswith("test_criterion_")} & GRIDS.keys()
-    points = {}
-    for criterion in sorted(chosen):
-        for _, row in grid(criterion):
-            for cell in row:
-                for kw in cell:
-                    sc = scenario(**kw)
-                    points.setdefault(repr(sc), sc)
-    runs = dict(zip(points, run_points(list(points.values()), len(points))))
+    names = {item.name for item in request.session.items}
+    chosen = GRIDS.keys() if PIN_TEST in names else GRIDS.keys() & {
+        int(name.split("_")[2]) for name in names
+        if name.startswith("test_criterion_")}
+    points = grid_points(chosen)
+    results = run_points(list(points.values()), len(points))
+    return {key: (sc, result)
+            for (key, sc), result in zip(points.items(), results)}
+
+
+@pytest.fixture(scope="session")
+def means(grid_runs):
+    """means(criterion, metric): per row of the criterion's grid, its
+    node count and the mean over the seeds of each column.  A point that
+    raised fails the criterion, naming it."""
 
     def metric_of(criterion, metric, kw):
-        result = runs[repr(scenario(**kw))]
+        result = grid_runs[settings_key(kw)][1]
         if isinstance(result, Exception):
             check(False, f"criterion {criterion}: the point {kw} raised "
                          f"{result!r}")
@@ -166,6 +206,25 @@ def test_criterion_05_delay_falls_with_simulation_time(means):
         detail.append(f"n={n}: {first*1000:.3f}ms->{last*1000:.3f}ms")
     check(ok, "criterion 5: average end-to-end delay at 500 s is at most "
               "the 100 s value; " + "; ".join(detail))
+
+
+# -- the rows behind criteria 1-5, pinned -------------------------------
+
+@pytest.mark.slow
+def test_acceptance_rows_match_their_pins(grid_runs):
+    """The trends allow slack; the pins do not.  A change that moves any
+    grid point's runs row, even in the trend's own direction, fails here
+    and names each point it moved by its settings."""
+    pinned = json.loads(DIGESTS.read_text())["acceptance"]
+    rows = row_texts({key: sc for key, (sc, _) in grid_runs.items()},
+                     [result for _, result in grid_runs.values()])
+    changed = [f"{key}: {rows.get(key, 'not run')}"
+               for key in sorted(pinned["points"].keys() | rows.keys())
+               if sha256(rows.get(key, "")) != pinned["points"].get(key)]
+    assert not changed, (f"{len(changed)} of {len(pinned['points'])} "
+                         f"acceptance rows changed:\n" + "\n".join(changed))
+    assert sha256("\n".join(rows[key] for key in sorted(rows))) == \
+        pinned["all"]
 
 
 # -- criterion 6: speed and delay equations against hand values ---------

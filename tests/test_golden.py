@@ -118,9 +118,10 @@ SWEEPS = {
 
 # One sha256 per corpus trace and per BLOCK lines of each golden trace, so
 # a failing digest names the scenarios or the stretch of a run that
-# changed.  After a deliberate change, `PYTHONPATH=src python
-# tests/test_golden.py` rewrites them and prints the digests and rows to
-# pin above.
+# changed, and one per acceptance grid point's runs row (checked in
+# tests/test_acceptance.py).  After a deliberate change, `PYTHONPATH=src
+# python tests/test_golden.py` rewrites them and prints the digests and
+# rows to pin above.
 DIGESTS = Path(__file__).parent / "data" / "digests.json"
 BLOCK = 100
 
@@ -383,7 +384,11 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
 
 if __name__ == "__main__":
     # a deliberate re-pin: rewrite the lists, print what to pin above
+    from test_acceptance import GRIDS, grid_points, row_texts
     logging.disable()               # runs whose sources reach no sink
+    points = grid_points(GRIDS)
+    rows = row_texts(points, experiments.run_points(list(points.values()),
+                                                     len(points)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "run.trace")
         traces = [trace for _, _, trace in corpus_runs(path)]
@@ -399,5 +404,9 @@ if __name__ == "__main__":
     DIGESTS.write_text(json.dumps({
         "corpus": list(map(sha256, traces)),
         "blocks": {name: block_shas(trace.decode().splitlines(keepends=True))
-                   for name, (_, trace) in runs.items()}}, indent=1) + "\n")
+                   for name, (_, trace) in runs.items()},
+        "acceptance": {
+            "points": {key: sha256(rows[key].encode()) for key in sorted(rows)},
+            "all": sha256("\n".join(rows[key] for key in sorted(rows))
+                          .encode())}}, indent=1) + "\n")
     print(f"wrote {DIGESTS}")
