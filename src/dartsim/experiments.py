@@ -15,8 +15,11 @@ from __future__ import annotations
 import copy
 import csv
 import itertools
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .metrics import (AGGREGATE_CSV_COLUMNS, RUN_CSV_COLUMNS, RUN_META,
@@ -58,27 +61,63 @@ def _run_point(scenario):
     return run_scenario(scenario)[2]
 
 
+def _claims(points, order, claimed, owners, conn=None):
+    """Run points claimed in order from the shared counter until none is
+    left; return the (index, result) pairs, or send them on a child's
+    conn.  An exception that would not pickle becomes a RuntimeError."""
+    done = []
+    while True:
+        with claimed.get_lock():
+            k = claimed.value
+            claimed.value = k + 1
+        if k >= len(order):
+            return conn.send(done) if conn else done
+        owners[order[k]] = os.getpid()
+        try:
+            done.append((order[k], _run_point(points[order[k]])))
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            done.append((order[k], exc))
+
+
 def run_points(points, jobs=1):
     """Run scenario points; one result per point, in point order: its
-    RunMetrics or the exception it raised.  Up to jobs processes, no
-    more than there are points or usable CPUs, run the longest (nodes x
-    sim_time) first; with one, the points run in-process and in order.
-    """
+    RunMetrics or the exception it raised.  This process and up to jobs
+    - 1 forked children, no more in all than points or usable CPUs,
+    claim the longest (nodes x sim_time) first.  The points a child
+    took and did not report are RuntimeErrors naming its exit code."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(jobs, len(points), cpus)
-    futures, results = {}, []
-    if workers > 1:     # a fork pool forks all workers before any thread
-        with ProcessPoolExecutor(workers) as pool:
-            for i in sorted(range(len(points)), key=lambda i:
-                            -points[i].nodes * points[i].sim_time):
-                futures[i] = pool.submit(_run_point, points[i])
-    for i, p in enumerate(points):
-        try:
-            results.append(futures[i].result() if futures else _run_point(p))
-        except Exception as exc:
-            results.append(exc)
-    return results
+    ctx = multiprocessing.get_context("fork" if sys.platform == "linux"
+                                      else None)
+    order = sorted(range(len(points)),
+                   key=lambda i: -points[i].nodes * points[i].sim_time)
+    claimed = ctx.Value("l", 0)
+    owners = ctx.Array("l", len(points), lock=False)
+    args, children = (points, order, claimed, owners), []
+    try:    # no thread runs here, so each fork is safe
+        for _ in range(min(jobs, len(points), cpus) - 1):
+            conn, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_claims, args=(*args, send))
+            child.start()
+            send.close()
+            children.append((child, conn))
+        results = dict(_claims(*args))
+        for child, conn in children:
+            with suppress(EOFError):    # EOF: it died before it reported
+                results.update(conn.recv())
+            child.join()
+    finally:
+        for child, _ in children:
+            child.kill()                # a no-op on one already joined
+            child.join()
+    codes = {child.pid: child.exitcode for child, _ in children}
+    return [results[i] if i in results else RuntimeError(
+                f"the worker process running it exited with code "
+                f"{codes[owners[i]]}") for i in range(len(points))]
 
 
 def expand_sweep(base, axes, seeds):

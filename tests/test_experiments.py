@@ -1,11 +1,13 @@
 """Experiment driver tests: sweeps, CSV outputs, and trace replay."""
 
 import csv
+import multiprocessing
+import os
+import sys
 import threading
+import time
 from collections import Counter
-from concurrent.futures import Future
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -156,67 +158,68 @@ def test_sweep_parallel_results_match_serial(tmp_path):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Puts InlinePool in place of the process pool; returns its log."""
-    log = SimpleNamespace(started=[], threads=[], submitted=[])
+def started(monkeypatch):
+    """Logs each process start as (start method, threads alive then)."""
+    log = []
+    real = multiprocessing.process.BaseProcess.start
 
-    class InlinePool:
-        """Records its size, the threads alive when it starts and the
-        points it gets, and runs each task at once, in this process."""
+    def start(process):
+        log.append((process._start_method, threading.active_count()))
+        real(process)
 
-        def __init__(self, max_workers):
-            log.started.append(max_workers)
-            log.threads.append(threading.active_count())
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, point):
-            log.submitted.append(point)
-            fut = Future()
-            try:
-                fut.set_result(fn(point))
-            except Exception as exc:
-                fut.set_exception(exc)
-            return fut
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
     return log
 
 
-def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch,
-                                                  inline_pool):
-    started = inline_pool.started
+def test_sweep_starts_no_more_workers_than_points(
+        tmp_path, monkeypatch, started):
+    """The caller runs points too, so it counts toward the cap."""
     monkeypatch.setattr(experiments.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2})    # three usable CPUs
     runs_path, _, failures = run_sweep(
         small_scenario(), [("deadline_ms", ["6"])], [4, 5], tmp_path / "out",
         jobs=8)
-    assert started == [2] and not failures
+    assert len(started) == 1 and not failures     # 2 points: one child
     assert len(runs_path.read_text().splitlines()) == 3
-    # more points than CPUs: the CPUs cap the pool, not jobs or the points
+    # more points than CPUs: the CPUs cap the processes, not jobs or points
     runs_path, _, failures = run_sweep(
         small_scenario(), [("deadline_ms", ["6", "8"])], [4, 5],
         tmp_path / "cpus", jobs=8)
-    assert started == [2, 3] and not failures
+    assert len(started) == 3 and not failures     # 3 CPUs: two children
     assert len(runs_path.read_text().splitlines()) == 5
+    _, _, failures = run_sweep(small_scenario(), [("deadline_ms", ["6"])],
+                               [4, 5], tmp_path / "one", jobs=1)
+    assert len(started) == 3 and not failures     # one job: no child
+    # no other thread is alive when a child starts, so its fork() is safe,
+    # and the start method is fork wherever forkserver may be the default
+    method = "fork" if sys.platform == "linux" else None
+    assert all(threads == 1 for _, threads in started)
+    assert all(how == (method or how) for how, _ in started)
+    assert multiprocessing.active_children() == []
 
-    # the pool gets the longest points first; runs.csv keeps point order
-    inline_pool.submitted.clear()
+
+def test_points_are_claimed_longest_first(tmp_path, monkeypatch):
+    """Seen in-process at one job; runs.csv keeps point order."""
+    real, claimed = experiments._run_point, []
+
+    def logged(scenario):
+        claimed.append((scenario.nodes, scenario.seed))
+        return real(scenario)
+
+    monkeypatch.setattr(experiments, "_run_point", logged)
     runs_path, _, failures = run_sweep(
         small_scenario(), [("nodes", ["8", "12"])], [4, 5],
-        tmp_path / "nodes", jobs=8)
+        tmp_path / "nodes", jobs=1)
     assert not failures
-    assert [(p.nodes, p.seed) for p in inline_pool.submitted] == [
-        (12, 4), (12, 5), (8, 4), (8, 5)]
+    assert claimed == [(12, 4), (12, 5), (8, 4), (8, 5)]
     with open(runs_path) as fh:
         assert [(row["nodes"], row["seed"]) for row in csv.DictReader(fh)] == [
             ("8", "4"), ("8", "5"), ("12", "4"), ("12", "5")]
 
-    # a point that raises in the pool comes back in its own slot
+
+def test_a_raising_point_comes_back_in_its_own_slot(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
     real = experiments._run_point
 
     def flaky(scenario):
@@ -234,29 +237,121 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch,
                                [4, 5], tmp_path / "flaky", jobs=8)
     assert [(p.nodes, p.seed, str(e)) for p, e in failures] == [
         (12, 5, "synthetic failure")]
-    # no other thread is alive when a pool starts, so its fork() is safe
-    assert inline_pool.threads == [1] * len(started) and len(started) == 5
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_without_sched_getaffinity_counts_cpus(tmp_path, monkeypatch,
-                                                     inline_pool):
+                                                     started):
     """Where os has no sched_getaffinity (macOS, Windows), os.cpu_count()
-    caps the pool, and one job still runs the points in-process."""
+    caps the processes, and one job starts no child."""
     monkeypatch.delattr(experiments.os, "sched_getaffinity")
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     axes = [("deadline_ms", ["6", "8"])]
     _, _, failures = run_sweep(small_scenario(), axes, [4, 5],
                                tmp_path / "serial", jobs=1)
-    assert inline_pool.started == [] and not failures
+    assert started == [] and not failures
     runs_path, _, failures = run_sweep(small_scenario(), axes, [4, 5],
                                        tmp_path / "pool", jobs=8)
-    assert inline_pool.started == [3] and not failures
-    assert len(inline_pool.submitted) == 4
+    assert len(started) == 2 and not failures   # and the caller: three
     assert len(runs_path.read_text().splitlines()) == 5
     # an unknown CPU count means one CPU
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     run_sweep(small_scenario(), axes, [4, 5], tmp_path / "none", jobs=8)
-    assert inline_pool.started == [3]
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
+
+
+def wait_for_children():
+    """Block until every child has exited (at most 60 s)."""
+    deadline = time.monotonic() + 60
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def six_points(monkeypatch):
+    """Six small points, with three usable CPUs whatever the host has."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    return expand_sweep(small_scenario(), [("nodes", ["8", "12"])],
+                        [4, 5, 6])
+
+
+def test_a_child_that_dies_loses_only_its_unreported_points(monkeypatch):
+    """The child runs one point, then exits on claiming its second; the
+    caller's first point waits until it has gone.  Both of the child's
+    points come back naming its exit code, and every other point runs."""
+    points, caller, real = six_points(monkeypatch), os.getpid(), \
+        experiments._run_point
+    calls = []
+
+    def dying(scenario):
+        calls.append(scenario)
+        if os.getpid() != caller and len(calls) == 2:
+            os._exit(3)
+        if os.getpid() == caller and len(calls) == 1:
+            wait_for_children()
+        return real(scenario)
+
+    monkeypatch.setattr(experiments, "_run_point", dying)
+    results = experiments.run_points(points, jobs=2)
+    lost = [r for r in results if isinstance(r, Exception)]
+    assert len(lost) == 2, results
+    assert all(isinstance(r, RuntimeError) and "code 3" in str(r)
+               for r in lost), lost
+    assert [r for r in results if r not in lost] == [
+        run_scenario(point)[2] for point, r in zip(points, results)
+        if r not in lost]
+    assert multiprocessing.active_children() == []
+
+
+class Unpicklable(Exception):
+    """An exception that holds a lambda, so pickle refuses it."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+def test_an_exception_that_will_not_pickle_comes_back_in_its_own_slot(
+        monkeypatch):
+    """The caller runs one point and waits; the child takes the other
+    five, and each raises an exception its pipe cannot carry."""
+    points, caller, real = six_points(monkeypatch), os.getpid(), \
+        experiments._run_point
+
+    def raising(scenario):
+        if os.getpid() == caller:
+            wait_for_children()
+            return real(scenario)
+        raise Unpicklable(f"point {scenario.nodes}/{scenario.seed}")
+
+    monkeypatch.setattr(experiments, "_run_point", raising)
+    results = experiments.run_points(points, jobs=2)
+    assert [type(r).__name__ for r in results].count("RunMetrics") == 1
+    for point, result in zip(points, results):
+        if isinstance(result, Exception):
+            assert type(result) is RuntimeError
+            assert str(result) == (f"Unpicklable: point {point.nodes}/"
+                                   f"{point.seed}")
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_in_the_callers_share_kills_the_children(monkeypatch):
+    points, caller, real = six_points(monkeypatch), os.getpid(), \
+        experiments._run_point
+
+    def interrupted(scenario):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)                  # a child would outlive the test
+        return real(scenario)
+
+    monkeypatch.setattr(experiments, "_run_point", interrupted)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        experiments.run_points(points, jobs=3)
+    assert time.monotonic() - began < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_swept_cell_with_a_comma_is_quoted(tmp_path):

@@ -1,8 +1,11 @@
-"""The repository's pytest settings keep a failing property test readable."""
+"""The repository's pytest settings keep a failing property test readable
+and its draws the same from run to run."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -30,3 +33,12 @@ def test_a_failing_given_test_prints_its_falsifying_example(tmp_path):
     assert proc.returncode == 1, out
     assert "Falsifying example" in out, out
     assert "INTERNALERROR" not in out, out
+
+
+def test_hypothesis_draws_are_fixed_unless_explore_is_asked(request):
+    """tests/conftest.py loads a derandomized profile, so every run draws
+    the same examples; --hypothesis-profile=explore draws new ones."""
+    asked = request.config.getoption("--hypothesis-profile")
+    assert settings.get_current_profile_name() == (asked or "fixed")
+    assert settings.default.derandomize is (asked != "explore")
+    assert settings.default.database is None or asked == "explore"

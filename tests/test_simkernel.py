@@ -1,5 +1,6 @@
 """Simulator kernel tests: channel draws, topology, and whole small runs."""
 
+import hashlib
 import logging
 import math
 import random
@@ -233,6 +234,24 @@ def accumulated_delay(sc, rng, load, now, q):
     if jitter > 0.0:
         mac_delay += -math.log(1.0 - rng.random()) / lambd
     return mac_delay + len(q) / sc.queue_service_rate + tx_delay
+
+
+# sha256 over math.log(1.0 - u).hex(), one a line, for the first 100,000
+# draws u of random.Random(1)
+MATH_LOG_SHA = "07d4cd105ed4451dc4dc1436ad35e84e236db99bf2050b0d4f0b9f4163a79789"
+
+
+def test_math_log_rounds_as_pinned():
+    """The channel's jitter is the one libm call on the run path, and IEEE
+    754 does not fix the last bit of a log.  A libm that rounds any of
+    these draws differently fails here, by name, and not only as changed
+    golden and corpus traces."""
+    rng = random.Random(1)
+    text = "\n".join(math.log(1.0 - rng.random()).hex()
+                     for _ in range(100_000))
+    assert hashlib.sha256(text.encode()).hexdigest() == MATH_LOG_SHA, (
+        "math.log rounds differently from the libm the traces were pinned "
+        "with, so every trace with jitter will differ")
 
 
 _ms = st.floats(0.0, 50.0, allow_subnormal=False)
