@@ -108,7 +108,7 @@ def build_parser():
     p_sweep.add_argument("--out", required=True, metavar="DIR",
                          help="output directory for runs.csv / aggregate.csv")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallel worker processes")
+                         help="processes running points, this one included")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_replay = sub.add_parser("replay", help="recompute metrics from a trace")

@@ -107,7 +107,7 @@ def run_points(points, jobs=1):
             children.append((child, conn))
         results = dict(_claims(*args))
         for child, conn in children:
-            with suppress(EOFError):    # EOF: it died before it reported
+            with conn, suppress(EOFError):  # EOF: it died unreported
                 results.update(conn.recv())
             child.join()
     finally:

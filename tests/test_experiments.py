@@ -157,9 +157,17 @@ def test_sweep_parallel_results_match_serial(tmp_path):
     assert serial.read_text() == parallel.read_text()
 
 
+# run_points forks its children on Linux alone, and only forked children
+# see what a test patches
+forked = pytest.mark.skipif(sys.platform != "linux",
+                            reason="children are not forked here")
+
+
 @pytest.fixture
 def started(monkeypatch):
-    """Logs each process start as (start method, threads alive then)."""
+    """Logs each process start as (start method, threads alive then),
+    with spawn as the default start method: a platform default that is
+    not fork, as forkserver is on Linux from CPython 3.14."""
     log = []
     real = multiprocessing.process.BaseProcess.start
 
@@ -168,7 +176,10 @@ def started(monkeypatch):
         real(process)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
-    return log
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    yield log
+    multiprocessing.set_start_method(default, force=True)
 
 
 def test_sweep_starts_no_more_workers_than_points(
@@ -191,7 +202,7 @@ def test_sweep_starts_no_more_workers_than_points(
                                [4, 5], tmp_path / "one", jobs=1)
     assert len(started) == 3 and not failures     # one job: no child
     # no other thread is alive when a child starts, so its fork() is safe,
-    # and the start method is fork wherever forkserver may be the default
+    # and on Linux the start method is fork whatever the default is
     method = "fork" if sys.platform == "linux" else None
     assert all(threads == 1 for _, threads in started)
     assert all(how == (method or how) for how, _ in started)
@@ -217,6 +228,7 @@ def test_points_are_claimed_longest_first(tmp_path, monkeypatch):
             ("8", "4"), ("8", "5"), ("12", "4"), ("12", "5")]
 
 
+@forked
 def test_a_raising_point_comes_back_in_its_own_slot(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2})
@@ -276,6 +288,7 @@ def six_points(monkeypatch):
                         [4, 5, 6])
 
 
+@forked
 def test_a_child_that_dies_loses_only_its_unreported_points(monkeypatch):
     """The child runs one point, then exits on claiming its second; the
     caller's first point waits until it has gone.  Both of the child's
@@ -312,6 +325,7 @@ class Unpicklable(Exception):
         self.hook = lambda: None
 
 
+@forked
 def test_an_exception_that_will_not_pickle_comes_back_in_its_own_slot(
         monkeypatch):
     """The caller runs one point and waits; the child takes the other
@@ -336,6 +350,31 @@ def test_an_exception_that_will_not_pickle_comes_back_in_its_own_slot(
     assert multiprocessing.active_children() == []
 
 
+@forked
+def test_every_point_is_claimed_once_by_more_processes_than_cores(
+        monkeypatch):
+    """Six processes on whatever cores the host has race for 100,000
+    instant points; a claim lost between reading and bumping the counter
+    would run a point twice."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: set(range(6)))
+    runs = multiprocessing.get_context("fork").Value("l", 0)
+
+    def counted(scenario):
+        with runs.get_lock():
+            runs.value += 1
+        return scenario
+
+    monkeypatch.setattr(experiments, "_run_point", counted)
+    points = [small_scenario(seed=seed) for seed in range(4)] * 25_000
+    began = time.monotonic()
+    assert experiments.run_points(points, jobs=6) == points
+    assert time.monotonic() - began < 60
+    assert runs.value == len(points)
+    assert multiprocessing.active_children() == []
+
+
+@forked
 def test_an_interrupt_in_the_callers_share_kills_the_children(monkeypatch):
     points, caller, real = six_points(monkeypatch), os.getpid(), \
         experiments._run_point
