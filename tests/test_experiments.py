@@ -293,8 +293,8 @@ def test_a_child_that_dies_loses_only_its_unreported_points(monkeypatch):
     """The child runs one point, then exits on claiming its second; the
     caller's first point waits until it has gone.  Both of the child's
     points come back naming its exit code, and every other point runs."""
-    points, caller, real = six_points(monkeypatch), os.getpid(), \
-        experiments._run_point
+    points = six_points(monkeypatch)
+    caller, real = os.getpid(), experiments._run_point
     calls = []
 
     def dying(scenario):
@@ -330,8 +330,8 @@ def test_an_exception_that_will_not_pickle_comes_back_in_its_own_slot(
         monkeypatch):
     """The caller runs one point and waits; the child takes the other
     five, and each raises an exception its pipe cannot carry."""
-    points, caller, real = six_points(monkeypatch), os.getpid(), \
-        experiments._run_point
+    points = six_points(monkeypatch)
+    caller, real = os.getpid(), experiments._run_point
 
     def raising(scenario):
         if os.getpid() == caller:
@@ -376,14 +376,12 @@ def test_every_point_is_claimed_once_by_more_processes_than_cores(
 
 @forked
 def test_an_interrupt_in_the_callers_share_kills_the_children(monkeypatch):
-    points, caller, real = six_points(monkeypatch), os.getpid(), \
-        experiments._run_point
+    points, caller = six_points(monkeypatch), os.getpid()
 
     def interrupted(scenario):
         if os.getpid() == caller:
             raise KeyboardInterrupt
-        time.sleep(60)                  # a child would outlive the test
-        return real(scenario)
+        time.sleep(60)          # a child left running outlives the test
 
     monkeypatch.setattr(experiments, "_run_point", interrupted)
     began = time.monotonic()
