@@ -283,9 +283,9 @@ def work_bounds(sc: Scenario) -> list:
 def load_scenario(path=None, overrides=None) -> Scenario:
     """Build a Scenario from an optional file plus (key, value) overrides.
 
-    Without a file the overrides apply to the defaults.  File errors are
-    reported as 'path:line: message'.  Overrides are applied after the
-    file and report the bad pair instead.
+    Without a file the overrides apply to the defaults.  They are applied
+    after the file's lines, and an error names where its setting came
+    from: 'path:line: message' or '--set key=value: message'.
     """
     scenario, lines = Scenario(), []
     if path is not None:
@@ -294,30 +294,23 @@ def load_scenario(path=None, overrides=None) -> Scenario:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ScenarioError(f"{path}:{lineno}: expected 'key = value', "
-                                f"got {line.strip()!r}")
-        key, _, raw = stripped.partition("=")
+    settings = [(f"{path}:{n}", line) for n, line in enumerate(lines, start=1)
+                if line.split("#", 1)[0].strip()]
+    settings += [(f"--set {key}={raw}", (key, raw))
+                 for key, raw in overrides or []]
+    for origin, setting in settings:
         try:
-            apply_setting(scenario, key.strip(), raw.strip())
+            if isinstance(setting, str):            # a file line
+                key, sep, raw = setting.split("#", 1)[0].partition("=")
+                if not sep:
+                    raise ScenarioError(f"expected 'key = value', "
+                                        f"got {setting.strip()!r}")
+                setting = key.strip(), raw.strip()
+            apply_setting(scenario, *setting)
         except ScenarioError as exc:
-            raise ScenarioError(f"{path}:{lineno}: {exc}") from None
-    apply_overrides(scenario, overrides or [])
+            raise ScenarioError(f"{origin}: {exc}") from None
     validate(scenario)
     return scenario
-
-
-def apply_overrides(scenario: Scenario, pairs) -> None:
-    """Apply (key, value) pairs, e.g. from repeated --set flags."""
-    for key, raw in pairs:
-        try:
-            apply_setting(scenario, key, raw)
-        except ScenarioError as exc:
-            raise ScenarioError(f"--set {key}={raw}: {exc}") from None
 
 
 def describe(scenario: Scenario) -> str:

@@ -1,8 +1,18 @@
-"""The one generator of random whole runs: test_golden.py pins the traces
-of its draws from a seeded random.Random, so a change to it re-pins them,
-and test_run_properties.py draws through it with Hypothesis."""
+"""The two generators of the tests' scenarios.  scenario(**settings) is
+a validated Scenario of the defaults and the given settings.
+corpus_scenario is the one generator of random whole runs: test_golden.py
+pins the traces of its draws from a seeded random.Random, so a change to
+it re-pins them, and test_run_properties.py draws through it with
+Hypothesis."""
 
 from dartsim.scenario import Scenario, validate
+
+
+def scenario(**settings) -> Scenario:
+    """The defaults with settings set on them, validated."""
+    sc = Scenario(**settings)
+    validate(sc)
+    return sc
 
 
 def corpus_scenario(rng) -> Scenario:

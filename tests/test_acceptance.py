@@ -24,8 +24,9 @@ from dartsim.metrics import (PACKET_ARRIVAL, detail_fields, format_run_row,
                              run_meta)
 from dartsim.protocol import (DataPacket, ForwardingEntry, NodeState,
                               decide_forward, record_echo_rtts)
-from dartsim.scenario import Scenario, validate
+from dartsim.scenario import Scenario
 from dartsim.simkernel import Simulation, channel, retries
+from corpus import scenario
 from forwarding_oracle import brute_force
 from trace_invariants import criterion_8_violations, gate
 
@@ -46,14 +47,6 @@ GRIDS = {
     5: (dict(deadline_ms=50.0), NODE_COUNTS, ("sim_time", (100.0, 500.0)),
         SEEDS),
 }
-
-
-def scenario(**kw):
-    sc = Scenario()
-    for k, v in kw.items():
-        setattr(sc, k, v)
-    validate(sc)
-    return sc
 
 
 def grid(criterion):
@@ -308,10 +301,7 @@ def test_criterion_07_forwarding_matches_brute_force():
 # -- criterion 8: invariants over a full 100-node trace ------------------
 
 def test_criterion_08_trace_invariants():
-    sc = Scenario()
-    sc.nodes = 100
-    sc.seed = 11
-    validate(sc)
+    sc = scenario(nodes=100, seed=11)
     records, _ = Simulation(sc).run()
     emitted, violations = criterion_8_violations(records)
     violations += gate.trace_invariants(records, sc.sink)
@@ -324,11 +314,7 @@ def test_criterion_08_trace_invariants():
 # -- criterion 9: byte-identical determinism -----------------------------
 
 def test_criterion_09_determinism(tmp_path):
-    sc = Scenario()
-    sc.nodes = 50
-    sc.sim_time = 50.0
-    sc.seed = 11
-    validate(sc)
+    sc = scenario(nodes=50, sim_time=50.0, seed=11)
     rows = []
     blobs = []
     for name in ("a", "b"):
@@ -344,15 +330,12 @@ def test_criterion_09_determinism(tmp_path):
 # -- criterion 10: hand-walked line topology -----------------------------
 
 def test_criterion_10_hand_walked_line():
-    sc = Scenario()
-    for k, v in dict(nodes=3, placement="explicit",
-                     positions=[(0.0, 0.0), (250.0, 0.0), (500.0, 0.0)],
-                     sink=0, cbr_sources=[2], sim_time=8.0, cbr_start_s=5.0,
-                     interval_s=10.0, deadline_ms=6.0, loss=0.0,
-                     jitter_ms=0.0, contention_coeff_ms=0.0,
-                     base_mac_delay_ms=0.74, tx_delay_ms=0.26).items():
-        setattr(sc, k, v)
-    validate(sc)
+    sc = scenario(nodes=3, placement="explicit",
+                  positions=[(0.0, 0.0), (250.0, 0.0), (500.0, 0.0)],
+                  sink=0, cbr_sources=[2], sim_time=8.0, cbr_start_s=5.0,
+                  interval_s=10.0, deadline_ms=6.0, loss=0.0, jitter_ms=0.0,
+                  contention_coeff_ms=0.0, base_mac_delay_ms=0.74,
+                  tx_delay_ms=0.26)
     records, metrics = Simulation(sc).run()
     arrivals = [r for r in records if r.kind == PACKET_ARRIVAL]
     ok = len(arrivals) == 1 and metrics.sent_events == 1

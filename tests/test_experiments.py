@@ -17,20 +17,13 @@ from dartsim.experiments import (expand_sweep, replay_trace, run_scenario,
 from dartsim.metrics import (AGGREGATE_CSV_COLUMNS, CBR_EMIT, DROP,
                              METRIC_SNAPSHOT, PACKET_ARRIVAL, RUN_CSV_COLUMNS,
                              detail_fields, format_run_row, read_trace)
-from dartsim.scenario import (Scenario, ScenarioError, apply_setting,
-                              validate)
+from dartsim.scenario import Scenario, ScenarioError, apply_setting
 from dartsim.simkernel import Simulation
+from corpus import scenario
 
 
-def small_scenario(**kw):
-    sc = Scenario()
-    sc.nodes = 8
-    sc.sim_time = 10.0
-    sc.seed = 1
-    for key, value in kw.items():
-        setattr(sc, key, value)
-    validate(sc)
-    return sc
+def small_scenario(**settings):
+    return scenario(**{"nodes": 8, "sim_time": 10.0, "seed": 1, **settings})
 
 
 def test_run_scenario_writes_a_replayable_trace(tmp_path):

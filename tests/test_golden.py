@@ -33,8 +33,7 @@ from dartsim import experiments, protocol, simkernel
 from dartsim.experiments import run_scenario, run_sweep
 from dartsim.metrics import (CBR_EMIT, ECHO_PROBE, ECHO_REPLY, HELLO_ROUND,
                              format_run_row, run_meta)
-from dartsim.scenario import (Scenario, apply_overrides, describe, validate,
-                              work_bounds)
+from dartsim.scenario import Scenario, describe, load_scenario, work_bounds
 from corpus import corpus_scenario
 
 LINE = (("nodes", "3"), ("placement", "explicit"),
@@ -126,13 +125,6 @@ DIGESTS = Path(__file__).parent / "data" / "digests.json"
 BLOCK = 100
 
 
-def scenario_from(settings) -> Scenario:
-    sc = Scenario()
-    apply_overrides(sc, settings)
-    validate(sc)
-    return sc
-
-
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -144,7 +136,7 @@ def sha256_of(path) -> str:
 def golden_run(settings, path):
     """(scenario, records, CSV row, trace bytes) of one golden run, traced
     to path."""
-    sc = scenario_from(settings)
+    sc = load_scenario(None, settings)
     meta, records, metrics = run_scenario(sc, trace_path=path)
     row = ",".join(format_run_row(meta, metrics))
     return sc, records, row, path.read_bytes()
@@ -164,8 +156,9 @@ def sweep_run(name, out_dir):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "_run_point", flaky)
-        runs, aggregate, failures = run_sweep(scenario_from(SWEEP_BASE), axes,
-                                              SWEEP_SEEDS, out_dir, jobs=1)
+        runs, aggregate, failures = run_sweep(
+            load_scenario(None, SWEEP_BASE), axes, SWEEP_SEEDS, out_dir,
+            jobs=1)
     return runs.read_bytes(), aggregate.read_bytes(), failures
 
 
@@ -319,7 +312,7 @@ def test_the_data_path_computes_no_distance(monkeypatch):
     """Nodes never move, so every distance is worked out while the
     Simulation is built; running the busiest golden run calls none."""
     settings, _, row = GOLDEN["data-heavy-100"]
-    scenario = scenario_from(settings)
+    scenario = load_scenario(None, settings)
     sim = simkernel.Simulation(scenario)
     calls = Counter()
     dist = math.dist
@@ -345,7 +338,8 @@ def test_the_data_path_rebuilds_packets_without_replace(monkeypatch,
         raise AssertionError("DataPacket._replace called on the data path")
     monkeypatch.setattr(protocol.DataPacket, "_replace", refused)
     path = tmp_path / "run.trace"
-    meta, _, metrics = run_scenario(scenario_from(settings), trace_path=path)
+    meta, _, metrics = run_scenario(load_scenario(None, settings),
+                                    trace_path=path)
     assert ",".join(format_run_row(meta, metrics)) == row
     assert sha256_of(path) == trace_sha
 
@@ -364,7 +358,7 @@ def test_each_node_ranks_its_table_once_per_echo_reply(monkeypatch):
     """A link delay changes only when an echo reply is folded in, so the
     busiest golden run scans a table at most once per node and reply."""
     settings, _, row = GOLDEN["data-heavy-100"]
-    scenario = scenario_from(settings)
+    scenario = load_scenario(None, settings)
     sim = simkernel.Simulation(scenario)
     for state in sim.states:
         state.forwarding_table = ScanCountingTable()

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dartsim.scenario import (MAX_EXCHANGES, MAX_NODE_PAIRS, MAX_RECORDS,
-                              Scenario, ScenarioError, apply_overrides,
-                              apply_setting, describe, load_scenario,
-                              validate)
+                              Scenario, ScenarioError, apply_setting,
+                              describe, load_scenario, validate)
 from dartsim.simkernel import Simulation
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
@@ -210,7 +209,7 @@ NON_FINITE = [("sim_time", "nan"), ("sim_time", "inf"), ("deadline_ms", "nan"),
 def test_non_finite_numbers_are_rejected_by_name(key, raw):
     with pytest.raises(ScenarioError, match=f"--set {key}=.*{key} expects "
                                             f"a finite number"):
-        apply_overrides(Scenario(), [(key, raw)])
+        load_scenario(None, [(key, raw)])
 
 
 def test_non_finite_number_in_a_file_names_key_and_line(tmp_path):
@@ -237,9 +236,9 @@ def test_overrides_win_over_file(tmp_path):
 
 
 def test_override_errors_mention_the_flag():
-    sc = Scenario()
-    with pytest.raises(ScenarioError, match="--set"):
-        apply_overrides(sc, [("bogus", "1")])
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(None, [("bogus", "1")])
+    assert str(raised.value) == "--set bogus=1: unknown key 'bogus'"
 
 
 def _numbers(low, high):

@@ -14,19 +14,12 @@ from dartsim.metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                              FORWARD, HELLO_ROUND, PACKET_ARRIVAL, RUN_END,
                              detail_fields)
 from dartsim.protocol import DataPacket
-from dartsim.scenario import Scenario, ScenarioError, validate
+from dartsim.scenario import Scenario, ScenarioError
 from dartsim import simkernel
 from dartsim.simkernel import (Simulation, build_topology, retries,
                                select_sources)
+from corpus import scenario
 from trace_invariants import gate
-
-
-def make_scenario(**kw):
-    sc = Scenario()
-    for key, value in kw.items():
-        setattr(sc, key, value)
-    validate(sc)
-    return sc
 
 
 def line_scenario(**kw):
@@ -38,7 +31,7 @@ def line_scenario(**kw):
                 contention_coeff_ms=0.0, base_mac_delay_ms=0.74,
                 tx_delay_ms=0.26)
     base.update(kw)
-    return make_scenario(**base)
+    return scenario(**base)
 
 
 def by_kind(records):
@@ -336,7 +329,7 @@ def test_attempt_counts_match_the_retry_loop_on_a_twin(loss, max_retries):
 
 def lossy_pair():
     """A jittery, lossy 2-node run and a twin of its random stream."""
-    sc = make_scenario(nodes=2, placement="explicit", cbr_count=0,
+    sc = scenario(nodes=2, placement="explicit", cbr_count=0,
                        positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
                        jitter_ms=0.2, max_retries=2, seed=12)
     sim = Simulation(sc)
@@ -376,7 +369,7 @@ def test_a_measured_link_delay_survives_later_hello_rounds():
     """HELLO rounds only insert rows for unknown senders, so on a lossy
     pair a row measured by an echo reply keeps its object and its delay
     through every later HELLO round, bootstrap and steady."""
-    sc = make_scenario(nodes=2, placement="explicit", cbr_count=0,
+    sc = scenario(nodes=2, placement="explicit", cbr_count=0,
                        positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
                        jitter_ms=0.2, max_retries=2, seed=12, sim_time=60.0)
     sim = Simulation(sc)
@@ -405,7 +398,7 @@ def test_a_measured_link_delay_survives_later_hello_rounds():
 
 
 def test_uniform_topology_is_seeded_and_in_bounds():
-    sc = make_scenario(nodes=12, seed=5)
+    sc = scenario(nodes=12, seed=5)
     positions, adjacency = build_topology(sc, random.Random(sc.seed))
     positions_b, adjacency_b = build_topology(sc, random.Random(sc.seed))
     assert positions == positions_b
@@ -419,10 +412,10 @@ def test_uniform_topology_is_seeded_and_in_bounds():
 def test_adjacency_matches_pairwise_distances():
     """Every placement gives (x, y) tuples, linked as the inline hypot
     of the coordinates says, exact boundary cases included."""
-    for sc in (make_scenario(nodes=12, seed=5),
-               make_scenario(nodes=60, seed=9),
-               make_scenario(nodes=30, placement="grid", tx_range=120.0),
-               make_scenario(nodes=5, placement="explicit", tx_range=100.0,
+    for sc in (scenario(nodes=12, seed=5),
+               scenario(nodes=60, seed=9),
+               scenario(nodes=30, placement="grid", tx_range=120.0),
+               scenario(nodes=5, placement="explicit", tx_range=100.0,
                              positions=[(0.0, 0.0), (-60.0, 80.0),
                                         (100.0, 0.0), (100.0, -1e-13),
                                         (0.0, 100.0000000000001)])):
@@ -441,7 +434,7 @@ def test_adjacency_matches_pairwise_distances():
 
 
 def test_grid_topology_fills_the_area():
-    sc = make_scenario(nodes=6, placement="grid", area_width=100.0,
+    sc = scenario(nodes=6, placement="grid", area_width=100.0,
                        area_height=100.0)
     positions, _ = build_topology(sc, random.Random(sc.seed))
     assert positions[0] == (0.0, 0.0)
@@ -451,7 +444,7 @@ def test_grid_topology_fills_the_area():
 
 def test_a_two_node_grid_is_one_row():
     # cols = 2, rows = 1: the row spacing must not divide by rows - 1
-    sc = make_scenario(nodes=2, placement="grid", area_width=100.0)
+    sc = scenario(nodes=2, placement="grid", area_width=100.0)
     positions, adjacency = build_topology(sc, random.Random(sc.seed))
     assert positions == [(0.0, 0.0), (100.0, 0.0)]
     assert adjacency == [[1], [0]]
@@ -459,7 +452,7 @@ def test_a_two_node_grid_is_one_row():
 
 def test_explicit_positions_pass_through():
     pts = [(1.0, 2.0), (3.0, 4.0)]
-    sc = make_scenario(nodes=2, placement="explicit", positions=pts)
+    sc = scenario(nodes=2, placement="explicit", positions=pts)
     positions, _ = build_topology(sc, random.Random(sc.seed))
     assert positions == [(1.0, 2.0), (3.0, 4.0)]
 
@@ -502,7 +495,7 @@ def test_simulation_refuses_an_invalid_scenario(key, value):
 
 def test_auto_sources_are_the_farthest_nodes():
     pts = [(0.0, 0.0), (10.0, 0.0), (40.0, 0.0), (40.0, 0.0), (5.0, 0.0)]
-    sc = make_scenario(nodes=5, placement="explicit", positions=pts,
+    sc = scenario(nodes=5, placement="explicit", positions=pts,
                        cbr_count=2, tx_range=100.0)
     positions, _ = build_topology(sc, random.Random(sc.seed))
     dist_to_sink = [math.dist(p, positions[sc.sink]) for p in positions]
@@ -584,7 +577,7 @@ def test_forwarding_with_spent_budget_is_a_no_budget_drop():
 
 
 def test_zero_cbr_run_completes_with_undefined_ratios():
-    sc = make_scenario(nodes=8, seed=9, sim_time=12.0, cbr_count=0)
+    sc = scenario(nodes=8, seed=9, sim_time=12.0, cbr_count=0)
     records, metrics = Simulation(sc).run()
     kinds = by_kind(records)
     assert not kinds[CBR_EMIT]
@@ -596,7 +589,7 @@ def test_zero_cbr_run_completes_with_undefined_ratios():
 def test_a_cbr_window_of_one_instant_emits_once():
     """cbr_start_s == cbr_stop_s: the first source emits at that instant,
     the others' interleaved first emissions fall after it."""
-    sc = make_scenario(nodes=8, seed=1, sim_time=6.0, cbr_count=3,
+    sc = scenario(nodes=8, seed=1, sim_time=6.0, cbr_count=3,
                        cbr_start_s=2.5, cbr_stop_s=2.5)
     sim = Simulation(sc)
     records, _ = sim.run()
@@ -607,7 +600,7 @@ def test_a_cbr_window_of_one_instant_emits_once():
 def test_disconnected_source_warns_and_drops_everything(caplog):
     """Source 2 is cut off; source 3 reaches the sink through node 1, two
     hops, so it does not warn."""
-    sc = make_scenario(nodes=4, placement="explicit",
+    sc = scenario(nodes=4, placement="explicit",
                        positions=[(0.0, 0.0), (200.0, 0.0), (1000.0, 0.0),
                                   (400.0, 0.0)],
                        sink=0, cbr_sources=[2, 3], sim_time=4.0,
@@ -630,7 +623,7 @@ def test_disconnected_source_warns_and_drops_everything(caplog):
 def test_echo_rounds_measure_the_configured_link_delay():
     # loss-free, jitter-free, contention-free: the estimate must equal
     # (base_mac_delay + tx_delay) * 1 exactly on both sides
-    sc = make_scenario(nodes=2, placement="explicit",
+    sc = scenario(nodes=2, placement="explicit",
                        positions=[(0.0, 0.0), (200.0, 0.0)], sink=0,
                        cbr_count=0, sim_time=12.0, loss=0.0, jitter_ms=0.0,
                        contention_coeff_ms=0.0)
@@ -654,7 +647,7 @@ def test_echo_reply_past_the_horizon_is_not_recorded(after_probe,
               positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.0, jitter_ms=0.0,
               contention_coeff_ms=0.0)
     probe_at = 1.0 / 3.0 + 1.0
-    records, _ = Simulation(make_scenario(
+    records, _ = Simulation(scenario(
         sim_time=probe_at + after_probe, **kw)).run()
     kinds = by_kind(records)
     [probe] = kinds[ECHO_PROBE]
@@ -672,19 +665,19 @@ def test_a_record_due_exactly_at_the_horizon_is_recorded(kind):
     happen.  Events before the horizon do not depend on it, so a shorter
     run replays the long one up to there."""
     kw = dict(nodes=10, cbr_count=2, seed=5)
-    records, _ = Simulation(make_scenario(sim_time=30.0, **kw)).run()
+    records, _ = Simulation(scenario(sim_time=30.0, **kw)).run()
     hello_period_s = Scenario().hello_period_s
     # steady HELLO rounds start after hello_period_s; bootstrap ones before
     due = [rec for rec in records if rec.kind == kind
            and (kind != HELLO_ROUND or rec.time < hello_period_s)][-1]
-    records, _ = Simulation(make_scenario(sim_time=due.time, **kw)).run()
+    records, _ = Simulation(scenario(sim_time=due.time, **kw)).run()
     assert due in records
 
 
 def test_an_echo_reply_applies_only_the_probes_still_pending():
     """Three quick probes are all answered before the first reply fires,
     so that reply applies both neighbors' RTTs and the next two none."""
-    sc = make_scenario(nodes=3, placement="explicit",
+    sc = scenario(nodes=3, placement="explicit",
                        positions=[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)],
                        sink=0, bootstrap_rounds=3, bootstrap_gap_s=1e-4,
                        loss=0.0, jitter_ms=0.0, sim_time=2.0)
@@ -702,15 +695,15 @@ def test_a_simulation_runs_only_once():
 
 
 def test_trace_times_are_sorted():
-    sc = make_scenario(nodes=15, seed=3, sim_time=15.0)
+    sc = scenario(nodes=15, seed=3, sim_time=15.0)
     records, _ = Simulation(sc).run()
     times = [rec.time for rec in records]
     assert times == sorted(times)
 
 
 def test_identical_scenarios_replay_identically():
-    sc_a = make_scenario(nodes=15, seed=3, sim_time=15.0)
-    sc_b = make_scenario(nodes=15, seed=3, sim_time=15.0)
+    sc_a = scenario(nodes=15, seed=3, sim_time=15.0)
+    sc_b = scenario(nodes=15, seed=3, sim_time=15.0)
     records_a, metrics_a = Simulation(sc_a).run()
     records_b, metrics_b = Simulation(sc_b).run()
     assert records_a == records_b
@@ -718,7 +711,7 @@ def test_identical_scenarios_replay_identically():
 
 
 def test_copy_conservation_on_a_busy_run():
-    sc = make_scenario(nodes=25, seed=7, sim_time=30.0)
+    sc = scenario(nodes=25, seed=7, sim_time=30.0)
     records, metrics = Simulation(sc).run()
     # duplicates only at the source, at most two copies, one outcome per
     # node a copy reaches, arrivals only at the sink
@@ -738,7 +731,7 @@ def test_copy_conservation_on_a_busy_run():
 def test_neighborhood_load_matches_a_recount_of_the_trace(kw):
     """Each load query equals the rounds and data transmissions in the
     neighborhood, counted afresh from the records written so far."""
-    sc = make_scenario(**kw)
+    sc = scenario(**kw)
     sim = Simulation(sc)
     load = sim._neighborhood_load
     seen = []
