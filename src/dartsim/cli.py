@@ -7,7 +7,7 @@ Subcommands:
   validate  parse a scenario and print the normalized settings
 
 Exit codes: 0 success, 1 bad input (usage, scenario or trace), 2
-runtime failure.
+runtime failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -136,6 +136,9 @@ def main(argv=None) -> int:
     except Exception as exc:                      # runtime failure
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:           # run_points has reaped its children
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import signal
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -65,6 +66,8 @@ def _claims(points, order, claimed, owners, conn=None):
     """Run points claimed in order from the shared counter until none is
     left; return the (index, result) pairs, or send them on a child's
     conn.  An exception that would not pickle becomes a RuntimeError."""
+    if conn:        # a child leaves Ctrl-C to the caller, which kills it
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
     done = []
     while True:
         with claimed.get_lock():

@@ -241,6 +241,8 @@ def validate(scenario: Scenario) -> None:
     if sc.cbr_sources is not None:
         if not sc.cbr_sources:
             raise ScenarioError("cbr_sources is empty; use cbr_count = 0")
+        if sc.cbr_count != Scenario.cbr_count:
+            raise ScenarioError("cbr_count is read only when cbr_sources = auto")
         for nid in sc.cbr_sources:
             if not (0 <= nid < sc.nodes):
                 raise ScenarioError(f"cbr_sources id {nid} out of range")
@@ -281,12 +283,9 @@ def work_bounds(sc: Scenario) -> list:
 
 
 def load_scenario(path=None, overrides=None) -> Scenario:
-    """Build a Scenario from an optional file plus (key, value) overrides.
-
-    Without a file the overrides apply to the defaults.  They are applied
-    after the file's lines, and an error names where its setting came
-    from: 'path:line: message' or '--set key=value: message'.
-    """
+    """Build a Scenario from an optional file's lines, then (key, value)
+    overrides.  An error names its setting's origin: 'path:line: message'
+    or '--set key=value: message'."""
     scenario, lines = Scenario(), []
     if path is not None:
         try:

@@ -1,5 +1,6 @@
 """Command line interface tests."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -71,14 +72,27 @@ def test_unknown_set_key_fails_with_code_1(line_file, capsys):
     assert "bogus" in err
 
 
-@pytest.mark.parametrize("argv", [["validate", "--set", "-x=1"], [],
-                                  ["sweep", "--out", "o", "--jobs", "two"]])
-def test_a_usage_error_is_bad_input_with_code_1(argv, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--set", "-x=1"], "argument --set: expected one argument"),
+    ([], "the following arguments are required: command"),
+    (["sweep", "--out", "o", "--jobs", "two"],
+     "argument --jobs: invalid int value: 'two'"),
+    # unchecked, each failed later with a vaguer message
+    (["validate", "--set", "nodes"], "--set expects KEY=VALUE, got 'nodes'"),
+    (["sweep", "--axis", "=6", "--out", "o"],
+     "--axis expects KEY=VALUE, got '=6'"),
+    (["sweep", "--seeds", "1,x", "--out", "o"],
+     "--seeds expects comma-separated integers, got '1,x'"),
+    (["validate", "--set", "placement=explicit", "--set", "positions=;"],
+     "--set positions=;: positions expects 'x,y; x,y; ...', got ';'")],
+    ids=["argv0", "argv1", "argv2", "set-without-equals", "axis-without-key",
+         "seeds-not-integers", "positions-without-points"])
+def test_a_usage_error_is_bad_input_with_code_1(argv, message, capsys):
     # argparse alone would exit 2, the code of a runtime failure
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "error: " in err
+    assert err.endswith(f"error: {message}\n"), err
 
 
 def test_help_exits_0(capsys):
@@ -257,6 +271,15 @@ def test_run_rejects_a_sink_pos_its_placement_would_ignore(placement, setting,
     assert "sink_pos is read only when placement = uniform" in err
 
 
+def test_run_rejects_a_cbr_count_its_cbr_sources_would_ignore(capsys):
+    # unchecked, the listed source sent its packets and the run exited 0
+    code, out, err = run_cli(capsys, "run", "--set", "nodes=8",
+                             "--set", "sim_time=5", "--set", "cbr_sources=3",
+                             "--set", "cbr_count=0")
+    assert (code, out) == (1, "")
+    assert err == "error: cbr_count is read only when cbr_sources = auto\n"
+
+
 @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
 def test_run_to_a_trace_path_it_cannot_write_runs_nothing(kind, tmp_path,
                                                          capsys, monkeypatch):
@@ -274,7 +297,7 @@ def test_run_to_a_trace_path_it_cannot_write_runs_nothing(kind, tmp_path,
     assert err.startswith(f"error: cannot write {trace}: ")
 
 
-def test_an_interrupted_run_leaves_no_trace_file_it_made(tmp_path,
+def test_an_interrupted_run_leaves_no_trace_file_it_made(tmp_path, capsys,
                                                         monkeypatch):
     # unchecked, the path check left an empty file that replayed with exit 0
     def interrupted(sim):
@@ -283,10 +306,51 @@ def test_an_interrupted_run_leaves_no_trace_file_it_made(tmp_path,
     made, kept = tmp_path / "made.trace", tmp_path / "kept.trace"
     kept.write_text("an older trace")
     for trace in (made, kept):
-        with pytest.raises(KeyboardInterrupt):
-            main(["run", "--set", "nodes=3", "--trace", str(trace)])
+        assert run_cli(capsys, "run", "--set", "nodes=3",
+                       "--trace", str(trace)) == (130, "",
+                                                  "error: interrupted\n")
     assert not made.exists()
     assert kept.read_text() == "an older trace"
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="only forked children see the patched point")
+def test_an_interrupted_sweep_exits_130_and_leaves_no_child(tmp_path, capsys,
+                                                           monkeypatch):
+    # unchecked, the interrupt ended the sweep in a 35-line traceback
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    caller = os.getpid()
+
+    def interrupted(scenario):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)          # a child left running outlives the test
+
+    monkeypatch.setattr(experiments, "_run_point", interrupted)
+    out_dir, began = tmp_path / "out", time.monotonic()
+    code, out, err = run_cli(capsys, "sweep", "--set", "nodes=8",
+                             "--set", "sim_time=2", "--axis", "deadline_ms=6,8",
+                             "--seeds", "1,2", "--jobs", "3",
+                             "--out", str(out_dir))
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert time.monotonic() - began < 30
+    assert multiprocessing.active_children() == []
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_a_runtime_failure_exits_2_naming_it(command, tmp_path, capsys,
+                                             monkeypatch):
+    # unchecked, a run whose simulation raised exited 0
+    def failing(*args):
+        raise RuntimeError("synthetic failure")
+    monkeypatch.setattr(experiments.Simulation, "run", failing)
+    monkeypatch.setattr(experiments, "read_trace", failing)
+    argv = (["run", "--set", "nodes=3", "--set", "sim_time=2"]
+            if command == "run" else ["replay", str(tmp_path / "t.trace")])
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: RuntimeError('synthetic failure')\n")
 
 
 @pytest.mark.parametrize("command", ["run", "replay"])

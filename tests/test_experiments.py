@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
@@ -382,6 +383,24 @@ def test_an_interrupt_in_the_callers_share_kills_the_children(monkeypatch):
         experiments.run_points(points, jobs=3)
     assert time.monotonic() - began < 30
     assert multiprocessing.active_children() == []
+
+
+@forked
+def test_a_child_leaves_ctrl_c_to_the_caller(monkeypatch):
+    """Ctrl-C reaches every process in the group.  A child ignores it, so
+    it prints no traceback of its own; the caller's interrupt kills it."""
+    points, caller = six_points(monkeypatch), os.getpid()
+    own = signal.getsignal(signal.SIGINT)
+
+    def handler(scenario):
+        if os.getpid() == caller:
+            wait_for_children()
+        return os.getpid() == caller, signal.getsignal(signal.SIGINT)
+
+    monkeypatch.setattr(experiments, "_run_point", handler)
+    results = experiments.run_points(points, jobs=2)
+    assert Counter(results) == {(True, own): 1, (False, signal.SIG_IGN): 5}
+    assert signal.getsignal(signal.SIGINT) is own
 
 
 def test_swept_cell_with_a_comma_is_quoted(tmp_path):

@@ -268,6 +268,8 @@ def valid_scenarios(draw):
     others = [i for i in range(n) if i != sc.sink]
     sc.cbr_sources = draw(st.none() | st.lists(st.sampled_from(others),
                                                 min_size=1, unique=True))
+    # a source list refuses any cbr_count but the default
+    sc.cbr_count = draw(st.integers(0, 10**6)) if sc.cbr_sources is None else 5
     for key in ("area_width", "area_height", "tx_range", "deadline_ms",
                 "queue_service_rate", "bootstrap_spread_s"):
         setattr(sc, key, draw(_numbers(1e-300, 1e12)))
@@ -277,8 +279,7 @@ def valid_scenarios(draw):
     for key in ("interval_s", "hello_period_s", "echo_period_s",
                 "bootstrap_gap_s"):
         setattr(sc, key, draw(_numbers(sc.sim_time / rounds, 1e12)))
-    for key in ("cbr_count", "max_retries"):
-        setattr(sc, key, draw(st.integers(0, 10**6)))
+    sc.max_retries = draw(st.integers(0, 10**6))
     for key in ("cbr_start_s", "base_mac_delay_ms", "tx_delay_ms",
                 "contention_coeff_ms", "jitter_ms", "ctl_window_s",
                 "flow_window_s", "queue_window_s"):
