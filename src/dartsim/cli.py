@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     except Exception as exc:                      # runtime failure
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:           # run_points has reaped its children
+    except KeyboardInterrupt:           # Ctrl-C; run_points reaps any children
         print("error: interrupted", file=sys.stderr)
         return 130
 
