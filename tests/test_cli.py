@@ -77,7 +77,7 @@ def test_unknown_set_key_fails_with_code_1(line_file, capsys):
     ([], "the following arguments are required: command"),
     (["sweep", "--out", "o", "--jobs", "two"],
      "argument --jobs: invalid int value: 'two'"),
-    # unchecked, each failed later with a vaguer message
+    # unchecked, each of these failed later with a vaguer message
     (["validate", "--set", "nodes"], "--set expects KEY=VALUE, got 'nodes'"),
     (["sweep", "--axis", "=6", "--out", "o"],
      "--axis expects KEY=VALUE, got '=6'"),
@@ -88,7 +88,8 @@ def test_unknown_set_key_fails_with_code_1(line_file, capsys):
     ids=["argv0", "argv1", "argv2", "set-without-equals", "axis-without-key",
          "seeds-not-integers", "positions-without-points"])
 def test_a_usage_error_is_bad_input_with_code_1(argv, message, capsys):
-    # argparse alone would exit 2, the code of a runtime failure
+    # argparse alone would exit 2 on the first three, the code of a runtime
+    # failure
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

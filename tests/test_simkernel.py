@@ -330,8 +330,8 @@ def test_attempt_counts_match_the_retry_loop_on_a_twin(loss, max_retries):
 def lossy_pair():
     """A jittery, lossy 2-node run and a twin of its random stream."""
     sc = scenario(nodes=2, placement="explicit", cbr_count=0,
-                       positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
-                       jitter_ms=0.2, max_retries=2, seed=12)
+                  positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
+                  jitter_ms=0.2, max_retries=2, seed=12)
     sim = Simulation(sc)
     twin = random.Random()
     twin.setstate(sim.rng.getstate())
@@ -370,8 +370,8 @@ def test_a_measured_link_delay_survives_later_hello_rounds():
     pair a row measured by an echo reply keeps its object and its delay
     through every later HELLO round, bootstrap and steady."""
     sc = scenario(nodes=2, placement="explicit", cbr_count=0,
-                       positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
-                       jitter_ms=0.2, max_retries=2, seed=12, sim_time=60.0)
+                  positions=[(0.0, 0.0), (200.0, 0.0)], loss=0.4,
+                  jitter_ms=0.2, max_retries=2, seed=12, sim_time=60.0)
     sim = Simulation(sc)
     hello_round = sim._on_hello_round
     measured_rounds = 0
@@ -416,9 +416,9 @@ def test_adjacency_matches_pairwise_distances():
                scenario(nodes=60, seed=9),
                scenario(nodes=30, placement="grid", tx_range=120.0),
                scenario(nodes=5, placement="explicit", tx_range=100.0,
-                             positions=[(0.0, 0.0), (-60.0, 80.0),
-                                        (100.0, 0.0), (100.0, -1e-13),
-                                        (0.0, 100.0000000000001)])):
+                        positions=[(0.0, 0.0), (-60.0, 80.0),
+                                   (100.0, 0.0), (100.0, -1e-13),
+                                   (0.0, 100.0000000000001)])):
         positions, adjacency = build_topology(sc, random.Random(sc.seed))
         assert all(type(p) is tuple and len(p) == 2 for p in positions)
         for i in range(sc.nodes):
@@ -435,7 +435,7 @@ def test_adjacency_matches_pairwise_distances():
 
 def test_grid_topology_fills_the_area():
     sc = scenario(nodes=6, placement="grid", area_width=100.0,
-                       area_height=100.0)
+                  area_height=100.0)
     positions, _ = build_topology(sc, random.Random(sc.seed))
     assert positions[0] == (0.0, 0.0)
     assert positions[2] == (100.0, 0.0)
@@ -496,7 +496,7 @@ def test_simulation_refuses_an_invalid_scenario(key, value):
 def test_auto_sources_are_the_farthest_nodes():
     pts = [(0.0, 0.0), (10.0, 0.0), (40.0, 0.0), (40.0, 0.0), (5.0, 0.0)]
     sc = scenario(nodes=5, placement="explicit", positions=pts,
-                       cbr_count=2, tx_range=100.0)
+                  cbr_count=2, tx_range=100.0)
     positions, _ = build_topology(sc, random.Random(sc.seed))
     dist_to_sink = [math.dist(p, positions[sc.sink]) for p in positions]
     assert select_sources(sc, dist_to_sink) == [2, 3]
@@ -590,7 +590,7 @@ def test_a_cbr_window_of_one_instant_emits_once():
     """cbr_start_s == cbr_stop_s: the first source emits at that instant,
     the others' interleaved first emissions fall after it."""
     sc = scenario(nodes=8, seed=1, sim_time=6.0, cbr_count=3,
-                       cbr_start_s=2.5, cbr_stop_s=2.5)
+                  cbr_start_s=2.5, cbr_stop_s=2.5)
     sim = Simulation(sc)
     records, _ = sim.run()
     emits = [(rec.time, rec.node) for rec in records if rec.kind == CBR_EMIT]
@@ -601,10 +601,10 @@ def test_disconnected_source_warns_and_drops_everything(caplog):
     """Source 2 is cut off; source 3 reaches the sink through node 1, two
     hops, so it does not warn."""
     sc = scenario(nodes=4, placement="explicit",
-                       positions=[(0.0, 0.0), (200.0, 0.0), (1000.0, 0.0),
-                                  (400.0, 0.0)],
-                       sink=0, cbr_sources=[2, 3], sim_time=4.0,
-                       interval_s=1.0)
+                  positions=[(0.0, 0.0), (200.0, 0.0), (1000.0, 0.0),
+                             (400.0, 0.0)],
+                  sink=0, cbr_sources=[2, 3], sim_time=4.0,
+                  interval_s=1.0)
     with caplog.at_level(logging.WARNING, logger="dartsim.simkernel"):
         sim = Simulation(sc)
     want = "source 2 has no path to sink 0; its packets will all be dropped"
@@ -624,9 +624,9 @@ def test_echo_rounds_measure_the_configured_link_delay():
     # loss-free, jitter-free, contention-free: the estimate must equal
     # (base_mac_delay + tx_delay) * 1 exactly on both sides
     sc = scenario(nodes=2, placement="explicit",
-                       positions=[(0.0, 0.0), (200.0, 0.0)], sink=0,
-                       cbr_count=0, sim_time=12.0, loss=0.0, jitter_ms=0.0,
-                       contention_coeff_ms=0.0)
+                  positions=[(0.0, 0.0), (200.0, 0.0)], sink=0,
+                  cbr_count=0, sim_time=12.0, loss=0.0, jitter_ms=0.0,
+                  contention_coeff_ms=0.0)
     sim = Simulation(sc)
     sim.run()
     expected = (sc.base_mac_delay_ms + sc.tx_delay_ms) / 1000.0
@@ -678,9 +678,9 @@ def test_an_echo_reply_applies_only_the_probes_still_pending():
     """Three quick probes are all answered before the first reply fires,
     so that reply applies both neighbors' RTTs and the next two none."""
     sc = scenario(nodes=3, placement="explicit",
-                       positions=[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)],
-                       sink=0, bootstrap_rounds=3, bootstrap_gap_s=1e-4,
-                       loss=0.0, jitter_ms=0.0, sim_time=2.0)
+                  positions=[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)],
+                  sink=0, bootstrap_rounds=3, bootstrap_gap_s=1e-4,
+                  loss=0.0, jitter_ms=0.0, sim_time=2.0)
     records, _ = Simulation(sc).run()
     replies = [rec.detail for rec in records
                if rec.kind == ECHO_REPLY and rec.node == 0]
