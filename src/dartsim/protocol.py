@@ -11,10 +11,10 @@ At the packet's source a second copy goes to the runner-up neighbor.
 A link delay changes only when an echo reply is folded in, so each node
 ranks its closer neighbors once per echo reply, not once per packet.
 
-Packets are NamedTuples, cheap to build on every hop; a changed copy of
-a packet is built positionally from the unpacked original, which costs
-less than _replace.  Distances are meters, times are seconds, speeds
-are meters per second.
+Packets and decisions are NamedTuples.  The per-hop builders pass every
+field to tuple.__new__, which skips the class's generated __new__ and
+costs less than it or _replace.  Distances are meters, times are
+seconds, speeds are meters per second.
 """
 
 from __future__ import annotations
@@ -134,16 +134,17 @@ def decide_forward(state: NodeState, pkt: DataPacket) -> ForwardDecision:
             if entry.link_delay > 0.0 and entry.dist_to_sink < d_here)[:2]
     # sorted by falling speed, so the eligible neighbors are a prefix
     if not (best and -best[0][0] >= v_req):
-        return ForwardDecision(None, None, v_req)
+        return tuple.__new__(ForwardDecision, (None, None, v_req))
     duplicate = None
     if (state.my_id == pkt.source_id and not pkt.is_duplicate
             and len(best) >= 2 and -best[1][0] >= v_req):
         duplicate = best[1][1]
-    return ForwardDecision(best[0][1], duplicate, v_req)
+    return tuple.__new__(ForwardDecision, (best[0][1], duplicate, v_req))
 
 
 def on_data_arrival_update(pkt: DataPacket, traversed_link_delay: float) -> DataPacket:
     """Charge a traversed link against the packet's budget, count the hop."""
     eid, src, t_l, created_at, hops, dup = pkt
-    return DataPacket(eid, src, max(0.0, t_l - traversed_link_delay),
-                      created_at, hops + 1, dup)
+    return tuple.__new__(DataPacket, (eid, src,
+                                      max(0.0, t_l - traversed_link_delay),
+                                      created_at, hops + 1, dup))

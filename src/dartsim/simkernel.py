@@ -17,8 +17,10 @@ of data packet transmissions there within flow_window_s, so data
 contention scales with the packet rate.  Rounds and data transmissions
 go to two simulation-wide (time, node) logs, and recent[node] counts
 the node's entries still in them; since time never runs backwards, a
-load query expires old entries from the log fronts and sums the counts
-of the neighborhood, whatever its size.  Queue wait is the node's own
+load query expires old entries from the log fronts, then sums what the
+node's itemgetter near[i] picks from recent: i, its neighbors and slot
+n, one past the nodes, which nothing writes, so that even an isolated
+node's getter returns a tuple.  Queue wait is the node's own
 transmissions within queue_window_s divided by the service rate.  Load
 and occupancy are always taken before the current transmission is
 recorded, so a packet never waits on itself.
@@ -44,6 +46,7 @@ import logging
 import math
 import random
 from collections import deque
+from operator import itemgetter
 
 from .metrics import (CBR_EMIT, DROP, DUPLICATE, ECHO_PROBE, ECHO_REPLY,
                       FORWARD, HELLO_ROUND, PACKET_ARRIVAL, REASON_LOSS,
@@ -145,14 +148,10 @@ def select_sources(scenario, dist_to_sink) -> list:
 
 
 def _reachable_from(adjacency, start) -> set:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        here = frontier.pop()
-        for nxt in adjacency[here]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    seen, frontier = {start}, {start}
+    while frontier:                        # one hop level per pass
+        frontier = set().union(*map(adjacency.__getitem__, frontier)) - seen
+        seen |= frontier
     return seen
 
 
@@ -178,7 +177,9 @@ class Simulation:
             if s not in reachable:
                 log.warning(f"source {s} has no path to sink {sink}; "
                             f"its packets will all be dropped")
-        self.recent = [0] * scenario.nodes  # each node's entries in the logs
+        n = scenario.nodes
+        self.recent = [0] * (n + 1)         # each node's entries in the logs
+        self.near = [itemgetter(i, n, *adjacency[i]) for i in range(n)]
         self.round_log = deque()            # (time, node) per control round
         self.data_log = deque()             # (time, node) per data packet sent
         self.windows = ((self.round_log, scenario.ctl_window_s),
@@ -236,8 +237,7 @@ class Simulation:
             cut = now - window
             while entries and entries[0][0] <= cut:
                 recent[entries.popleft()[1]] -= 1
-        return float(recent[i] + sum(map(recent.__getitem__,
-                                         self.neighbors[i])))
+        return float(sum(self.near[i](recent)))
 
     def _record(self, *fields):         # time, kind, node, event_id, detail
         self.records.append(tuple.__new__(TraceRecord, fields))
@@ -322,7 +322,7 @@ class Simulation:
         if primary is None:
             reason = REASON_NO_BUDGET if decision is SPENT else REASON_NO_ROUTE
             self._record(now, DROP, i, pkt.event_id,
-                         f"reason={reason} dup={pkt.is_duplicate:d}")
+                         f"reason={reason} dup={'01'[pkt.is_duplicate]}")
             return
         load = self._neighborhood_load(i, now)
         targets = ((primary, pkt),)
@@ -336,12 +336,13 @@ class Simulation:
             self.recent[i] += 1
             delay = delay_of(own)
             n = 1 if self.rng.random() >= self.scenario.loss else self.retry()
+            dup = "01"[copy.is_duplicate]
             if not n:
                 self._record(now, DROP, i, copy.event_id,
-                             f"reason={REASON_LOSS} dup={copy.is_duplicate:d}")
+                             f"reason={REASON_LOSS} dup={dup}")
                 continue
             self._record(now, FORWARD, i, copy.event_id,
-                         f"to={j} dup={copy.is_duplicate:d} "
+                         f"to={j} dup={dup} "
                          f"d={dist_text} tl={copy.t_l!r}")
             delay *= n                    # arrivals may land past sim_time
             heapq.heappush(self.heap, (now + delay, next(self.seq),
@@ -355,7 +356,7 @@ class Simulation:
             e2e = now - updated.created_at
             self._record(now, PACKET_ARRIVAL, j, updated.event_id,
                          f"delay={e2e!r} tl={updated.t_l!r} "
-                         f"dup={updated.is_duplicate:d} "
+                         f"dup={'01'[updated.is_duplicate]} "
                          f"hops={updated.hop_count}")
         else:
             self._forward_from(j, updated, now)

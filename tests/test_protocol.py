@@ -17,6 +17,7 @@ from dartsim.metrics import HELLO_ROUND
 from dartsim.protocol import (
     SPENT,
     DataPacket,
+    ForwardDecision,
     ForwardingEntry,
     NodeState,
     decide_forward,
@@ -386,7 +387,29 @@ def test_decide_forward_spent_budget_reports_infinite_requirement():
     assert math.isinf(d.v_req)
 
 
+def test_decide_forward_builds_a_route_and_a_void_and_returns_spent():
+    state = make_state()
+    add_neighbor(state, 5, 240.0, 0.001)   # 60000 m/s
+    add_neighbor(state, 2, 190.0, 0.002)   # 55000 m/s
+    route = decide_forward(state, make_packet(source_id=1))
+    void = decide_forward(state, make_packet(t_l=0.001))  # needs 300000 m/s
+    for d, want in ((route, (5, 2, 50000.0)), (void, (None, None, 300000.0))):
+        assert type(d) is ForwardDecision
+        assert (d.primary_next_hop, d.duplicate_next_hop, d.v_req) == want
+    assert decide_forward(state, make_packet(t_l=0.0)) is SPENT
+
+
 # -------------------------------------------------------- arrival updates
+
+@pytest.mark.parametrize("dup", [False, True])
+def test_arrival_update_builds_a_packet_with_named_fields(dup):
+    pkt = DataPacket(9, 4, 0.004, 3.25, 2, dup)
+    out = on_data_arrival_update(pkt, 0.001)
+    assert type(out) is DataPacket
+    assert (out.event_id, out.source_id, out.t_l, out.created_at,
+            out.hop_count) == (9, 4, 0.004 - 0.001, 3.25, 3)
+    assert out.is_duplicate is dup
+
 
 def test_arrival_update_decrements_budget_and_counts_hop():
     pkt = make_packet(t_l=0.006)

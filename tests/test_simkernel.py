@@ -721,17 +721,39 @@ def test_copy_conservation_on_a_busy_run():
     assert kinds[DUPLICATE] > 0             # the mechanism actually fires
 
 
-@pytest.mark.parametrize("kw", [
-    dict(nodes=30, sim_time=10.0, seed=2),
-    dict(nodes=40, cbr_count=6, interval_s=0.1, deadline_ms=50.0, loss=0.2,
-         max_retries=3, sim_time=5.0, seed=6),
-    dict(nodes=30, ctl_window_s=1.0, flow_window_s=0.05, interval_s=0.2,
-         sim_time=10.0, seed=3),
-], ids=["default", "lossy-fast-cbr", "wide-ctl-narrow-flow"])
-def test_neighborhood_load_matches_a_recount_of_the_trace(kw):
-    """Each load query equals the rounds and data transmissions in the
-    neighborhood, counted afresh from the records written so far."""
-    sc = scenario(**kw)
+def test_dup_reads_1_on_every_outcome_of_a_duplicate_copy():
+    """An arrival moves the one copy it is handed, and an emission writes
+    its original's outcome before its duplicate's.  Every FORWARD, DROP
+    and PACKET_ARRIVAL of a duplicate reads dup=1, every other dup=0."""
+    sc = scenario(nodes=40, cbr_count=6, interval_s=0.1, deadline_ms=50.0,
+                  loss=0.2, max_retries=1, sim_time=5.0, seed=6)
+    sim = Simulation(sc)
+    outcomes = (FORWARD, DROP, PACKET_ARRIVAL)
+    checked = []                            # (outcome record, its copy's flag)
+
+    def watch(handler, flags):
+        def wrapped(now, *args):
+            start = len(sim.records)
+            handler(now, *args)
+            checked.extend(zip([rec for rec in sim.records[start:]
+                                if rec.kind in outcomes], flags(*args)))
+        return wrapped
+    sim._on_cbr_emit = watch(sim._on_cbr_emit, lambda nid: "01")
+    sim._on_packet_arrival = watch(
+        sim._on_packet_arrival,
+        lambda j, pkt, delay: ["1" if pkt.is_duplicate else "0"])
+    records, _ = sim.run()
+    assert len(checked) == sum(rec.kind in outcomes for rec in records)
+    assert [detail_fields(rec.detail)["dup"] for rec, _ in checked] == [
+        flag for _, flag in checked]
+    assert {(rec.kind, flag) for rec, flag in checked} == {
+        (kind, flag) for kind in outcomes for flag in "01"}
+
+
+def recounted_loads(sc):
+    """Runs sc, checking each load query against the rounds and data
+    transmissions in the neighborhood, counted afresh from the records
+    written so far; returns (node, data count) per query."""
     sim = Simulation(sc)
     load = sim._neighborhood_load
     seen = []
@@ -754,9 +776,36 @@ def test_neighborhood_load_matches_a_recount_of_the_trace(kw):
                 data += rec.time > flow_cut
         got = load(i, now)
         assert got == float(rounds + data), (i, now, rounds, data)
-        seen.append(data)
+        seen.append((i, data))
         return got
     sim._neighborhood_load = recount
     sim.run()
+    return seen
+
+
+@pytest.mark.parametrize("kw", [
+    dict(nodes=30, sim_time=10.0, seed=2),
+    dict(nodes=40, cbr_count=6, interval_s=0.1, deadline_ms=50.0, loss=0.2,
+         max_retries=3, sim_time=5.0, seed=6),
+    dict(nodes=30, ctl_window_s=1.0, flow_window_s=0.05, interval_s=0.2,
+         sim_time=10.0, seed=3),
+], ids=["default", "lossy-fast-cbr", "wide-ctl-narrow-flow"])
+def test_neighborhood_load_matches_a_recount_of_the_trace(kw):
+    seen = recounted_loads(scenario(**kw))
     assert len(seen) > 200
-    assert sum(d > 0 for d in seen) > 50    # data load is exercised too
+    assert sum(d > 0 for _, d in seen) > 50  # data load is exercised too
+
+
+def test_neighborhood_load_of_isolated_and_one_neighbor_nodes():
+    """The layout of the disconnected-source test: node 2 has no
+    neighbor, and nodes 0 and 3 have node 1 alone."""
+    sc = scenario(nodes=4, placement="explicit",
+                  positions=[(0.0, 0.0), (200.0, 0.0), (1000.0, 0.0),
+                             (400.0, 0.0)],
+                  sink=0, cbr_sources=[2, 3], sim_time=10.0,
+                  interval_s=0.5, echo_period_s=1.0)
+    seen = recounted_loads(sc)
+    queries = Counter(i for i, _ in seen)
+    assert min(queries[0], queries[2], queries[3]) >= 8
+    # node 1's sends load its one-neighbor peers too
+    assert all(any(d > 0 for i, d in seen if i == node) for node in (0, 3))
